@@ -19,9 +19,12 @@ crossover scale the per-step tail switches from a quadratic to a linear
 exponent.  A problem without noise has a tail sum of exactly 0, and no D.
 
 Infinite horizons are summed with a certified truncation: terms decay
-like exp(-c m^q), and the remainder beyond the truncation point is
-bounded by the corresponding incomplete-gamma integral and added to the
-sum, keeping the reported probability a true lower bound.
+like exp(-c m^q), the exact terms are summed up to a cut, and the
+remainder beyond the cut is bounded by the corresponding incomplete-gamma
+integral and added to the sum, keeping the reported probability a true
+lower bound.  The cut is where a term drops below a relative cutoff of
+the first term, capped at a fixed term budget, so the cost is bounded
+for any positive exponent strength.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from .errors import InfeasibleStart, SeriesDivergence, ValidationError
 from .schedule import StepSchedule
 
 _REL_TERM_CUTOFF = 1e-16
-_BLOCK = 4096
-_MAX_BLOCKS = 100_000
+_TERM_BUDGET = 2**18  # exact terms summed at most (2 MB); the remainder bounds the rest
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class BoundQuery:
     delta: float
     n0: int
     horizon: int | None  # None means every step from n0 on
-    D_const: float
+    D_const: float | None  # None only for a noiseless problem, whose tail is 0
     p_init: float
     p_init_source: str
 
@@ -105,18 +107,25 @@ def build_query(
     delta: float,
     n0: int,
     horizon: int | None,
-    D_const: float,
+    D_const: float | None,
     p_init: float,
     p_init_source: str = "user",
 ) -> BoundQuery:
-    """Validate ranges and feasibility, then freeze the query."""
+    """Validate ranges and feasibility, then freeze the query.
+
+    ``D_const`` may be None only when the problem has no noise
+    (``increment_scale`` 0): the tail is then 0 and needs no constant.
+    """
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta must lie in (0, 1], got {delta}")
     if not 0.0 <= p_init <= 1.0:
         raise ValidationError(f"p_init must lie in [0, 1], got {p_init}")
-    if D_const <= 0.0:
+    if D_const is None:
+        if constants.increment_scale != 0.0:
+            raise ValidationError("a problem with noise needs a tail-exponent constant")
+    elif D_const <= 0.0:
         raise ValidationError(f"tail-exponent constant must be positive, got {D_const}")
     if horizon is not None and horizon < n0:
         raise ValidationError(f"horizon {horizon} must be >= start index {n0}")
@@ -232,10 +241,13 @@ def tail_probability(
     """Sum the per-step tail terms and report the probability lower bound.
 
     The bound may be negative (vacuous); it is reported as-is and flagged.
+    A query without a tail-exponent constant gets :func:`zero_tail`.
     """
     if dims < 1:
         raise ValidationError(f"dimension must be >= 1, got {dims}")
     n0 = query.n0
+    if query.D_const is None:
+        return zero_tail(constants, schedule, n0, dims, query.delta, query.p_init)
     if n0 < 1:
         raise ValidationError("tail weights need a start index >= 1")
     cross = tail_crossover(constants, schedule, n0, dims)
@@ -262,23 +274,16 @@ def tail_probability(
             ms = np.arange(n0 + 1, query.horizon + 1, dtype=float)
             total = float(np.sum(np.exp(-c * ms**q)))
     else:
-        total = 0.0
-        m_lo = n0 + 1
-        for _ in range(_MAX_BLOCKS):
-            ms = np.arange(m_lo, m_lo + _BLOCK, dtype=float)
-            terms = np.exp(-c * ms**q)
-            total += float(terms.sum())
-            m_lo += _BLOCK
-            if terms[-1] < _REL_TERM_CUTOFF * max(total, 1e-300):
-                break
-        else:
-            raise SeriesDivergence(
-                "tail series did not reach the truncation threshold "
-                f"within {_MAX_BLOCKS * _BLOCK} terms"
-            )
-        truncated_at = m_lo - 1
+        # exp(-c m^q) < cutoff * exp(-c (n0+1)^q) once m passes this index;
+        # the first term is a lower bound on any partial sum
+        rel_cut = (float(n0 + 1) ** q - math.log(_REL_TERM_CUTOFF) / c) ** (1.0 / q)
+        truncated_at = int(min(rel_cut, n0 + _TERM_BUDGET))
+        terms = np.arange(n0 + 1, truncated_at + 1, dtype=float)
+        np.power(terms, q, out=terms)
+        terms *= -c
+        np.exp(terms, out=terms)
         remainder = _series_remainder(c, q, truncated_at)
-        total += remainder
+        total = float(terms.sum()) + remainder
 
     tail_sum = 2.0 * dims * total
     prob = 1.0 - tail_sum - query.p_init
@@ -359,6 +364,7 @@ class BoundReport:
             "n0": self.query.n0,
             "horizon": self.query.horizon,
             "D_const": self.query.D_const,
+            "D_source": "noiseless" if self.query.D_const is None else "given",
             "p_init": self.query.p_init,
             "p_init_source": self.query.p_init_source,
             "dims": self.dims,
@@ -380,7 +386,7 @@ class BoundReport:
             writer = csv.writer(fh)
             writer.writerow(["m", "radius", "tail_term", "cumulative_tail"])
             for m, r in zip(self.ms.tolist(), self.radius.tolist()):
-                if m > self.query.n0:
+                if m > self.query.n0 and self.query.D_const is not None:
                     term = martingale_tail(
                         self.query.delta,
                         cross,

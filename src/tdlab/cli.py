@@ -28,7 +28,7 @@ from .bounds import build_query, check_n0, evaluate_bound
 from .config import LoadedConfig, load_config
 from .dynamics import run_online
 from .errors import ComputeError, NonFinite, ValidationError
-from .harness import convergence_diagnostics, estimate_p_init, run_alltime_experiment
+from .harness import estimate_p_init, run_alltime_experiment
 from .rng import stream
 
 
@@ -54,8 +54,11 @@ def _out_dir(args, cfg: LoadedConfig) -> Path:
 
 def _load(args) -> LoadedConfig:
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None and cfg.experiment is not None:
-        cfg.experiment.master_seed = args.seed
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ValidationError(f"--seed: must be >= 0, got {seed}")
+    if seed is not None and cfg.experiment is not None:
+        cfg.experiment.master_seed = seed
     if getattr(args, "horizon", None) is not None and cfg.experiment is not None:
         exp = cfg.experiment
         if args.horizon <= exp.n0:
@@ -109,6 +112,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trajectory < 0:
+        raise ValidationError(f"--trajectory: must be >= 0, got {args.trajectory}")
     cfg = _load(args)
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()
@@ -144,7 +149,7 @@ def cmd_bound(args) -> int:
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()
     d_const = args.D if args.D is not None else exp.D_const
-    if d_const is None:
+    if d_const is None and analytic.constants.increment_scale != 0.0:
         raise ValidationError(
             "no tail-exponent constant: set experiment.D_const, pass --D, "
             "or run the experiment command to fit one"
@@ -185,11 +190,8 @@ def cmd_experiment(args) -> int:
     exp = cfg.require_experiment()
     t0 = time.monotonic()
     result = run_alltime_experiment(exp, jobs=args.jobs, analytic=analytic)
-    diag = convergence_diagnostics(exp, jobs=args.jobs, analytic=analytic)
     out = _out_dir(args, cfg)
-    payload = result.as_dict()
-    payload["diagnostics"] = diag.as_dict()
-    _write_json(out / "result.json", payload)
+    _write_json(out / "result.json", result.as_dict())
     if "csv" in cfg.formats:
         _write_per_m_csv(out / "per_m.csv", result)
         _write_summary_csv(out / "summary.csv", result)

@@ -168,36 +168,35 @@ def load_config(path: str | Path) -> LoadedConfig:
         exp = raw["experiment"]
         if not isinstance(exp, dict):
             raise ConfigError("experiment: expected an object")
+        fields = dict(
+            n0=_integer(_require(exp, "n0", "experiment"), "experiment.n0"),
+            horizon=_integer(_require(exp, "horizon", "experiment"), "experiment.horizon"),
+            n_trajectories=_integer(
+                _require(exp, "n_trajectories", "experiment"), "experiment.n_trajectories"
+            ),
+            master_seed=_integer(
+                _require(exp, "master_seed", "experiment"), "experiment.master_seed"
+            ),
+            epsilon=_number(_require(exp, "epsilon", "experiment"), "experiment.epsilon"),
+            delta=_number(_require(exp, "delta", "experiment"), "experiment.delta"),
+            D_const=None
+            if exp.get("D_const") is None
+            else _number(exp["D_const"], "experiment.D_const"),
+            initial_state_policy=exp.get("initial_state_policy", "stationary"),
+            initial_x=None
+            if exp.get("initial_x") is None
+            else _vector(exp["initial_x"], "experiment.initial_x"),
+            epsilon_grid=None
+            if exp.get("epsilon_grid") is None
+            else tuple(_vector(exp["epsilon_grid"], "experiment.epsilon_grid").tolist()),
+            delta_grid=None
+            if exp.get("delta_grid") is None
+            else tuple(_vector(exp["delta_grid"], "experiment.delta_grid").tolist()),
+        )
         try:
-            experiment = ExperimentConfig(
-                problem=problem,
-                schedule=schedule,
-                n0=_integer(_require(exp, "n0", "experiment"), "experiment.n0"),
-                horizon=_integer(_require(exp, "horizon", "experiment"), "experiment.horizon"),
-                n_trajectories=_integer(
-                    _require(exp, "n_trajectories", "experiment"), "experiment.n_trajectories"
-                ),
-                master_seed=_integer(
-                    _require(exp, "master_seed", "experiment"), "experiment.master_seed"
-                ),
-                epsilon=_number(_require(exp, "epsilon", "experiment"), "experiment.epsilon"),
-                delta=_number(_require(exp, "delta", "experiment"), "experiment.delta"),
-                D_const=None
-                if exp.get("D_const") is None
-                else _number(exp["D_const"], "experiment.D_const"),
-                initial_state_policy=exp.get("initial_state_policy", "stationary"),
-                initial_x=None
-                if exp.get("initial_x") is None
-                else _vector(exp["initial_x"], "experiment.initial_x"),
-                epsilon_grid=None
-                if exp.get("epsilon_grid") is None
-                else tuple(_vector(exp["epsilon_grid"], "experiment.epsilon_grid").tolist()),
-                delta_grid=None
-                if exp.get("delta_grid") is None
-                else tuple(_vector(exp["delta_grid"], "experiment.delta_grid").tolist()),
-            )
-        except ValidationError as exc:
-            raise ConfigError(f"experiment: {exc}") from exc
+            experiment = ExperimentConfig(problem=problem, schedule=schedule, **fields)
+        except ValidationError as exc:  # its message starts with the field name
+            raise ConfigError(f"experiment.{exc}") from exc
         if exp.get("p_init") is not None:
             p_init_user = _number(exp["p_init"], "experiment.p_init")
             if not 0.0 <= p_init_user <= 1.0:

@@ -6,6 +6,13 @@ constant from simulated weighted noise sums when none is supplied, and
 compares the empirical all-time event frequency against the closed-form
 lower bound.
 
+One experiment is one ensemble pass: the per-step collectors (start
+error, max excess per epsilon, per-step counts, noise sums at the fit
+points, errors at the convergence checkpoints, the error matrix) all
+read the iterate of that pass.  Which collectors are on never changes
+the iterates, so a standalone pass with fewer collectors reproduces the
+same values bit for bit.
+
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
 owns the stream ``rng.stream(master_seed, index)``; trajectories are
@@ -34,7 +41,6 @@ from .bounds import (
     decay_curve,
     floor_term,
     tail_probability,
-    zero_tail,
 )
 from .errors import InfeasibleStart, InsufficientTailData, NonFinite, ValidationError
 from .rng import stream
@@ -91,36 +97,51 @@ class ExperimentConfig:
     batch_size: int = 512
 
     def __post_init__(self) -> None:
+        """Every message starts with the name of the field at fault."""
         if self.n_trajectories < 1:
-            raise ValidationError("need at least one trajectory")
-        if self.n0 < 0 or self.horizon <= self.n0:
-            raise ValidationError(f"need horizon > n0 >= 0, got n0={self.n0}, horizon={self.horizon}")
+            raise ValidationError("n_trajectories: need at least one trajectory")
+        if self.n0 < 0:
+            raise ValidationError(f"n0: must be >= 0, got {self.n0}")
+        if self.horizon <= self.n0:
+            raise ValidationError(f"horizon: must exceed n0 = {self.n0}, got {self.horizon}")
+        if self.master_seed < 0:
+            raise ValidationError(f"master_seed: must be >= 0, got {self.master_seed}")
         if not 0.0 < self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+            raise ValidationError(f"epsilon: must lie in (0, 1], got {self.epsilon}")
         if not 0.0 < self.delta <= 1.0:
-            raise ValidationError(f"delta must lie in (0, 1], got {self.delta}")
+            raise ValidationError(f"delta: must lie in (0, 1], got {self.delta}")
         policy = self.initial_state_policy
-        if policy not in ("stationary", "uniform") and not policy.startswith("fixed:"):
+        if not isinstance(policy, str) or (
+            policy not in ("stationary", "uniform") and not policy.startswith("fixed:")
+        ):
             raise ValidationError(
-                f"initial_state_policy must be 'stationary', 'uniform' or 'fixed:<i>', got {policy!r}"
+                f"initial_state_policy: must be 'stationary', 'uniform' or 'fixed:<i>', got {policy!r}"
             )
+        if policy.startswith("fixed:"):
+            s = self.problem.n_states
+            try:
+                state = int(policy.split(":", 1)[1])
+            except ValueError:
+                state = -1
+            if not 0 <= state < s:
+                raise ValidationError(
+                    f"initial_state_policy: the fixed state must be an integer in [0, {s}), got {policy!r}"
+                )
         d = self.problem.n_features
         if self.initial_x is None:
             self.initial_x = np.zeros(d)
         else:
             self.initial_x = np.asarray(self.initial_x, dtype=float)
             if self.initial_x.shape != (d,):
-                raise ValidationError(f"initial_x must have shape ({d},)")
+                raise ValidationError(f"initial_x: must have shape ({d},)")
         for name, grid in (("epsilon_grid", self.epsilon_grid), ("delta_grid", self.delta_grid)):
             if grid is not None and not all(0.0 < g <= 1.0 for g in grid):
-                raise ValidationError(f"{name} entries must lie in (0, 1]")
+                raise ValidationError(f"{name}: entries must lie in (0, 1]")
 
     def fixed_initial_state(self) -> int:
+        """The start state of a 'fixed:<i>' policy, or -1."""
         if self.initial_state_policy.startswith("fixed:"):
-            i = int(self.initial_state_policy.split(":", 1)[1])
-            if not 0 <= i < self.problem.n_states:
-                raise ValidationError(f"fixed initial state {i} out of range")
-            return i
+            return int(self.initial_state_policy.split(":", 1)[1])
         return -1
 
 
@@ -163,7 +184,13 @@ class _EnsembleSpec:
 
 
 @dataclass
-class _ChunkOut:
+class _EnsembleOut:
+    """What the collectors gathered over trajectories [lo, hi).
+
+    ``_simulate_chunk`` fills one per batch; the ensemble's own output is
+    the one over [0, n), into which every batch is absorbed.
+    """
+
     lo: int
     hi: int
     err_n0: np.ndarray
@@ -174,14 +201,44 @@ class _ChunkOut:
     diag_err: np.ndarray | None
     err_matrix: np.ndarray | None
 
+    @classmethod
+    def empty(cls, spec: _EnsembleSpec, lo: int, hi: int) -> _EnsembleOut:
+        """The collectors ``spec`` switches on, sized for trajectories [lo, hi)."""
+        B = hi - lo
+        span = spec.horizon - spec.n0 + 1
+        n_eps = 0 if spec.eps_grid is None else len(spec.eps_grid)
+        track_noise = spec.track_noise_sum and spec.fit_ms is not None
+        return cls(
+            lo=lo,
+            hi=hi,
+            err_n0=np.empty(B),
+            max_excess=np.full((B, n_eps), -np.inf) if n_eps else None,
+            per_m_counts=np.zeros(span, dtype=np.int64) if spec.count_violations else None,
+            err_max_per_m=np.zeros(span) if spec.count_violations else None,
+            noise_sums=np.empty((B, len(spec.fit_ms))) if track_noise else None,
+            diag_err=np.empty((B, len(spec.diag_ms))) if spec.diag_ms is not None else None,
+            err_matrix=np.empty((B, span), dtype=np.float32) if spec.want_err_matrix else None,
+        )
 
-def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _ChunkOut:
+    def absorb(self, part: _EnsembleOut) -> None:
+        """Copy the rows of a batch inside [lo, hi) and fold in its per-step columns."""
+        rows = slice(part.lo - self.lo, part.hi - self.lo)
+        for name in ("err_n0", "max_excess", "noise_sums", "diag_err", "err_matrix"):
+            mine = getattr(self, name)
+            if mine is not None:
+                mine[rows] = getattr(part, name)
+        if self.per_m_counts is not None:
+            self.per_m_counts += part.per_m_counts
+            np.maximum(self.err_max_per_m, part.err_max_per_m, out=self.err_max_per_m)
+
+
+def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+    """States at steps 0..horizon of trajectories [lo, hi), by inverse CDF on
+    each trajectory's own stream: one uniform for the start state (drawn
+    even when it is fixed), then one per transition."""
     B = hi - lo
     T = spec.horizon
-    s, d = spec.phi.shape
-    n0 = spec.n0
-    span = T - n0 + 1
-
+    s = spec.phi.shape[0]
     us = np.empty((B, T + 1))
     for j, i in enumerate(range(lo, hi)):
         us[j] = stream(spec.master_seed, i).random(T + 1)
@@ -200,20 +257,18 @@ def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _ChunkOut:
     for n in range(T):
         rows = spec.cum_rows[states[:, n]]
         states[:, n + 1] = np.minimum((rows <= us[:, n + 1, None]).sum(axis=1), s - 1)
-    del us
+    return states
+
+
+def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _EnsembleOut:
+    T = spec.horizon
+    B = hi - lo
+    d = spec.phi.shape[1]
+    n0 = spec.n0
+    states = _sample_paths(spec, lo, hi)
 
     x = np.repeat(spec.initial_x[None, :], B, axis=0)
-    err_n0 = np.empty(B)
-    n_eps = 0 if spec.eps_grid is None else len(spec.eps_grid)
-    max_excess = np.full((B, n_eps), -np.inf) if n_eps else None
-    per_m_counts = np.zeros(span, dtype=np.int64) if spec.count_violations else None
-    err_max_per_m = np.zeros(span) if spec.count_violations else None
-    noise_sums = (
-        np.empty((B, len(spec.fit_ms))) if spec.track_noise_sum and spec.fit_ms is not None else None
-    )
-    diag_err = np.empty((B, len(spec.diag_ms))) if spec.diag_ms is not None else None
-    err_matrix = np.empty((B, span), dtype=np.float32) if spec.want_err_matrix else None
-
+    out = _EnsembleOut.empty(spec, lo, hi)
     S = np.zeros((B, d))
     fit_ptr = 0
     diag_ptr = 0
@@ -222,21 +277,23 @@ def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _ChunkOut:
         nonlocal diag_ptr
         idx = m - n0
         if idx == 0:
-            err_n0[:] = err
-        if err_matrix is not None:
-            err_matrix[:, idx] = err
-        if max_excess is not None:
+            out.err_n0[:] = err
+        if out.err_matrix is not None:
+            out.err_matrix[:, idx] = err
+        if out.max_excess is not None:
             assert spec.decay is not None and spec.eps_grid is not None
             np.maximum(
-                max_excess, err[:, None] - spec.decay[idx] * spec.eps_grid[None, :], out=max_excess
+                out.max_excess,
+                err[:, None] - spec.decay[idx] * spec.eps_grid[None, :],
+                out=out.max_excess,
             )
-        if per_m_counts is not None:
+        if out.per_m_counts is not None:
             assert spec.decay is not None
             excess = err - spec.primary_eps * spec.decay[idx]
-            per_m_counts[idx] += int(np.count_nonzero(excess > spec.primary_floor))
-            err_max_per_m[idx] = max(err_max_per_m[idx], float(err.max()))
-        if diag_err is not None and diag_ptr < len(spec.diag_ms) and spec.diag_ms[diag_ptr] == m:
-            diag_err[:, diag_ptr] = err
+            out.per_m_counts[idx] += int(np.count_nonzero(excess > spec.primary_floor))
+            out.err_max_per_m[idx] = max(out.err_max_per_m[idx], float(err.max()))
+        if out.diag_err is not None and diag_ptr < len(spec.diag_ms) and spec.diag_ms[diag_ptr] == m:
+            out.diag_err[:, diag_ptr] = err
             diag_ptr += 1
 
     if n0 == 0:
@@ -257,11 +314,11 @@ def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _ChunkOut:
             else:
                 S = (1.0 - a) * S + a * xi
             if (
-                noise_sums is not None
+                out.noise_sums is not None
                 and fit_ptr < len(spec.fit_ms)
                 and spec.fit_ms[fit_ptr] == n
             ):
-                noise_sums[:, fit_ptr] = np.linalg.norm(S, axis=1)
+                out.noise_sums[:, fit_ptr] = np.linalg.norm(S, axis=1)
                 fit_ptr += 1
         proj_now = (phi_y * x).sum(axis=1)
         proj_next = (spec.phi[y_next] * x).sum(axis=1)
@@ -273,78 +330,24 @@ def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _ChunkOut:
         if m >= n0:
             collect(m, np.linalg.norm(x - spec.x_star, axis=1))
 
-    return _ChunkOut(
-        lo=lo,
-        hi=hi,
-        err_n0=err_n0,
-        max_excess=max_excess,
-        per_m_counts=per_m_counts,
-        err_max_per_m=err_max_per_m,
-        noise_sums=noise_sums,
-        diag_err=diag_err,
-        err_matrix=err_matrix,
-    )
+    return out
 
 
-def _worker(args: tuple[_EnsembleSpec, int, int]) -> _ChunkOut:
+def _worker(args: tuple[_EnsembleSpec, int, int]) -> _EnsembleOut:
     return _simulate_chunk(*args)
-
-
-@dataclass
-class _EnsembleOut:
-    err_n0: np.ndarray
-    max_excess: np.ndarray | None
-    per_m_counts: np.ndarray | None
-    err_max_per_m: np.ndarray | None
-    noise_sums: np.ndarray | None
-    diag_err: np.ndarray | None
-    err_matrix: np.ndarray | None
 
 
 def _run_ensemble(spec: _EnsembleSpec, n: int, batch_size: int, jobs: int) -> _EnsembleOut:
     chunks = [(spec, lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+    total = _EnsembleOut.empty(spec, 0, n)
     if jobs <= 1 or len(chunks) == 1:
-        outs = [_simulate_chunk(*c) for c in chunks]
+        for chunk in chunks:
+            total.absorb(_simulate_chunk(*chunk))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_worker, chunks))
-
-    span = spec.horizon - spec.n0 + 1
-    err_n0 = np.empty(n)
-    n_eps = 0 if spec.eps_grid is None else len(spec.eps_grid)
-    max_excess = np.empty((n, n_eps)) if n_eps else None
-    per_m_counts = np.zeros(span, dtype=np.int64) if spec.count_violations else None
-    err_max_per_m = np.zeros(span) if spec.count_violations else None
-    noise_sums = (
-        np.empty((n, len(spec.fit_ms)))
-        if spec.track_noise_sum and spec.fit_ms is not None
-        else None
-    )
-    diag_err = np.empty((n, len(spec.diag_ms))) if spec.diag_ms is not None else None
-    err_matrix = np.empty((n, span), dtype=np.float32) if spec.want_err_matrix else None
-    for out in outs:
-        sl = slice(out.lo, out.hi)
-        err_n0[sl] = out.err_n0
-        if max_excess is not None:
-            max_excess[sl] = out.max_excess
-        if per_m_counts is not None:
-            per_m_counts += out.per_m_counts
-            np.maximum(err_max_per_m, out.err_max_per_m, out=err_max_per_m)
-        if noise_sums is not None:
-            noise_sums[sl] = out.noise_sums
-        if diag_err is not None:
-            diag_err[sl] = out.diag_err
-        if err_matrix is not None:
-            err_matrix[sl] = out.err_matrix
-    return _EnsembleOut(
-        err_n0=err_n0,
-        max_excess=max_excess,
-        per_m_counts=per_m_counts,
-        err_max_per_m=err_max_per_m,
-        noise_sums=noise_sums,
-        diag_err=diag_err,
-        err_matrix=err_matrix,
-    )
+            for part in pool.map(_worker, chunks):
+                total.absorb(part)
+    return total
 
 
 def _base_spec(config: ExperimentConfig, analytic: AnalyticSolution, horizon: int, **kw) -> _EnsembleSpec:
@@ -560,6 +563,7 @@ class ExperimentResult:
     radius: np.ndarray
     grid: list[GridRow]
     err_quantiles: dict[str, np.ndarray] | None
+    diagnostics: Diagnostics
     wall_time: float = field(default=0.0, compare=False)
 
     def as_dict(self) -> dict:
@@ -606,6 +610,7 @@ class ExperimentResult:
                 }
                 for row in self.grid
             ],
+            "diagnostics": self.diagnostics.as_dict(),
         }
         return out
 
@@ -625,6 +630,8 @@ def run_alltime_experiment(
     Without a supplied constant, a noiseless problem (``increment_scale``
     0, so every martingale increment is identically 0) skips the noise
     sums and the fit: every tail is 0 and every bound is 1 - p_init.
+    The same pass collects the errors at the default convergence
+    checkpoints, reduced into ``diagnostics``.
     """
     t0 = time.monotonic()
     problem = config.problem
@@ -661,6 +668,7 @@ def run_alltime_experiment(
     fit_ms = _default_fit_ms(n0, horizon) if need_fit else None
     span = horizon - n0 + 1
     want_matrix = config.n_trajectories * span <= MAX_ERR_MATRIX_CELLS
+    checkpoints = _checkpoint_steps(config)
 
     spec = _base_spec(
         config,
@@ -677,6 +685,7 @@ def run_alltime_experiment(
         expected_offset=analytic.poisson.expected_offset if need_fit else None,
         expected_linear=analytic.poisson.expected_linear if need_fit else None,
         fit_ms=None if fit_ms is None else fit_ms - 1,
+        diag_ms=checkpoints,
         want_err_matrix=want_matrix,
     )
     out = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
@@ -703,8 +712,6 @@ def run_alltime_experiment(
     p_init_source = "fitted-ensemble" if need_fit else "empirical"
 
     def tail_at(eps: float, dlt: float, p_init: float) -> TailSummary:
-        if d_used is None:
-            return zero_tail(constants, sched, n0, dims, dlt, p_init)
         q = build_query(
             constants,
             sched,
@@ -774,6 +781,7 @@ def run_alltime_experiment(
         radius=decay * config.epsilon + primary_floor,
         grid=grid_rows,
         err_quantiles=quantiles,
+        diagnostics=_diagnostics(checkpoints, out.diag_err, sched),
         wall_time=time.monotonic() - t0,
     )
 
@@ -798,6 +806,36 @@ class Diagnostics:
         }
 
 
+def _checkpoint_steps(config: ExperimentConfig, checkpoints=None) -> np.ndarray:
+    """Sorted distinct checkpoint steps; by default 8 geometric steps from
+    max(n0, 1) to the horizon.  Every step must lie within [n0, horizon]."""
+    if checkpoints is None:
+        checkpoints = np.geomspace(max(config.n0, 1), config.horizon, 8).astype(np.int64)
+    ms = np.unique(np.asarray([int(m) for m in checkpoints], dtype=np.int64))
+    if len(ms) == 0 or ms[0] < config.n0 or ms[-1] > config.horizon:
+        raise ValidationError("checkpoints must lie within [n0, horizon]")
+    return ms
+
+
+def _diagnostics(ms: np.ndarray, errors: np.ndarray, schedule: StepSchedule) -> Diagnostics:
+    """Reduce the (trajectories, checkpoints) errors to quartiles and, for a
+    harmonic schedule, the log-log slope of the median."""
+    med = np.median(errors, axis=0)
+    q25 = np.percentile(errors, 25, axis=0)
+    q75 = np.percentile(errors, 75, axis=0)
+    slope = None
+    if schedule.kind == "harmonic" and len(ms) >= 2 and np.all(med > 0):
+        slope = float(np.polyfit(np.log(ms.astype(float)), np.log(med), 1)[0])
+    return Diagnostics(
+        checkpoints=ms,
+        median=med,
+        q25=q25,
+        q75=q75,
+        loglog_slope=slope,
+        n_trajectories=len(errors),
+    )
+
+
 def convergence_diagnostics(
     config: ExperimentConfig,
     checkpoints=None,
@@ -807,29 +845,11 @@ def convergence_diagnostics(
     """Median and quartiles of the error across trajectories at checkpoint steps.
 
     For harmonic schedules the log-log slope of the median is reported as a
-    crude rate estimate.
+    crude rate estimate.  ``run_alltime_experiment`` collects the same
+    values at the default checkpoints in its own pass.
     """
     analytic = analytic if analytic is not None else solve_problem(config.problem)
-    if checkpoints is None:
-        lo = max(config.n0, 1)
-        checkpoints = np.unique(np.geomspace(lo, config.horizon, 8).astype(np.int64))
-    ms = np.asarray(sorted(int(m) for m in checkpoints), dtype=np.int64)
-    if len(ms) == 0 or ms[0] < config.n0 or ms[-1] > config.horizon:
-        raise ValidationError("checkpoints must lie within [n0, horizon]")
+    ms = _checkpoint_steps(config, checkpoints)
     spec = _base_spec(config, analytic, horizon=config.horizon, diag_ms=ms)
     out = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
-    assert out.diag_err is not None
-    med = np.median(out.diag_err, axis=0)
-    q25 = np.percentile(out.diag_err, 25, axis=0)
-    q75 = np.percentile(out.diag_err, 75, axis=0)
-    slope = None
-    if config.schedule.kind == "harmonic" and len(ms) >= 2 and np.all(med > 0):
-        slope = float(np.polyfit(np.log(ms.astype(float)), np.log(med), 1)[0])
-    return Diagnostics(
-        checkpoints=ms,
-        median=med,
-        q25=q25,
-        q75=q75,
-        loglog_slope=slope,
-        n_trajectories=config.n_trajectories,
-    )
+    return _diagnostics(ms, out.diag_err, config.schedule)

@@ -22,7 +22,7 @@ from tdlab import (
     tail_crossover,
     tail_probability,
 )
-from tdlab.bounds import zero_tail
+from tdlab.bounds import _TERM_BUDGET, zero_tail
 
 
 def bundle(alpha=0.5, gain=1.0, offset=1.0, scale=1.0, x_norm=0.0):
@@ -167,6 +167,20 @@ class TestTailProbability:
         out = tail_probability(q, 2, stub, bundle())
         assert out.vacuous
         assert out.prob_lower_bound < 0.0
+
+    @pytest.mark.parametrize("D", [5.0, 0.05, 0.005])
+    def test_infinite_tail_returns_on_reference_config(self, ref_analytic, D):
+        # at small D the terms decay slowly: the exact sum stops at the term
+        # budget and the certified remainder covers the rest
+        sched = StepSchedule.harmonic(0.5)
+        kw = dict(epsilon=0.045, delta=0.1, n0=100, D_const=D, p_init=0.0)
+        c = ref_analytic.constants
+        fin = tail_probability(build_query(c, sched, horizon=10_000, **kw), 2, sched, c)
+        inf = tail_probability(build_query(c, sched, horizon=None, **kw), 2, sched, c)
+        assert math.isfinite(inf.tail_sum)
+        assert inf.tail_sum >= fin.tail_sum
+        assert inf.remainder_bound > 0.0
+        assert 100 < inf.truncated_at <= 100 + _TERM_BUDGET
 
     def test_nonpositive_strength_diverges(self):
         stub = unit_harmonic_stub()

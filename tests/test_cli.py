@@ -1,10 +1,16 @@
+import csv
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import tdlab.cli as cli
+from tdlab.config import load_config
 from tdlab.errors import NonFinite
+from tdlab.harness import _base_spec, _run_ensemble, _sample_paths
+from tdlab.instances import reference_config_dict
 
 
 def _reject_constant(token):
@@ -90,3 +96,100 @@ class TestStrictJson:
         assert code == 2
         assert "numerical failure: result.json" in capsys.readouterr().err
         assert not (out / "result.json").exists()
+
+
+def reference_config(tmp_path, **experiment):
+    raw = reference_config_dict(horizon=2000, n_trajectories=16)
+    raw["experiment"].update(experiment)
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestNoiselessBound:
+    def test_zero_tail_without_d(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["bound", scalar_config(tmp_path), "--out", str(out)]) == 0
+        res = strict_load(out / "bound.json")
+        assert res["D_source"] == "noiseless" and res["D_const"] is None
+        assert res["tail_sum"] == 0.0
+        assert res["prob_lower_bound"] == 1.0 - res["p_init"]
+        with open(out / "bound.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(row["cumulative_tail"]) == 0.0 for row in rows)
+
+    def test_given_d_still_used(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["bound", scalar_config(tmp_path), "--D", "1", "--out", str(out)]) == 0
+        res = strict_load(out / "bound.json")
+        assert res["D_source"] == "given" and res["D_const"] == 1.0
+        assert res["tail_sum"] > 0.0
+
+    def test_noisy_problem_still_needs_d(self, tmp_path, capsys):
+        assert cli.main(["bound", reference_config(tmp_path), "--out", str(tmp_path)]) == 1
+        assert "no tail-exponent constant" in capsys.readouterr().err
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "experiment, field",
+        [
+            (dict(initial_state_policy="fixed:abc"), "experiment.initial_state_policy"),
+            (dict(initial_state_policy=5), "experiment.initial_state_policy"),
+            (dict(initial_state_policy="fixed:9"), "experiment.initial_state_policy"),
+            (dict(master_seed=-1), "experiment.master_seed"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "experiment", "bound"])
+    def test_bad_config_field_exits_1(self, tmp_path, capsys, experiment, field, command):
+        cfg = reference_config(tmp_path, D_const=1.0, **experiment)
+        assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["experiment", "--seed", "-2"], "--seed"),
+            (["simulate", "--seed", "-2"], "--seed"),
+            (["simulate", "--trajectory", "-1"], "--trajectory"),
+        ],
+    )
+    def test_bad_flag_exits_1(self, tmp_path, capsys, argv, flag):
+        cfg = reference_config(tmp_path)
+        full = [argv[0], cfg, *argv[1:], "--out", str(tmp_path / "out")]
+        assert cli.main(full) == 1
+        assert f"error: {flag}:" in capsys.readouterr().err
+
+
+class TestEnsembleTwins:
+    def test_worker_count_leaves_result_unchanged(self, tmp_path):
+        cfg = reference_config(tmp_path, n_trajectories=24, horizon=600)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["experiment", cfg, "--jobs", jobs, "--out", str(out)]) == 0
+            outs.append(out)
+        res = strict_load(outs[0] / "result.json")
+        assert res["D_source"] == "fitted" and res["diagnostics"]["n_trajectories"] == 24
+        for name in ("result.json", "per_m.csv", "summary.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("policy", ["stationary", "uniform", "fixed:3"])
+    def test_simulate_reproduces_batched_rows(self, tmp_path, policy):
+        path = reference_config(tmp_path, initial_state_policy=policy)
+        cfg = load_config(path)
+        exp = dataclasses.replace(cfg.require_experiment(), n0=0)  # collect from step 0
+        steps = np.arange(exp.horizon + 1)
+        spec = _base_spec(exp, cfg.analytic, horizon=exp.horizon, diag_ms=steps)
+        states = _sample_paths(spec, 0, exp.n_trajectories)
+        errors = _run_ensemble(spec, exp.n_trajectories, 5, 1).diag_err
+        for i in (0, 7, 11):
+            out = tmp_path / f"traj{i}"
+            assert cli.main(["simulate", path, "--trajectory", str(i), "--out", str(out)]) == 0
+            with open(out / f"trajectory_{i}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(r["n"]) for r in rows] == steps.tolist()
+            assert [int(r["state"]) for r in rows] == states[i].tolist()
+            dist = np.array([float(r["dist_to_target"]) for r in rows])
+            assert np.max(np.abs(dist - errors[i])) <= 1e-12

@@ -251,6 +251,21 @@ class TestDiagnostics:
         with pytest.raises(ValidationError):
             convergence_diagnostics(cfg, checkpoints=[5], analytic=ref_analytic)
 
+    @pytest.mark.parametrize("jobs, batch_size", [(1, 8), (1, 64), (2, 8), (2, 64)])
+    def test_experiment_pass_matches_standalone(self, ref_problem, ref_analytic, jobs, batch_size):
+        cfg = small_config(ref_problem, n_trajectories=48, batch_size=batch_size)
+        folded = run_alltime_experiment(cfg, jobs=jobs, analytic=ref_analytic).diagnostics
+        alone = convergence_diagnostics(cfg, jobs=jobs, analytic=ref_analytic)
+        for name in ("checkpoints", "median", "q25", "q75"):
+            assert np.array_equal(getattr(folded, name), getattr(alone, name))
+        assert folded.as_dict() == alone.as_dict()
+
+    def test_duplicate_checkpoints_collected_once(self, scalar, scalar_analytic):
+        cfg = small_config(scalar, n_trajectories=4, initial_x=np.array([1.0]), n0=0)
+        diag = convergence_diagnostics(cfg, checkpoints=[100, 10, 100], analytic=scalar_analytic)
+        once = convergence_diagnostics(cfg, checkpoints=[10, 100], analytic=scalar_analytic)
+        assert diag.as_dict() == once.as_dict()
+
     def test_harmonic_slope_reported(self, ref_problem, ref_analytic):
         cfg = small_config(ref_problem, n_trajectories=40, n0=0, horizon=2000)
         diag = convergence_diagnostics(cfg, analytic=ref_analytic)
