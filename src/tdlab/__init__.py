@@ -26,7 +26,7 @@ from .bounds import (
     tail_crossover,
     tail_probability,
 )
-from .dynamics import TrajectoryRecord, run_deterministic, run_online, td_step
+from .dynamics import TrajectoryRecord, run_deterministic
 from .errors import (
     AssumptionViolated,
     ComputeError,
@@ -63,14 +63,13 @@ from .harness import (
     fit_tail_exponent,
     fit_tail_exponent_from_sim,
     run_alltime_experiment,
+    simulate_trajectory,
     wilson_interval,
 )
 from .markov import (
     MarkovChain,
     StationaryDistribution,
     build_chain,
-    expected_hitting_sums,
-    sample_path,
     stationary_distribution,
 )
 from .rng import stream

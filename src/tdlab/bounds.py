@@ -125,8 +125,8 @@ def build_query(
     if D_const is None:
         if constants.increment_scale != 0.0:
             raise ValidationError("a problem with noise needs a tail-exponent constant")
-    elif D_const <= 0.0:
-        raise ValidationError(f"tail-exponent constant must be positive, got {D_const}")
+    elif not (math.isfinite(D_const) and D_const > 0.0):
+        raise ValidationError(f"tail-exponent constant must be finite and positive, got {D_const}")
     if horizon is not None and horizon < n0:
         raise ValidationError(f"horizon {horizon} must be >= start index {n0}")
     chk = check_n0(constants, schedule, n0)

@@ -17,19 +17,16 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import build_query, check_n0, evaluate_bound
 from .config import LoadedConfig, load_config
-from .dynamics import run_online
 from .errors import ComputeError, NonFinite, ValidationError
-from .harness import estimate_p_init, run_alltime_experiment
-from .rng import stream
+from .harness import estimate_p_init, run_alltime_experiment, simulate_trajectory
 
 
 def _write_json(path: Path, obj) -> None:
@@ -60,12 +57,13 @@ def _load(args) -> LoadedConfig:
     if seed is not None and cfg.experiment is not None:
         cfg.experiment.master_seed = seed
     if getattr(args, "horizon", None) is not None and cfg.experiment is not None:
-        exp = cfg.experiment
-        if args.horizon <= exp.n0:
+        # simulate runs from step 0; only the experiment starts at n0
+        start = 0 if args.command == "simulate" else cfg.experiment.n0
+        if args.horizon <= start:
             raise ValidationError(
-                f"--horizon {args.horizon} must exceed the start index {exp.n0}"
+                f"--horizon: must exceed the start index {start}, got {args.horizon}"
             )
-        exp.horizon = args.horizon
+        cfg.experiment.horizon = args.horizon
     return cfg
 
 
@@ -116,27 +114,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--trajectory: must be >= 0, got {args.trajectory}")
     cfg = _load(args)
     analytic = cfg.require_analytic()
-    exp = cfg.require_experiment()
-    rng = stream(exp.master_seed, args.trajectory)
-    u0 = rng.random()
-    s = cfg.problem.n_states
-    policy = exp.initial_state_policy
-    if policy.startswith("fixed:"):
-        y0 = exp.fixed_initial_state()
-    elif policy == "uniform":
-        y0 = min(int(u0 * s), s - 1)
-    else:
-        y0 = min(int(np.searchsorted(np.cumsum(analytic.stationary.pi), u0, side="right")), s - 1)
-    record = run_online(
-        cfg.problem,
-        cfg.schedule,
-        0,
-        exp.horizon,
-        exp.initial_x,
-        y0,
-        rng,
-        x_star=analytic.x_star,
-    )
+    record = simulate_trajectory(cfg.require_experiment(), args.trajectory, analytic)
     out = _out_dir(args, cfg)
     path = out / f"trajectory_{args.trajectory}.csv"
     record.to_csv(path, include_components=args.components)
@@ -145,6 +123,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.D is not None and not (math.isfinite(args.D) and args.D > 0.0):
+        raise ValidationError(f"--D: must be finite and > 0, got {args.D}")
     cfg = _load(args)
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()

@@ -11,6 +11,7 @@ them, every other command refuses to run while any are present.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +62,8 @@ def _require(mapping: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     return float(value)
 
 
@@ -70,24 +73,24 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _matrix(value, path: str) -> np.ndarray:
+def _array(value, path: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a numeric array ({exc})") from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"{path}: expected a 2-D array, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ConfigError(f"{path}: expected a {ndim}-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}: entries must be finite numbers")
     return arr
+
+
+def _matrix(value, path: str) -> np.ndarray:
+    return _array(value, path, 2)
 
 
 def _vector(value, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric array ({exc})") from exc
-    if arr.ndim != 1:
-        raise ConfigError(f"{path}: expected a 1-D array, got shape {arr.shape}")
-    return arr
+    return _array(value, path, 1)
 
 
 def _build_schedule(block: dict) -> StepSchedule:
@@ -103,7 +106,7 @@ def _build_schedule(block: dict) -> StepSchedule:
             )
         if kind == "table":
             return StepSchedule.table(
-                values=_require(block, "values", "schedule"),
+                values=_vector(_require(block, "values", "schedule"), "schedule.values"),
                 d1=_number(_require(block, "d1", "schedule"), "schedule.d1"),
                 d2=_number(_require(block, "d2", "schedule"), "schedule.d2"),
                 d3=_number(_require(block, "d3", "schedule"), "schedule.d3"),

@@ -1,15 +1,10 @@
-"""Online TD(0) along a single sample path, plus the noiseless comparison run.
+"""The single-path record and the noiseless comparison run.
 
-The online recursion updates the weight vector from one observed
-transition at a time.  The comparison recursion replaces the sampled
-update with its stationary average and is started from the same point;
-the gap between the two runs isolates the stochastic part of the error.
-
-Noise logging decomposes every step into drift + martingale part +
-state-sampling part, together with the Poisson-solution increments that
-turn the state-sampling part into martingale differences.  Logging is
-opt-in: it multiplies memory by the feature dimension per step, and the
-all-time event checker needs only scalar error series.
+``harness.simulate_trajectory`` runs the ensemble engine on one
+trajectory and returns a :class:`TrajectoryRecord`.  The comparison
+recursion replaces the sampled update with its stationary average and is
+started from the same point; the gap between the two runs isolates the
+stochastic part of the error.
 
 Iterates are never projected or clipped; divergence raises, with the
 step index, rather than being silently absorbed.
@@ -22,78 +17,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import PoissonSolution, PolicyEvalProblem
-from .errors import NonFinite, ValidationError
+from .analytic import PolicyEvalProblem
+from .errors import ValidationError
 from .schedule import StepSchedule
-
-FULL_HISTORY_LIMIT = 100_000
-CHECKPOINT_STRIDE = 1_000
-DECOMPOSITION_TOL = 1e-10
-
-
-@dataclass
-class NoiseLog:
-    """Per-step noise decomposition terms (all step-size scaled except the increments)."""
-
-    martingale_step: np.ndarray  # (T, d): step-scaled martingale term
-    sampling_step: np.ndarray  # (T, d): step-scaled state-sampling residual
-    offset_increment: np.ndarray  # (T, d): Poisson offset martingale difference
-    linear_increment_applied: np.ndarray  # (T, d): Poisson linear difference times iterate
 
 
 @dataclass
 class TrajectoryRecord:
-    """One simulated trajectory with its comparison run and scalar series.
+    """One simulated trajectory over steps 0..T with its comparison run.
 
-    Iterate histories are retained only up to ``FULL_HISTORY_LIMIT`` steps;
-    beyond that, scalar series plus sparse checkpoints are kept.
-    ``peak_deviation[m]`` is the running sup over k <= m of the gap between
-    the online and comparison iterates; it starts at zero and never
-    decreases.
+    ``x`` and ``z`` hold the online and comparison iterates, one row per
+    step.  ``peak_deviation[m]`` is the running sup over k <= m of the gap
+    between them; it starts at zero and never decreases.
     """
 
-    start: int
     states: np.ndarray
-    x: np.ndarray | None
-    z: np.ndarray | None
-    peak_deviation: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    dist_to_target: np.ndarray
     dist_to_comparison: np.ndarray
-    dist_to_target: np.ndarray | None
-    checkpoints: dict[int, np.ndarray] | None
-    noise: NoiseLog | None
-    final_x: np.ndarray
+    peak_deviation: np.ndarray
 
     def to_csv(self, path, include_components: bool = False) -> None:
         """Write the scalar series as CSV (one row per step index)."""
-        T = len(self.states) - 1
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             header = ["n", "state", "dist_to_target", "dist_to_comparison", "peak_deviation"]
-            d = self.final_x.shape[0]
-            if include_components and self.x is not None:
-                header += [f"x{j}" for j in range(d)]
+            if include_components:
+                header += [f"x{j}" for j in range(self.x.shape[1])]
             writer.writerow(header)
-            for k in range(T + 1):
+            for k in range(len(self.states)):
                 row = [
-                    self.start + k,
+                    k,
                     int(self.states[k]),
-                    "" if self.dist_to_target is None else repr(float(self.dist_to_target[k])),
+                    repr(float(self.dist_to_target[k])),
                     repr(float(self.dist_to_comparison[k])),
                     repr(float(self.peak_deviation[k])),
                 ]
-                if include_components and self.x is not None:
+                if include_components:
                     row += [repr(float(v)) for v in self.x[k]]
                 writer.writerow(row)
-
-
-def td_step(
-    problem: PolicyEvalProblem, x: np.ndarray, y: int, y_next: int, a: float
-) -> np.ndarray:
-    """One online TD(0) update from the observed transition ``y -> y_next``."""
-    phi_y = problem.phi[y]
-    proj_now = float((phi_y * x).sum())
-    proj_next = float((problem.phi[y_next] * x).sum())
-    return x + a * phi_y * (problem.rewards[y] + problem.gamma * proj_next - proj_now)
 
 
 def run_deterministic(
@@ -117,129 +80,3 @@ def run_deterministic(
         z = z + a * (problem.mean_field(z) - z)
         out[n - start + 1] = z
     return out
-
-
-def run_online(
-    problem: PolicyEvalProblem,
-    schedule: StepSchedule,
-    start: int,
-    horizon: int,
-    initial_x: np.ndarray,
-    initial_state: int,
-    rng: np.random.Generator,
-    log_noise: bool = False,
-    poisson: PoissonSolution | None = None,
-    x_star: np.ndarray | None = None,
-) -> TrajectoryRecord:
-    """Run the online recursion along one sampled path, with the comparison run.
-
-    The comparison iterate starts equal to the online iterate.  With
-    ``log_noise`` the per-step decomposition is recorded and checked to
-    reconstruct the raw update to ``DECOMPOSITION_TOL`` (requires the
-    Poisson solutions for the martingale-difference increments).
-    """
-    if horizon <= start:
-        raise ValidationError(f"horizon {horizon} must exceed start {start}")
-    s, d = problem.n_states, problem.n_features
-    if not 0 <= initial_state < s:
-        raise ValidationError(f"initial state {initial_state} out of range [0, {s})")
-    if log_noise and poisson is None:
-        raise ValidationError("noise logging requires the Poisson solutions")
-    T = horizon - start
-    keep_full = T <= FULL_HISTORY_LIMIT
-
-    x = np.asarray(initial_x, dtype=float).copy()
-    if x.shape != (d,):
-        raise ValidationError(f"initial iterate must have shape ({d},), got {x.shape}")
-    z = x.copy()
-
-    states = np.empty(T + 1, dtype=np.int64)
-    states[0] = initial_state
-    xs = np.empty((T + 1, d)) if keep_full else None
-    zs = np.empty((T + 1, d)) if keep_full else None
-    peak = np.zeros(T + 1)
-    dist_cmp = np.zeros(T + 1)
-    dist_tgt = np.empty(T + 1) if x_star is not None else None
-    checkpoints: dict[int, np.ndarray] | None = None if keep_full else {}
-    noise = (
-        NoiseLog(
-            martingale_step=np.empty((T, d)),
-            sampling_step=np.empty((T, d)),
-            offset_increment=np.empty((T, d)),
-            linear_increment_applied=np.empty((T, d)),
-        )
-        if log_noise
-        else None
-    )
-
-    if keep_full:
-        xs[0] = x
-        zs[0] = z
-    elif checkpoints is not None:
-        checkpoints[start] = x.copy()
-    if dist_tgt is not None:
-        dist_tgt[0] = float(np.linalg.norm(x - x_star))
-
-    cum = problem.chain.cumulative_rows()
-    us = rng.random(T)
-    phi = problem.phi
-    rewards = problem.rewards
-    gamma = problem.gamma
-    y = initial_state
-    running_peak = 0.0
-
-    for k in range(T):
-        n = start + k
-        a = schedule.step(n)
-        y_next = min(int(np.searchsorted(cum[y], us[k], side="right")), s - 1)
-        phi_y = phi[y]
-        proj_now = float((phi_y * x).sum())
-        proj_next = float((phi[y_next] * x).sum())
-        x_new = x + a * phi_y * (rewards[y] + gamma * proj_next - proj_now)
-
-        if log_noise:
-            drift = a * (problem.mean_field(x) - x)
-            tau1 = a * (problem.noise_matrix(y, y_next) @ x)
-            tau2 = a * (problem.state_map(x, y) - problem.mean_field(x))
-            gap = x_new - x - drift - tau1 - tau2
-            if float(np.max(np.abs(gap))) > DECOMPOSITION_TOL:
-                raise NonFinite(
-                    f"noise decomposition fails to reconstruct step {n} "
-                    f"(gap {float(np.max(np.abs(gap))):.3e})"
-                )
-            assert noise is not None and poisson is not None
-            noise.martingale_step[k] = tau1
-            noise.sampling_step[k] = tau2
-            noise.offset_increment[k] = poisson.offset_noise(y, y_next)
-            noise.linear_increment_applied[k] = poisson.linear_noise(y, y_next) @ x
-
-        z = z + a * (problem.mean_field(z) - z)
-        x = x_new
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(f"iterate became non-finite at step {n + 1}")
-        y = y_next
-        states[k + 1] = y
-        gap_norm = float(np.linalg.norm(x - z))
-        running_peak = max(running_peak, gap_norm)
-        dist_cmp[k + 1] = gap_norm
-        peak[k + 1] = running_peak
-        if dist_tgt is not None:
-            dist_tgt[k + 1] = float(np.linalg.norm(x - x_star))
-        if keep_full:
-            xs[k + 1] = x
-            zs[k + 1] = z
-        elif checkpoints is not None and ((k + 1) % CHECKPOINT_STRIDE == 0 or k + 1 == T):
-            checkpoints[start + k + 1] = x.copy()
-
-    return TrajectoryRecord(
-        start=start,
-        states=states,
-        x=xs,
-        z=zs,
-        peak_deviation=peak,
-        dist_to_comparison=dist_cmp,
-        dist_to_target=dist_tgt,
-        checkpoints=checkpoints,
-        noise=noise,
-        final_x=x,
-    )

@@ -1,16 +1,20 @@
 """Monte Carlo verification of the all-time bound.
 
-The harness simulates many independent trajectories of the online
-recursion, estimates the initial-condition term, fits the tail-exponent
-constant from simulated weighted noise sums when none is supplied, and
-compares the empirical all-time event frequency against the closed-form
-lower bound.
+One engine serves ``experiment``, ``bound`` and ``simulate``:
+``_sample_paths`` draws the states by inverse CDF and ``_simulate_chunk``
+runs the online TD(0) update over a batch of trajectories.  The
+experiment simulates many independent trajectories, estimates the
+initial-condition term, fits the tail-exponent constant from simulated
+weighted noise sums when none is supplied, and compares the empirical
+all-time event frequency against the closed-form lower bound; ``bound``
+runs the same engine up to the start index for the initial-condition
+term; ``simulate_trajectory`` runs it on one trajectory alone.
 
 One experiment is one ensemble pass: the per-step collectors (start
 error, max excess per epsilon, per-step counts, noise sums at the fit
-points, errors at the convergence checkpoints, the error matrix) all
-read the iterate of that pass.  Which collectors are on never changes
-the iterates, so a standalone pass with fewer collectors reproduces the
+points, iterates at the checkpoints, the error matrix) all read the
+iterate of that pass.  Which collectors are on never changes the
+iterates, so a standalone pass with fewer collectors reproduces the
 same values bit for bit.
 
 Reproducibility contract: every result is a pure function of the
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .bounds import (
     floor_term,
     tail_probability,
 )
+from .dynamics import TrajectoryRecord, run_deterministic
 from .errors import InfeasibleStart, InsufficientTailData, NonFinite, ValidationError
 from .rng import stream
 from .schedule import StepSchedule
@@ -198,13 +203,14 @@ class _EnsembleOut:
     per_m_counts: np.ndarray | None
     err_max_per_m: np.ndarray | None
     noise_sums: np.ndarray | None
-    diag_err: np.ndarray | None
+    diag_x: np.ndarray | None
     err_matrix: np.ndarray | None
 
     @classmethod
     def empty(cls, spec: _EnsembleSpec, lo: int, hi: int) -> _EnsembleOut:
         """The collectors ``spec`` switches on, sized for trajectories [lo, hi)."""
         B = hi - lo
+        d = spec.phi.shape[1]
         span = spec.horizon - spec.n0 + 1
         n_eps = 0 if spec.eps_grid is None else len(spec.eps_grid)
         track_noise = spec.track_noise_sum and spec.fit_ms is not None
@@ -216,14 +222,14 @@ class _EnsembleOut:
             per_m_counts=np.zeros(span, dtype=np.int64) if spec.count_violations else None,
             err_max_per_m=np.zeros(span) if spec.count_violations else None,
             noise_sums=np.empty((B, len(spec.fit_ms))) if track_noise else None,
-            diag_err=np.empty((B, len(spec.diag_ms))) if spec.diag_ms is not None else None,
+            diag_x=np.empty((B, len(spec.diag_ms), d)) if spec.diag_ms is not None else None,
             err_matrix=np.empty((B, span), dtype=np.float32) if spec.want_err_matrix else None,
         )
 
     def absorb(self, part: _EnsembleOut) -> None:
         """Copy the rows of a batch inside [lo, hi) and fold in its per-step columns."""
         rows = slice(part.lo - self.lo, part.hi - self.lo)
-        for name in ("err_n0", "max_excess", "noise_sums", "diag_err", "err_matrix"):
+        for name in ("err_n0", "max_excess", "noise_sums", "diag_x", "err_matrix"):
             mine = getattr(self, name)
             if mine is not None:
                 mine[rows] = getattr(part, name)
@@ -260,22 +266,32 @@ def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     return states
 
 
-def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _EnsembleOut:
+def _simulate_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _EnsembleOut:
+    """The online TD(0) update along the sampled ``states`` of trajectories
+    [lo, lo + len(states)), feeding the collectors ``spec`` switches on."""
     T = spec.horizon
-    B = hi - lo
+    B = len(states)
     d = spec.phi.shape[1]
     n0 = spec.n0
-    states = _sample_paths(spec, lo, hi)
 
     x = np.repeat(spec.initial_x[None, :], B, axis=0)
-    out = _EnsembleOut.empty(spec, lo, hi)
+    out = _EnsembleOut.empty(spec, lo, lo + B)
+    per_step_err = (
+        out.err_matrix is not None or out.max_excess is not None or out.per_m_counts is not None
+    )
     S = np.zeros((B, d))
     fit_ptr = 0
     diag_ptr = 0
 
-    def collect(m: int, err: np.ndarray) -> None:
+    def collect(m: int, x: np.ndarray) -> None:
         nonlocal diag_ptr
+        if out.diag_x is not None and diag_ptr < len(spec.diag_ms) and spec.diag_ms[diag_ptr] == m:
+            out.diag_x[:, diag_ptr] = x
+            diag_ptr += 1
         idx = m - n0
+        if idx != 0 and not per_step_err:
+            return
+        err = np.linalg.norm(x - spec.x_star, axis=1)
         if idx == 0:
             out.err_n0[:] = err
         if out.err_matrix is not None:
@@ -292,12 +308,9 @@ def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _EnsembleOut:
             excess = err - spec.primary_eps * spec.decay[idx]
             out.per_m_counts[idx] += int(np.count_nonzero(excess > spec.primary_floor))
             out.err_max_per_m[idx] = max(out.err_max_per_m[idx], float(err.max()))
-        if out.diag_err is not None and diag_ptr < len(spec.diag_ms) and spec.diag_ms[diag_ptr] == m:
-            out.diag_err[:, diag_ptr] = err
-            diag_ptr += 1
 
     if n0 == 0:
-        collect(0, np.linalg.norm(x - spec.x_star, axis=1))
+        collect(0, x)
 
     for n in range(T):
         y = states[:, n]
@@ -328,13 +341,14 @@ def _simulate_chunk(spec: _EnsembleSpec, lo: int, hi: int) -> _EnsembleOut:
             raise NonFinite(f"trajectory {lo + bad} became non-finite by step {n + 1}")
         m = n + 1
         if m >= n0:
-            collect(m, np.linalg.norm(x - spec.x_star, axis=1))
+            collect(m, x)
 
     return out
 
 
-def _worker(args: tuple[_EnsembleSpec, int, int]) -> _EnsembleOut:
-    return _simulate_chunk(*args)
+def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> _EnsembleOut:
+    spec, lo, hi = args
+    return _simulate_chunk(spec, lo, _sample_paths(spec, lo, hi))
 
 
 def _run_ensemble(spec: _EnsembleSpec, n: int, batch_size: int, jobs: int) -> _EnsembleOut:
@@ -342,10 +356,10 @@ def _run_ensemble(spec: _EnsembleSpec, n: int, batch_size: int, jobs: int) -> _E
     total = _EnsembleOut.empty(spec, 0, n)
     if jobs <= 1 or len(chunks) == 1:
         for chunk in chunks:
-            total.absorb(_simulate_chunk(*chunk))
+            total.absorb(_run_chunk(chunk))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_worker, chunks):
+            for part in pool.map(_run_chunk, chunks):
                 total.absorb(part)
     return total
 
@@ -401,6 +415,38 @@ def estimate_p_init(
         value=exceed / config.n_trajectories,
         interval=wilson_interval(exceed, config.n_trajectories),
         n_trajectories=config.n_trajectories,
+    )
+
+
+def simulate_trajectory(
+    config: ExperimentConfig,
+    index: int,
+    analytic: AnalyticSolution | None = None,
+) -> TrajectoryRecord:
+    """Trajectory ``index`` of the ensemble alone, from step 0 to the horizon.
+
+    The engine runs with n0 = 0 on the trajectory's own stream
+    ``rng.stream(master_seed, index)``, so the start state, the states and
+    the iterates are those of row ``index`` of any batched run; every step
+    is a checkpoint.  The comparison run is the averaged recursion from the
+    same start.  Distances and the running peak of the gap are taken from
+    the recorded iterates after the loop.
+    """
+    analytic = analytic if analytic is not None else solve_problem(config.problem)
+    config = replace(config, n0=0)
+    T = config.horizon
+    spec = _base_spec(config, analytic, horizon=T, diag_ms=np.arange(T + 1))
+    states = _sample_paths(spec, index, index + 1)
+    xs = _simulate_chunk(spec, index, states).diag_x[0]
+    zs = run_deterministic(config.problem, config.schedule, 0, T, config.initial_x)
+    gap = np.linalg.norm(xs - zs, axis=1)
+    return TrajectoryRecord(
+        states=states[0],
+        x=xs,
+        z=zs,
+        dist_to_target=np.linalg.norm(xs - analytic.x_star, axis=1),
+        dist_to_comparison=gap,
+        peak_deviation=np.maximum.accumulate(gap),
     )
 
 
@@ -781,7 +827,7 @@ def run_alltime_experiment(
         radius=decay * config.epsilon + primary_floor,
         grid=grid_rows,
         err_quantiles=quantiles,
-        diagnostics=_diagnostics(checkpoints, out.diag_err, sched),
+        diagnostics=_diagnostics(checkpoints, out.diag_x, analytic.x_star, sched),
         wall_time=time.monotonic() - t0,
     )
 
@@ -817,9 +863,12 @@ def _checkpoint_steps(config: ExperimentConfig, checkpoints=None) -> np.ndarray:
     return ms
 
 
-def _diagnostics(ms: np.ndarray, errors: np.ndarray, schedule: StepSchedule) -> Diagnostics:
-    """Reduce the (trajectories, checkpoints) errors to quartiles and, for a
-    harmonic schedule, the log-log slope of the median."""
+def _diagnostics(
+    ms: np.ndarray, iterates: np.ndarray, x_star: np.ndarray, schedule: StepSchedule
+) -> Diagnostics:
+    """Reduce the errors of the (trajectories, checkpoints, d) iterates to
+    quartiles and, for a harmonic schedule, the log-log slope of the median."""
+    errors = np.linalg.norm(iterates - x_star, axis=2)
     med = np.median(errors, axis=0)
     q25 = np.percentile(errors, 25, axis=0)
     q75 = np.percentile(errors, 75, axis=0)
@@ -852,4 +901,4 @@ def convergence_diagnostics(
     ms = _checkpoint_steps(config, checkpoints)
     spec = _base_spec(config, analytic, horizon=config.horizon, diag_ms=ms)
     out = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
-    return _diagnostics(ms, out.diag_err, config.schedule)
+    return _diagnostics(ms, out.diag_x, analytic.x_star, config.schedule)

@@ -1,15 +1,11 @@
 """Finite irreducible aperiodic Markov chains.
 
-Validation, stationary analysis, path sampling, and a regenerative
-(hitting-time) accumulator.  The accumulator estimates
+Validation and stationary analysis.  Path sampling is the ensemble
+engine's own (``harness._sample_paths``): inverse-CDF lookups on
+:meth:`MarkovChain.cumulative_rows`, one uniform per transition from each
+trajectory's stream.
 
-    E_i[ sum_{m=0}^{tau-1} g(Y_m) ],   tau = first time n > 0 with Y_n = i0,
-
-by Monte Carlo; it is kept as an independent oracle for the linear-system
-Poisson solver and is never used on a production path.
-
-All operations are pure given their inputs.  Sampling takes an explicit
-generator, so concurrent use is safe when each caller owns its stream.
+All operations are pure given their inputs.
 """
 
 from __future__ import annotations
@@ -131,90 +127,3 @@ def stationary_distribution(chain: MarkovChain) -> StationaryDistribution:
             f"stationary solve left residual {residual:.3e} or an invalid distribution"
         )
     return StationaryDistribution(pi=pi)
-
-
-def sample_path(
-    chain: MarkovChain,
-    initial_state: int,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample ``length`` states of one path, starting exactly at ``initial_state``.
-
-    Reproducible: the same generator state yields the same path.  One uniform
-    is consumed per transition via inverse-CDF lookup on the cumulative rows.
-    """
-    s = chain.n_states
-    if not 0 <= initial_state < s:
-        raise ValueError(f"initial state {initial_state} out of range [0, {s})")
-    if length < 1:
-        raise ValueError("path length must be at least 1")
-    cum = chain.cumulative_rows()
-    out = np.empty(length, dtype=np.int64)
-    out[0] = initial_state
-    us = rng.random(length - 1)
-    y = initial_state
-    for k in range(length - 1):
-        y = min(int(np.searchsorted(cum[y], us[k], side="right")), s - 1)
-        out[k + 1] = y
-    return out
-
-
-def expected_hitting_sums(
-    chain: MarkovChain,
-    i0: int,
-    g: np.ndarray,
-    n_cycles: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo estimate of the accumulated value of ``g`` until hitting ``i0``.
-
-    For each start state i, averages ``sum_{m=0}^{tau-1} g(Y_m)`` over
-    ``n_cycles`` independent episodes, where tau is the first n > 0 with
-    Y_n = i0.  Returns ``(estimate, standard_error)``, both of shape
-    ``g.shape``; cycles are independent so the plain iid standard error
-    is valid.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    s = chain.n_states
-    if not 0 <= i0 < s:
-        raise ValueError(f"anchor state {i0} out of range [0, {s})")
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != s:
-        raise ValueError(f"g must have leading dimension {s}, got {g.shape}")
-    flat = g.reshape(s, -1)
-    k = flat.shape[1]
-    cum_rows = [chain.P[i].cumsum().tolist() for i in range(s)]
-    from bisect import bisect_right
-
-    total = np.zeros((s, k))
-    total_sq = np.zeros((s, k))
-    buf: list[float] = []
-    ptr = 0
-
-    def next_u() -> float:
-        nonlocal buf, ptr
-        if ptr >= len(buf):
-            buf = rng.random(8192).tolist()
-            ptr = 0
-        u = buf[ptr]
-        ptr += 1
-        return u
-
-    for start in range(s):
-        for _ in range(n_cycles):
-            acc = flat[start].copy()
-            y = start
-            while True:
-                row = cum_rows[y]
-                y = min(bisect_right(row, next_u()), s - 1)
-                if y == i0:
-                    break
-                acc += flat[y]
-            total[start] += acc
-            total_sq[start] += acc * acc
-    mean = total / n_cycles
-    var = np.maximum(total_sq / n_cycles - mean * mean, 0.0)
-    se = np.sqrt(var / n_cycles)
-    return mean.reshape(g.shape), se.reshape(g.shape)

@@ -12,7 +12,6 @@ from tdlab import (
     compute_constants,
     contraction_factor,
     exact_value_function,
-    expected_hitting_sums,
     fixed_point,
     poisson_solve,
     project_weighted,
@@ -23,6 +22,7 @@ from tdlab import (
 from tdlab.rng import stream
 
 from conftest import random_chain, random_problem, tabular_problem
+from oracles import expected_hitting_sums
 
 
 def two_state_identity(gamma=0.1):

@@ -138,11 +138,14 @@ class TestBadInputs:
             (dict(initial_state_policy=5), "experiment.initial_state_policy"),
             (dict(initial_state_policy="fixed:9"), "experiment.initial_state_policy"),
             (dict(master_seed=-1), "experiment.master_seed"),
+            (dict(initial_x=[math.nan, 0.0]), "experiment.initial_x"),
+            (dict(D_const=math.inf), "experiment.D_const"),
+            (dict(epsilon=math.nan), "experiment.epsilon"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "experiment", "bound"])
     def test_bad_config_field_exits_1(self, tmp_path, capsys, experiment, field, command):
-        cfg = reference_config(tmp_path, D_const=1.0, **experiment)
+        cfg = reference_config(tmp_path, **{"D_const": 1.0, **experiment})
         assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 1
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -153,6 +156,10 @@ class TestBadInputs:
             (["experiment", "--seed", "-2"], "--seed"),
             (["simulate", "--seed", "-2"], "--seed"),
             (["simulate", "--trajectory", "-1"], "--trajectory"),
+            (["bound", "--D", "nan"], "--D"),
+            (["bound", "--D", "inf"], "--D"),
+            (["simulate", "--horizon", "0"], "--horizon"),
+            (["experiment", "--horizon", "100"], "--horizon"),
         ],
     )
     def test_bad_flag_exits_1(self, tmp_path, capsys, argv, flag):
@@ -183,7 +190,8 @@ class TestEnsembleTwins:
         steps = np.arange(exp.horizon + 1)
         spec = _base_spec(exp, cfg.analytic, horizon=exp.horizon, diag_ms=steps)
         states = _sample_paths(spec, 0, exp.n_trajectories)
-        errors = _run_ensemble(spec, exp.n_trajectories, 5, 1).diag_err
+        iterates = _run_ensemble(spec, exp.n_trajectories, 5, 1).diag_x
+        errors = np.linalg.norm(iterates - cfg.analytic.x_star, axis=2)
         for i in (0, 7, 11):
             out = tmp_path / f"traj{i}"
             assert cli.main(["simulate", path, "--trajectory", str(i), "--out", str(out)]) == 0
@@ -193,3 +201,14 @@ class TestEnsembleTwins:
             assert [int(r["state"]) for r in rows] == states[i].tolist()
             dist = np.array([float(r["dist_to_target"]) for r in rows])
             assert np.max(np.abs(dist - errors[i])) <= 1e-12
+
+
+class TestSimulate:
+    def test_horizon_below_start_index(self, tmp_path):
+        # simulate runs from step 0, so the experiment's n0 = 100 does not bound it
+        out = tmp_path / "out"
+        argv = ["simulate", reference_config(tmp_path), "--horizon", "50", "--out", str(out)]
+        assert cli.main(argv) == 0
+        with open(out / "trajectory_0.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["n"]) for r in rows] == list(range(51))

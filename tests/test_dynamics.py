@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tdlab import NonFinite, StepSchedule, run_deterministic, run_online, td_step
-from tdlab import dynamics
+from tdlab import NonFinite, StepSchedule, run_deterministic, simulate_trajectory, solve_problem
+from tdlab.harness import ExperimentConfig, _base_spec, _sample_paths, _simulate_chunk
 from tdlab.rng import stream
 
 from conftest import random_problem
@@ -13,19 +15,46 @@ def sched_half():
     return StepSchedule.harmonic(0.5)
 
 
+def path_config(problem, horizon, initial_x, policy="fixed:0", seed=0, schedule=None):
+    """A one-trajectory run from step 0 of ``problem``."""
+    return ExperimentConfig(
+        problem=problem,
+        schedule=schedule or sched_half(),
+        n0=0,
+        horizon=horizon,
+        n_trajectories=1,
+        master_seed=seed,
+        epsilon=0.5,
+        delta=0.25,
+        initial_state_policy=policy,
+        initial_x=np.asarray(initial_x, dtype=float),
+    )
+
+
+def engine_path(config, analytic, index=0, **spec_changes):
+    """States and iterates of trajectory ``index``, straight from the engine."""
+    T = config.horizon
+    spec = replace(_base_spec(config, analytic, horizon=T, diag_ms=np.arange(T + 1)), **spec_changes)
+    states = _sample_paths(spec, index, index + 1)
+    return states[0], _simulate_chunk(spec, index, states).diag_x[0]
+
+
 class TestTdStep:
-    def test_zero_step_leaves_iterate(self, ref_problem):
-        x = np.array([0.3, -0.2])
-        assert_allclose(td_step(ref_problem, x, 1, 3, 0.0), x)
+    def test_zero_step_leaves_iterate(self, ref_problem, ref_analytic):
+        x0 = np.array([0.3, -0.2])
+        cfg = path_config(ref_problem, 20, x0, policy="fixed:1")
+        _, xs = engine_path(cfg, ref_analytic, steps=np.zeros(20))
+        assert np.array_equal(xs, np.repeat(x0[None, :], 21, axis=0))
 
-    def test_scalar_fixed_point_stationary(self, scalar):
-        x = np.array([4.0])
-        assert_allclose(td_step(scalar, x, 0, 0, 0.1), x, rtol=1e-14)
+    def test_scalar_fixed_point_stationary(self, scalar, scalar_analytic):
+        cfg = path_config(scalar, 1, [4.0], schedule=StepSchedule.harmonic(0.1))
+        assert_allclose(simulate_trajectory(cfg, 0, scalar_analytic).x[1], [4.0], rtol=1e-14)
 
-    def test_scalar_arithmetic(self, scalar):
-        # 0 + 0.1 * 0.5 * (1 + 0 - 0) = 0.05
-        got = td_step(scalar, np.array([0.0]), 0, 0, 0.1)
-        assert_allclose(got, [0.05], rtol=1e-14)
+    def test_scalar_arithmetic(self, scalar, scalar_analytic):
+        # horizon 1: 0 + 0.1 * 0.5 * (1 + 0 - 0) = 0.05
+        cfg = path_config(scalar, 1, [0.0], schedule=StepSchedule.harmonic(0.1))
+        rec = simulate_trajectory(cfg, 0, scalar_analytic)
+        assert_allclose(rec.x[1], [0.05], rtol=1e-14)
 
 
 class TestDeterministic:
@@ -63,64 +92,63 @@ class TestDeterministic:
             assert np.linalg.norm(zs[n - n0] - x_star) <= psi * e0 + 1e-12
 
 
+def assert_decomposition(problem, schedule, states, xs, tol=1e-10):
+    """drift + martingale term + state-sampling term = the raw update, per step."""
+    steps = schedule.steps(0, len(states) - 1)
+    for n, a in enumerate(steps):
+        y, y_next, x = int(states[n]), int(states[n + 1]), xs[n]
+        drift = a * (problem.mean_field(x) - x)
+        martingale = a * (problem.noise_matrix(y, y_next) @ x)
+        sampling = a * (problem.state_map(x, y) - problem.mean_field(x))
+        gap = xs[n + 1] - x - drift - martingale - sampling
+        assert float(np.max(np.abs(gap))) <= tol, f"step {n}"
+
+
 class TestOnline:
     def test_single_state_noiseless_stationary(self, scalar, scalar_analytic):
-        rec = run_online(
-            scalar, sched_half(), 0, 100, scalar_analytic.x_star, 0, stream(0),
-            x_star=scalar_analytic.x_star,
-        )
+        cfg = path_config(scalar, 100, scalar_analytic.x_star)
+        rec = simulate_trajectory(cfg, 0, scalar_analytic)
         assert np.max(np.abs(rec.x - 4.0)) <= 1e-12
         assert np.max(rec.dist_to_target) <= 1e-12
 
-    def test_bitwise_reproducible(self, ref_problem):
-        a = run_online(ref_problem, sched_half(), 0, 300, np.zeros(2), 1, stream(4, 2))
-        b = run_online(ref_problem, sched_half(), 0, 300, np.zeros(2), 1, stream(4, 2))
+    def test_bitwise_reproducible(self, ref_problem, ref_analytic):
+        cfg = path_config(ref_problem, 300, np.zeros(2), policy="fixed:1", seed=4)
+        a = simulate_trajectory(cfg, 2, ref_analytic)
+        b = simulate_trajectory(cfg, 2, ref_analytic)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.x, b.x)
 
     def test_decomposition_reconstructs_update(self, ref_analytic, ref_problem):
-        # run_online itself asserts the per-step residual below 1e-10
-        rec = run_online(
-            ref_problem, sched_half(), 0, 1000, np.zeros(2), 0, stream(9),
-            log_noise=True, poisson=ref_analytic.poisson,
-        )
-        assert rec.noise is not None
-        assert rec.noise.martingale_step.shape == (1000, 2)
+        cfg = path_config(ref_problem, 1000, np.zeros(2), seed=9)
+        states, xs = engine_path(cfg, ref_analytic)
+        assert_decomposition(ref_problem, cfg.schedule, states, xs)
 
     def test_decomposition_on_random_instances(self):
         for seed in (51, 52):
             p = random_problem(seed)
-            from tdlab import poisson_solve
-
-            rec = run_online(
-                p, StepSchedule.polynomial(d3=0.6, d2=0.7), 0, 400,
-                np.zeros(2), 0, stream(seed), log_noise=True, poisson=poisson_solve(p, 0),
+            cfg = path_config(
+                p, 400, np.zeros(2), seed=seed, schedule=StepSchedule.polynomial(d3=0.6, d2=0.7)
             )
-            assert rec.noise is not None
+            states, xs = engine_path(cfg, solve_problem(p))
+            assert_decomposition(p, cfg.schedule, states, xs)
 
-    def test_peak_deviation_monotone_and_zero_at_start(self, ref_problem):
-        rec = run_online(ref_problem, sched_half(), 5, 400, np.ones(2), 2, stream(3))
+    def test_peak_deviation_monotone_and_zero_at_start(self, ref_problem, ref_analytic):
+        cfg = path_config(ref_problem, 400, np.ones(2), policy="fixed:2", seed=3)
+        rec = simulate_trajectory(cfg, 0, ref_analytic)
         assert rec.peak_deviation[0] == 0.0
         assert np.all(np.diff(rec.peak_deviation) >= 0.0)
+        assert rec.peak_deviation[-1] == rec.dist_to_comparison.max() > 0.0
 
-    def test_comparison_starts_equal(self, ref_problem):
-        rec = run_online(ref_problem, sched_half(), 0, 50, np.ones(2), 0, stream(1))
+    def test_comparison_starts_equal(self, ref_problem, ref_analytic):
+        cfg = path_config(ref_problem, 50, np.ones(2), seed=1)
+        rec = simulate_trajectory(cfg, 0, ref_analytic)
         assert_allclose(rec.x[0], rec.z[0])
         assert rec.dist_to_comparison[0] == 0.0
 
-    def test_nonfinite_reported_with_step(self, ref_problem):
+    def test_nonfinite_reported_with_step(self, ref_problem, ref_analytic):
+        cfg = path_config(ref_problem, 10, [np.inf, 0.0], seed=2)
         with pytest.raises(NonFinite, match="step 1"):
-            run_online(
-                ref_problem, sched_half(), 0, 10, np.array([np.inf, 0.0]), 0, stream(2)
-            )
-
-    def test_storage_policy_drops_history(self, ref_problem, monkeypatch):
-        monkeypatch.setattr(dynamics, "FULL_HISTORY_LIMIT", 50)
-        monkeypatch.setattr(dynamics, "CHECKPOINT_STRIDE", 20)
-        rec = run_online(ref_problem, sched_half(), 0, 120, np.zeros(2), 0, stream(7))
-        assert rec.x is None and rec.z is None
-        assert set(rec.checkpoints) == {0, 20, 40, 60, 80, 100, 120}
-        assert len(rec.dist_to_comparison) == 121
+            simulate_trajectory(cfg, 0, ref_analytic)
 
     def test_martingale_terms_have_zero_conditional_mean(self, ref_problem, ref_analytic):
         # per-state empirical means over simulated transitions, 3 sigma band
@@ -141,10 +169,8 @@ class TestOnline:
                 assert np.all(np.abs(mean) <= 3.0 * se + 1e-12)
 
     def test_csv_export(self, ref_problem, ref_analytic, tmp_path):
-        rec = run_online(
-            ref_problem, sched_half(), 0, 20, np.zeros(2), 0, stream(0),
-            x_star=ref_analytic.x_star,
-        )
+        cfg = path_config(ref_problem, 20, np.zeros(2))
+        rec = simulate_trajectory(cfg, 0, ref_analytic)
         path = tmp_path / "traj.csv"
         rec.to_csv(path, include_components=True)
         lines = path.read_text().strip().splitlines()

@@ -19,7 +19,10 @@ from tdlab.harness import (
     wilson_interval,
     _base_spec,
     _run_ensemble,
+    _sample_paths,
 )
+
+from conftest import random_problem
 
 
 def small_config(problem, analytic=None, **kw):
@@ -271,3 +274,45 @@ class TestDiagnostics:
         diag = convergence_diagnostics(cfg, analytic=ref_analytic)
         assert diag.loglog_slope is not None
         assert diag.loglog_slope < 0.0
+
+
+class TestNoiseSums:
+    @pytest.mark.parametrize("instance", ["reference", "random"])
+    def test_harness_sums_match_recomputed(self, ref_problem, ref_analytic, instance):
+        # S_n = (1 - a_n) S_{n-1} + a_n xi_n from n0 on, with xi_n recomputed here
+        # from the noise matrix and the Poisson increments along the engine's path
+        if instance == "reference":
+            problem, analytic = ref_problem, ref_analytic
+        else:
+            problem = random_problem(61)
+            analytic = solve_problem(problem)
+        cfg = small_config(problem, n_trajectories=6, n0=20, horizon=300, batch_size=4)
+        n0, T = cfg.n0, cfg.horizon
+        poisson = analytic.poisson
+        spec = _base_spec(
+            cfg, analytic, horizon=T,
+            track_noise_sum=True,
+            offset_sol=poisson.offset,
+            linear_sol=poisson.linear,
+            expected_offset=poisson.expected_offset,
+            expected_linear=poisson.expected_linear,
+            fit_ms=np.arange(n0, T),  # S_n after every step n in [n0, T)
+            diag_ms=np.arange(n0, T + 1),  # the iterate x_n at every step from n0
+        )
+        out = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
+        states = _sample_paths(spec, 0, cfg.n_trajectories)
+        steps = cfg.schedule.steps(0, T)
+        for i in range(cfg.n_trajectories):
+            S = np.zeros(problem.n_features)
+            norms = []
+            for n in range(n0, T):
+                y, y_next, x = int(states[i, n]), int(states[i, n + 1]), out.diag_x[i, n - n0]
+                xi = (
+                    problem.noise_matrix(y, y_next) @ x
+                    + poisson.linear_noise(y, y_next) @ x
+                    + poisson.offset_noise(y, y_next)
+                )
+                S = (1.0 - steps[n]) * S + steps[n] * xi
+                norms.append(np.linalg.norm(S))
+            assert np.max(np.abs(np.array(norms) - out.noise_sums[i])) <= 1e-12
+            assert np.max(norms) > 0.0

@@ -6,14 +6,40 @@ from tdlab import (
     NotIrreducible,
     NotStochastic,
     Periodic,
+    PolicyEvalProblem,
+    StepSchedule,
     build_chain,
-    expected_hitting_sums,
-    sample_path,
+    solve_problem,
     stationary_distribution,
 )
+from tdlab.harness import ExperimentConfig, _base_spec, _sample_paths
+from tdlab.instances import scalar_problem, whitened_features
 from tdlab.rng import stream
 
 from conftest import random_chain
+from oracles import expected_hitting_sums
+
+
+def path_spec(problem, horizon, policy, seed=0):
+    """The engine's sampling spec for paths of ``problem`` over steps 0..horizon."""
+    config = ExperimentConfig(
+        problem=problem,
+        schedule=StepSchedule.harmonic(0.5),
+        n0=0,
+        horizon=horizon,
+        n_trajectories=1,
+        master_seed=seed,
+        epsilon=0.5,
+        delta=0.25,
+        initial_state_policy=policy,
+    )
+    return _base_spec(config, solve_problem(problem), horizon=horizon)
+
+
+def two_state_problem():
+    chain = build_chain(np.array([[0.9, 0.1], [0.2, 0.8]]))
+    features = whitened_features(chain, np.array([[1.0], [0.5]]), 0.5)
+    return PolicyEvalProblem(chain, np.array([1.0, 0.0]), 0.5, features)
 
 
 class TestBuildChain:
@@ -87,38 +113,31 @@ class TestStationaryDistribution:
 
 class TestSamplePath:
     def test_single_state_path(self):
-        chain = build_chain(np.array([[1.0]]))
-        path = sample_path(chain, 0, 5, stream(1))
-        assert_allclose(path, np.zeros(5))
+        spec = path_spec(scalar_problem(), 4, "fixed:0", seed=1)
+        assert_allclose(_sample_paths(spec, 0, 1)[0], np.zeros(5))
 
     def test_deterministic_given_stream(self):
-        chain = build_chain(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        p1 = sample_path(chain, 0, 200, stream(7, 3))
-        p2 = sample_path(chain, 0, 200, stream(7, 3))
+        spec = path_spec(two_state_problem(), 199, "fixed:0", seed=7)
+        p1 = _sample_paths(spec, 3, 4)[0]
+        p2 = _sample_paths(spec, 3, 4)[0]
         assert np.array_equal(p1, p2)
+        assert np.array_equal(p1, _sample_paths(spec, 0, 5)[3])  # the stream is the index's own
 
     def test_starts_at_initial_state(self):
-        chain = build_chain(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        assert sample_path(chain, 1, 10, stream(0))[0] == 1
+        spec = path_spec(two_state_problem(), 9, "fixed:1")
+        assert _sample_paths(spec, 0, 1)[0, 0] == 1
 
     def test_visit_frequencies_match_stationary(self):
-        # batch-means standard errors, since visits along a path are correlated
-        chain = build_chain(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        pi = stationary_distribution(chain).pi
-        path = sample_path(chain, 0, 1_000_000, stream(12345))
-        n_batches = 100
-        batches = path.reshape(n_batches, -1)
+        # 10^6 steps as 100 independent stationary paths: each path is one batch
+        problem = two_state_problem()
+        pi = stationary_distribution(problem.chain).pi
+        spec = path_spec(problem, 9_999, "stationary", seed=12345)
+        paths = _sample_paths(spec, 0, 100)
+        n_batches = len(paths)
         for state in range(2):
-            freqs = (batches == state).mean(axis=1)
+            freqs = (paths == state).mean(axis=1)
             se = freqs.std(ddof=1) / np.sqrt(n_batches)
             assert abs(freqs.mean() - pi[state]) <= 3.0 * se
-
-    def test_bad_arguments(self):
-        chain = build_chain(np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            sample_path(chain, 1, 5, stream(0))
-        with pytest.raises(ValueError):
-            sample_path(chain, 0, 0, stream(0))
 
 
 class TestExpectedHittingSums:
