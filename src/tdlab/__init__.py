@@ -18,7 +18,6 @@ from .bounds import (
     BoundReport,
     build_query,
     check_n0,
-    corollary_rate,
     evaluate_bound,
     floor_term,
     martingale_tail,
@@ -48,10 +47,8 @@ from .features import (
     build_features,
     check_assumption,
     feature_gain,
-    project_weighted,
     scaling_threshold,
     weighted_gram,
-    weighted_norm,
 )
 from .harness import (
     Diagnostics,

@@ -331,21 +331,6 @@ def zero_tail(
     )
 
 
-def corollary_rate(n0: int, m: int, eps1: float, eps2: float) -> float:
-    """Shape of the harmonic-step error rate, with unit constants.
-
-    Useful only for slope and scaling tests: the true expression carries
-    unreported constant factors.
-    """
-    if n0 < 1 or m < n0:
-        raise ValidationError(f"need 1 <= n0 <= m, got n0={n0}, m={m}")
-    if not 0.0 < eps1 < 1.0 or not 0.0 < eps2 < 1.0:
-        raise ValidationError("confidence budgets must lie in (0, 1)")
-    first = math.sqrt(math.log(1.0 / eps1)) / math.sqrt(n0)
-    second = math.sqrt(math.log(n0) / n0) / math.sqrt(eps2) * (n0 / m + 1.0 / n0)
-    return first + second
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Radius curve plus tail accounting for one query."""

@@ -26,6 +26,7 @@ from pathlib import Path
 from .bounds import build_query, check_n0, evaluate_bound
 from .config import LoadedConfig, load_config
 from .errors import ComputeError, NonFinite, ValidationError
+from . import harness
 from .harness import estimate_p_init, run_alltime_experiment, simulate_trajectory
 
 
@@ -54,6 +55,9 @@ def _load(args) -> LoadedConfig:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ValidationError(f"--seed: must be >= 0, got {seed}")
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        raise ValidationError(f"--jobs: must be >= 1, got {jobs}")
     if seed is not None and cfg.experiment is not None:
         cfg.experiment.master_seed = seed
     if getattr(args, "horizon", None) is not None and cfg.experiment is not None:
@@ -175,6 +179,13 @@ def cmd_experiment(args) -> int:
     if "csv" in cfg.formats:
         _write_per_m_csv(out / "per_m.csv", result)
         _write_summary_csv(out / "summary.csv", result)
+        if result.err_quantiles is None:
+            cells = result.n_trajectories * len(result.radius)
+            print(
+                f"note: per_m.csv error quantiles left blank: the error matrix would hold "
+                f"{cells} cells, over MAX_ERR_MATRIX_CELLS = {harness.MAX_ERR_MATRIX_CELLS}",
+                file=sys.stderr,
+            )
     print(
         f"alltime {result.empirical_alltime_prob:.6f} "
         f">= bound {result.theoretical_lower_bound:.6f}"

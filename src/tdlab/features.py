@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverFailure, ValidationError
+from .errors import ValidationError
 from .markov import StationaryDistribution
 
 RANK_RTOL = 1e-10
@@ -56,14 +56,6 @@ def build_features(Phi: np.ndarray) -> FeatureMap:
             f"feature columns are rank deficient: singular values {sv[0]:.3e} .. {sv[-1]:.3e}"
         )
     return FeatureMap(Phi=Phi)
-
-
-def weighted_norm(x: np.ndarray, stationary: StationaryDistribution) -> float:
-    """The stationary-weighted Euclidean norm ``sqrt(sum_i pi(i) x(i)^2)``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != stationary.pi.shape:
-        raise ValidationError(f"vector shape {x.shape} does not match {stationary.pi.shape}")
-    return float(np.sqrt(np.sum(stationary.pi * x * x)))
 
 
 def feature_gain(features: FeatureMap, stationary: StationaryDistribution) -> float:
@@ -123,20 +115,3 @@ def check_assumption(
         row_condition_satisfied=max_row < threshold,
         rescaling_factor=threshold / gain if gain > 0 else math.inf,
     )
-
-
-def project_weighted(
-    v: np.ndarray, features: FeatureMap, stationary: StationaryDistribution
-) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto the feature range, in the weighted norm."""
-    v = np.asarray(v, dtype=float)
-    Phi = features.Phi
-    if v.shape[0] != Phi.shape[0]:
-        raise ValidationError(f"vector length {v.shape[0]} does not match {Phi.shape[0]} states")
-    gram = weighted_gram(features, stationary)
-    rhs = Phi.T @ (stationary.pi * v)
-    try:
-        w = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"weighted Gram matrix is singular: {exc}") from exc
-    return Phi @ w

@@ -10,12 +10,22 @@ all-time event frequency against the closed-form lower bound; ``bound``
 runs the same engine up to the start index for the initial-condition
 term; ``simulate_trajectory`` runs it on one trajectory alone.
 
-One experiment is one ensemble pass: the per-step collectors (start
-error, max excess per epsilon, per-step counts, noise sums at the fit
-points, iterates at the checkpoints, the error matrix) all read the
-iterate of that pass.  Which collectors are on never changes the
-iterates, so a standalone pass with fewer collectors reproduces the
-same values bit for bit.
+The kernel keeps the batch's iterates in a (d, B) layout and runs the
+steps in blocks of ``_BLOCK``.  Per block it transposes that block's
+slice of the states and gathers the features, rewards and scaled
+features once; per step it runs only the update (and, when D is fitted,
+the noise-sum recursion); after the block it checks the new iterates
+for non-finite values, forms the noise increments and feeds every
+collector, each vectorised over the block.  Feature-axis sums follow
+numpy's pairwise order (``_dsum``), so the iterates equal those of a
+per-step update in the (B, d) layout bit for bit.
+
+One experiment is one ensemble pass: the collectors (start error, max
+excess per epsilon, per-step counts, noise sums at the fit points,
+iterates at the checkpoints, the error matrix) all read the iterates of
+that pass.  Which collectors are on never changes the iterates, so a
+standalone pass with fewer collectors reproduces the same values bit
+for bit.
 
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
@@ -53,7 +63,7 @@ from .schedule import StepSchedule
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 MAX_ERR_MATRIX_CELLS = 40_000_000  # float32 error matrix cap (~160 MB)
-_NONFINITE_CHECK_STRIDE = 256
+_BLOCK = 64  # steps per block of the TD kernel
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -266,83 +276,149 @@ def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     return states
 
 
-def _simulate_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _EnsembleOut:
-    """The online TD(0) update along the sampled ``states`` of trajectories
-    [lo, lo + len(states)), feeding the collectors ``spec`` switches on."""
-    T = spec.horizon
-    B = len(states)
-    d = spec.phi.shape[1]
-    n0 = spec.n0
+def _dsum(p: np.ndarray) -> np.ndarray:
+    """Sum over the leading (feature) axis in the order numpy's pairwise sum
+    adds a contiguous row: term by term below 8 terms, else into eight
+    accumulators folded as a tree.  A (d, ...) sum is then bit-identical to
+    the ``sum(axis=-1)`` of the same numbers laid out as (..., d)."""
+    d = len(p)
+    if d < 8:
+        out = p[0] + p[1] if d > 1 else p[0].copy()
+        for i in range(2, d):
+            out += p[i]
+        return out
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        return _dsum(p[:half]) + _dsum(p[half:])
+    r = p[:8]
+    for i in range(8, d - d % 8, 8):
+        r = r + p[i : i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    out = r[0] + r[1]
+    for i in range(d - d % 8, d):
+        out += p[i]
+    return out
 
-    x = np.repeat(spec.initial_x[None, :], B, axis=0)
-    out = _EnsembleOut.empty(spec, lo, lo + B)
-    per_step_err = (
+
+def _collect(spec: _EnsembleSpec, out: _EnsembleOut, m0: int, xs: np.ndarray) -> None:
+    """Feed the iterates ``xs[:, k]`` = x_{m0+k}, shape (d, K, B), to the
+    collectors ``out`` holds; steps before n0 are skipped."""
+    n0 = spec.n0
+    if m0 < n0:
+        xs = xs[:, n0 - m0 :]
+        m0 = n0
+    K = xs.shape[1]
+    if K == 0:
+        return
+    if out.diag_x is not None:
+        ms = spec.diag_ms
+        a, b = np.searchsorted(ms, [m0, m0 + K])
+        out.diag_x[:, a:b] = xs[:, ms[a:b] - m0].transpose(2, 1, 0)
+    per_step = (
         out.err_matrix is not None or out.max_excess is not None or out.per_m_counts is not None
     )
-    S = np.zeros((B, d))
-    fit_ptr = 0
-    diag_ptr = 0
-
-    def collect(m: int, x: np.ndarray) -> None:
-        nonlocal diag_ptr
-        if out.diag_x is not None and diag_ptr < len(spec.diag_ms) and spec.diag_ms[diag_ptr] == m:
-            out.diag_x[:, diag_ptr] = x
-            diag_ptr += 1
-        idx = m - n0
-        if idx != 0 and not per_step_err:
+    i0 = m0 - n0
+    if not per_step:
+        if i0 > 0:
             return
-        err = np.linalg.norm(x - spec.x_star, axis=1)
-        if idx == 0:
-            out.err_n0[:] = err
-        if out.err_matrix is not None:
-            out.err_matrix[:, idx] = err
-        if out.max_excess is not None:
-            assert spec.decay is not None and spec.eps_grid is not None
-            np.maximum(
-                out.max_excess,
-                err[:, None] - spec.decay[idx] * spec.eps_grid[None, :],
-                out=out.max_excess,
-            )
-        if out.per_m_counts is not None:
-            assert spec.decay is not None
-            excess = err - spec.primary_eps * spec.decay[idx]
-            out.per_m_counts[idx] += int(np.count_nonzero(excess > spec.primary_floor))
-            out.err_max_per_m[idx] = max(out.err_max_per_m[idx], float(err.max()))
+        xs = xs[:, :1]
+    diff = xs - spec.x_star[:, None, None]
+    err = np.sqrt(_dsum(diff * diff))  # (K, B)
+    if i0 == 0:
+        out.err_n0[:] = err[0]
+    idx = slice(i0, i0 + len(err))
+    if out.err_matrix is not None:
+        out.err_matrix[:, idx] = err.T
+    if out.max_excess is not None:
+        ramp = spec.decay[idx, None] * spec.eps_grid[None, :]  # (K, n_eps)
+        np.maximum(
+            out.max_excess, (err[:, :, None] - ramp[:, None, :]).max(axis=0), out=out.max_excess
+        )
+    if out.per_m_counts is not None:
+        excess = err - (spec.primary_eps * spec.decay[idx])[:, None]
+        out.per_m_counts[idx] += np.count_nonzero(excess > spec.primary_floor, axis=1)
+        np.maximum(out.err_max_per_m[idx], err.max(axis=1), out=out.err_max_per_m[idx])
 
-    if n0 == 0:
-        collect(0, x)
 
-    for n in range(T):
-        y = states[:, n]
-        y_next = states[:, n + 1]
-        phi_y = spec.phi[y]
-        a = spec.steps[n]
-        if spec.track_noise_sum and n >= n0:
-            mgap = ((spec.phi[y_next] - spec.next_phi[y]) * x).sum(axis=1)
-            xi = spec.gamma * phi_y * mgap[:, None]
-            xi += ((spec.linear_sol[y_next] - spec.expected_linear[y]) @ x[..., None])[..., 0]
-            xi += spec.offset_sol[y_next] - spec.expected_offset[y]
-            if n == n0:
-                S = a * xi
-            else:
-                S = (1.0 - a) * S + a * xi
-            if (
-                out.noise_sums is not None
-                and fit_ptr < len(spec.fit_ms)
-                and spec.fit_ms[fit_ptr] == n
-            ):
-                out.noise_sums[:, fit_ptr] = np.linalg.norm(S, axis=1)
-                fit_ptr += 1
-        proj_now = (phi_y * x).sum(axis=1)
-        proj_next = (spec.phi[y_next] * x).sum(axis=1)
-        x = x + a * phi_y * (spec.rewards[y] + spec.gamma * proj_next - proj_now)[:, None]
-        if (n % _NONFINITE_CHECK_STRIDE == 0 or n == T - 1) and not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-            raise NonFinite(f"trajectory {lo + bad} became non-finite by step {n + 1}")
-        m = n + 1
-        if m >= n0:
-            collect(m, x)
+def _noise_increments(spec: _EnsembleSpec, Y: np.ndarray, F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """xi_n = gamma phi_y (phi_y' - E phi_y')·x_n + (L_y' - E L_y) x_n
+    + (o_y' - E o_y) for a block's steps, shape (d, K, B), from the states
+    ``Y`` (K+1, B), the features ``F`` = phi_Y (d, K+1, B) and the iterates
+    ``X`` (d, K, B) before each step."""
+    y, y_next = Y[:-1], Y[1:]
 
+    def at(table, states):  # table[states] with the feature axis first
+        return np.moveaxis(np.take(table, states, axis=0), -1, 0)
+
+    mgap = _dsum((F[:, 1:] - at(spec.next_phi, y)) * X)
+    xi = spec.gamma * F[:, :-1] * mgap
+    for i in range(len(xi)):  # row i of L_y' - E L_y, one row at a time to bound memory
+        G = at(spec.linear_sol[:, i], y_next) - at(spec.expected_linear[:, i], y)
+        xi[i] += _dsum(G * X)
+    xi += at(spec.offset_sol, y_next) - at(spec.expected_offset, y)
+    return xi
+
+
+def _simulate_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _EnsembleOut:
+    """The online TD(0) update along the sampled ``states`` of trajectories
+    [lo, lo + len(states)), feeding the collectors ``spec`` switches on;
+    time-blocked over a (d, B) layout as the module docstring describes."""
+    T, n0 = spec.horizon, spec.n0
+    B = len(states)
+    d = spec.phi.shape[1]
+    out = _EnsembleOut.empty(spec, lo, lo + B)
+    phi_t = np.ascontiguousarray(spec.phi.T)
+    gamma = spec.gamma
+    x = np.repeat(spec.initial_x[:, None], B, axis=1)
+    S = None  # the weighted noise sum, from step n0 on
+    fit_ptr = 0
+    P = np.empty((d, 2, B))
+    t = np.empty(B)
+    u = np.empty((d, B))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n0 == 0:
+            _collect(spec, out, 0, x[:, None, :])
+        for bs in range(0, T, _BLOCK):
+            K = min(_BLOCK, T - bs)
+            Y = np.ascontiguousarray(states[:, bs : bs + K + 1].T)
+            F = np.take(phi_t, Y, axis=1)  # phi at the states of steps bs .. bs+K
+            R = np.take(spec.rewards, Y[:-1])
+            a = spec.steps[bs : bs + K]
+            AF = F[:, :-1] * a[:, None]
+            X = np.empty((d, K + 1, B))
+            X[:, 0] = x
+            for j in range(K):
+                # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
+                np.multiply(F[:, j : j + 2], X[:, j, None], out=P)
+                dots = _dsum(P)
+                np.multiply(dots[1], gamma, out=t)
+                t += R[j]
+                t -= dots[0]
+                np.multiply(AF[:, j], t, out=u)
+                np.add(X[:, j], u, out=X[:, j + 1])
+            x = X[:, K]
+
+            finite = np.isfinite(X[:, 1:]).all(axis=0)
+            if not finite.all():
+                j, b = np.argwhere(~finite)[0]
+                raise NonFinite(f"trajectory {lo + b} became non-finite at step {bs + j + 1}")
+
+            if out.noise_sums is not None and bs + K > n0:
+                j0 = max(n0 - bs, 0)
+                xi = _noise_increments(spec, Y[j0:], F[:, j0:], X[:, j0:K])
+                a_xi = a[j0:, None] * xi
+                for j in range(K - j0):
+                    n = bs + j0 + j
+                    if n == n0:
+                        S = a_xi[:, j].copy()
+                    else:
+                        S *= 1.0 - a[j0 + j]
+                        S += a_xi[:, j]
+                    if fit_ptr < len(spec.fit_ms) and spec.fit_ms[fit_ptr] == n:
+                        out.noise_sums[:, fit_ptr] = np.sqrt(_dsum(S * S))
+                        fit_ptr += 1
+            _collect(spec, out, bs + 1, X[:, 1:])
     return out
 
 
@@ -352,13 +428,18 @@ def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> _EnsembleOut:
 
 
 def _run_ensemble(spec: _EnsembleSpec, n: int, batch_size: int, jobs: int) -> _EnsembleOut:
+    """Trajectories [0, n) in batches, on at most ``jobs`` worker processes
+    and never more workers than batches."""
+    if jobs < 1:
+        raise ValidationError(f"jobs: must be >= 1, got {jobs}")
     chunks = [(spec, lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
     total = _EnsembleOut.empty(spec, 0, n)
-    if jobs <= 1 or len(chunks) == 1:
+    workers = min(jobs, len(chunks))
+    if workers == 1:
         for chunk in chunks:
             total.absorb(_run_chunk(chunk))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, chunks):
                 total.absorb(part)
     return total

@@ -1,4 +1,4 @@
-"""Step-size schedules and the sum/product calculus built on them.
+"""Step-size schedules and the step sums built on them.
 
 A schedule is pinned inside the envelope
 
@@ -9,11 +9,6 @@ quantities used by the bound evaluator are
 
     step_sum(k, n)            sum of a(m) for m in [k, n]   (0 when n < k)
     tail_weight(k, n)         1 / (k^(d2-d1) n^d1)  if d1 <= d2, else 1 / n^d2
-    decay_product(n, m)       product of (1 - a(k)) for k in [m, n]   (1 when n < m)
-    contraction_product(n, m) product of (1 - (1-alpha) a(k)) for k in [m, n-1]
-
-Products with horizons beyond ``EXACT_PRODUCT_LIMIT`` are evaluated in
-log space to avoid underflow; below that they are formed directly.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-EXACT_PRODUCT_LIMIT = 10_000
 _ENVELOPE_GRID = 64
 
 
@@ -164,43 +158,6 @@ class StepSchedule:
 
     def tail_weight(self, k: int, n: int) -> float:
         return tail_weight(self.d1, self.d2, k, n)
-
-    def decay_product(self, n: int, m: int) -> float:
-        """Product of (1 - a(k)) over k in [m, n]; 1 when n < m."""
-        if n < m:
-            return 1.0
-        vals = self.steps(m, n + 1)
-        if n <= EXACT_PRODUCT_LIMIT:
-            return float(np.prod(1.0 - vals))
-        return float(np.exp(np.log1p(-vals).sum()))
-
-    def decay_product_row(self, m: int, k_lo: int) -> np.ndarray:
-        """Products of (1 - a(i)) over [k, m] for every k in [k_lo, m+1].
-
-        The final entry (k = m+1) is the empty product 1.  Computed in one
-        backward sweep so step-size grids of length m cost O(m) total.
-        """
-        if k_lo > m:
-            return np.ones(1)
-        vals = self.steps(k_lo, m + 1)
-        out = np.empty(len(vals) + 1)
-        out[-1] = 1.0
-        if m <= EXACT_PRODUCT_LIMIT:
-            out[:-1] = np.cumprod((1.0 - vals)[::-1])[::-1]
-        else:
-            out[:-1] = np.exp(np.cumsum(np.log1p(-vals)[::-1])[::-1])
-        return out
-
-    def contraction_product(self, n: int, m: int, alpha: float) -> float:
-        """Product of (1 - (1-alpha) a(k)) over k in [m, n-1]; 1 when n <= m."""
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"contraction factor must lie in (0, 1), got {alpha}")
-        if n <= m:
-            return 1.0
-        vals = (1.0 - alpha) * self.steps(m, n)
-        if n <= EXACT_PRODUCT_LIMIT:
-            return float(np.prod(1.0 - vals))
-        return float(np.exp(np.log1p(-vals).sum()))
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "d1": self.d1, "d2": self.d2, "d3": self.d3}

@@ -14,15 +14,13 @@ from tdlab import (
     exact_value_function,
     fixed_point,
     poisson_solve,
-    project_weighted,
     solve_problem,
     stationary_distribution,
-    weighted_norm,
 )
 from tdlab.rng import stream
 
 from conftest import random_chain, random_problem, tabular_problem
-from oracles import expected_hitting_sums
+from oracles import expected_hitting_sums, project_weighted, weighted_norm
 
 
 def two_state_identity(gamma=0.1):

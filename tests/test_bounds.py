@@ -14,7 +14,6 @@ from tdlab import (
     ValidationError,
     build_query,
     check_n0,
-    corollary_rate,
     evaluate_bound,
     floor_term,
     martingale_tail,
@@ -23,6 +22,8 @@ from tdlab import (
     tail_probability,
 )
 from tdlab.bounds import _TERM_BUDGET, zero_tail
+
+from oracles import corollary_rate
 
 
 def bundle(alpha=0.5, gain=1.0, offset=1.0, scale=1.0, x_norm=0.0):

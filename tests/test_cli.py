@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tdlab.cli as cli
+from tdlab import harness
 from tdlab.config import load_config
 from tdlab.errors import NonFinite
 from tdlab.harness import _base_spec, _run_ensemble, _sample_paths
@@ -160,6 +161,9 @@ class TestBadInputs:
             (["bound", "--D", "inf"], "--D"),
             (["simulate", "--horizon", "0"], "--horizon"),
             (["experiment", "--horizon", "100"], "--horizon"),
+            (["experiment", "--jobs", "0"], "--jobs"),
+            (["experiment", "--jobs", "-1"], "--jobs"),
+            (["bound", "--D", "1", "--jobs", "0"], "--jobs"),
         ],
     )
     def test_bad_flag_exits_1(self, tmp_path, capsys, argv, flag):
@@ -212,3 +216,22 @@ class TestSimulate:
         with open(out / "trajectory_0.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["n"]) for r in rows] == list(range(51))
+
+
+class TestQuantileCap:
+    def test_blank_quantiles_are_reported(self, tmp_path, monkeypatch, capsys):
+        cfg = reference_config(tmp_path, n_trajectories=4, horizon=300)
+        monkeypatch.setattr(harness, "MAX_ERR_MATRIX_CELLS", 803)  # 4 x 201 cells needed
+        out = tmp_path / "capped"
+        assert cli.main(["experiment", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "804 cells, over MAX_ERR_MATRIX_CELLS = 803" in err
+        with open(out / "per_m.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 201 and all(row["err_q50"] == "" for row in rows)
+
+        monkeypatch.setattr(harness, "MAX_ERR_MATRIX_CELLS", 804)
+        full = tmp_path / "full"
+        assert cli.main(["experiment", cfg, "--out", str(full)]) == 0
+        assert "MAX_ERR_MATRIX_CELLS" not in capsys.readouterr().err
+        assert (full / "result.json").read_bytes() == (out / "result.json").read_bytes()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tdlab import NonFinite, StepSchedule, run_deterministic, simulate_trajectory, solve_problem
+from tdlab import NonFinite, run_deterministic, simulate_trajectory, solve_problem
 from tdlab.harness import ExperimentConfig, _base_spec, _sample_paths, _simulate_chunk
 from tdlab.rng import stream
 
 from conftest import random_problem
+from oracles import ProductSchedule as StepSchedule
 
 
 def sched_half():

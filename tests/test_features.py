@@ -8,13 +8,12 @@ from tdlab import (
     build_features,
     check_assumption,
     feature_gain,
-    project_weighted,
     scaling_threshold,
     stationary_distribution,
-    weighted_norm,
 )
 
 from conftest import random_chain, random_problem
+from oracles import project_weighted, weighted_norm
 
 
 def two_state_uniform():

