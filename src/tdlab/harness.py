@@ -1,8 +1,9 @@
 """Monte Carlo verification of the all-time bound.
 
 One engine serves ``experiment``, ``bound`` and ``simulate``:
-``_sample_paths`` draws the states by inverse CDF and ``_simulate_chunk``
-runs the online TD(0) update over a batch of trajectories.  The
+``_path_segments`` draws a batch's states by inverse CDF, one segment of
+``_DRAW`` steps at a time, and ``_simulate_chunk`` runs the online TD(0)
+update along each segment before the next is drawn.  The
 experiment simulates many independent trajectories, estimates the
 initial-condition term, fits the tail-exponent constant from simulated
 weighted noise sums when none is supplied, and compares the empirical
@@ -10,10 +11,10 @@ all-time event frequency against the closed-form lower bound; ``bound``
 runs the same engine up to the start index for the initial-condition
 term; ``simulate_trajectory`` runs it on one trajectory alone.
 
-The kernel keeps the batch's iterates in a (d, B) layout and runs the
-steps in blocks of ``_BLOCK``.  Per block it transposes that block's
-slice of the states and gathers the features, rewards and scaled
-features once; per step it runs only the update (and, when D is fitted,
+The kernel keeps the batch's iterates in a (d, B) layout and runs each
+segment's steps in blocks of ``_BLOCK``.  Per block it gathers the
+features, rewards and scaled features of that block's (K+1, B) slice of
+the segment once; per step it runs only the update (and, when D is fitted,
 the noise-sum recursion); after the block it checks the new iterates
 for non-finite values, forms the noise increments and feeds every
 collector, each vectorised over the block.  Feature-axis sums follow
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -64,6 +66,8 @@ from .schedule import StepSchedule
 WILSON_Z = 1.959963984540054  # two-sided 95%
 MAX_ERR_MATRIX_CELLS = 40_000_000  # float32 error matrix cap (~160 MB)
 _BLOCK = 64  # steps per block of the TD kernel
+_DRAW = 16 * _BLOCK  # steps per sampled path segment
+_TAKE_COLUMNS_MAX_S = 32  # largest state count whose CDF table is read as (s-1, B) columns
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -85,11 +89,6 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     hi = center + half
     return p * p / denom / hi, min(1.0, hi)
-
-
-def wilson_half_width(successes: int, n: int, z: float = WILSON_Z) -> float:
-    lo, hi = wilson_interval(successes, n, z)
-    return 0.5 * (hi - lo)
 
 
 @dataclass
@@ -248,31 +247,62 @@ class _EnsembleOut:
             np.maximum(self.err_max_per_m, part.err_max_per_m, out=self.err_max_per_m)
 
 
-def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-    """States at steps 0..horizon of trajectories [lo, hi), by inverse CDF on
-    each trajectory's own stream: one uniform for the start state (drawn
-    even when it is fixed), then one per transition."""
+def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The states of trajectories [lo, hi) at steps 0..horizon, by inverse
+    CDF on each trajectory's own stream, one segment at a time.
+
+    A segment holds the states at steps start..start+L as an (L+1, B) array,
+    L <= ``_DRAW``; the next one starts at the state this one ends at.  The
+    buffer is reused, so a segment is valid only until the next is asked
+    for.  Segment 0 draws 1 + L uniforms per trajectory (the first picks the
+    start state, drawn even when it is fixed), the others L; chunked draws
+    continue the stream exactly as one long draw would.
+
+    The next state is the number of CDF entries of the current row at or
+    below the uniform.  Rows are nondecreasing, so counting only the first
+    s-1 columns equals the count capped at s-1.  Up to ``_TAKE_COLUMNS_MAX_S``
+    states the table is read as (s-1, B) columns, above it as (B, s-1) rows.
+    """
     B = hi - lo
     T = spec.horizon
     s = spec.phi.shape[0]
-    us = np.empty((B, T + 1))
-    for j, i in enumerate(range(lo, hi)):
-        us[j] = stream(spec.master_seed, i).random(T + 1)
-
-    if spec.init_policy == "fixed":
-        init = np.full(B, spec.init_state, dtype=np.int64)
-    elif spec.init_policy == "uniform":
-        init = np.minimum((us[:, 0] * s).astype(np.int64), s - 1)
+    gens = [stream(spec.master_seed, i) for i in range(lo, hi)]
+    u = np.empty((B, 1 + _DRAW))  # column 0 is the start-state draw
+    ut = np.empty((_DRAW, B))
+    if s <= _TAKE_COLUMNS_MAX_S:  # the CDF row of state y is column y
+        table, axis, ut_cmp = np.ascontiguousarray(spec.cum_rows[:, : s - 1].T), 1, ut
     else:
-        init = np.minimum(
-            np.searchsorted(spec.cum_pi, us[:, 0], side="right"), s - 1
-        ).astype(np.int64)
+        table, axis, ut_cmp = np.ascontiguousarray(spec.cum_rows[:, : s - 1]), 0, ut[:, :, None]
+    cdf = np.empty((s - 1, B) if axis else (B, s - 1))
+    hits = np.empty(cdf.shape, dtype=bool)
+    Y = np.empty((_DRAW + 1, B), dtype=np.intp)
+    for start in range(0, max(T, 1), _DRAW):
+        L = min(_DRAW, T - start)
+        for g, row in zip(gens, u):
+            g.random(out=row[0 if start == 0 else 1 : 1 + L])
+        if start > 0:
+            Y[0] = Y[_DRAW]
+        elif spec.init_policy == "fixed":
+            Y[0] = spec.init_state
+        elif spec.init_policy == "uniform":
+            Y[0] = np.minimum((u[:, 0] * s).astype(np.intp), s - 1)
+        else:
+            Y[0] = np.minimum(np.searchsorted(spec.cum_pi, u[:, 0], side="right"), s - 1)
+        ut[:L] = u[:, 1 : 1 + L].T
+        for n in range(L):
+            table.take(Y[n], axis=axis, out=cdf, mode="clip")
+            np.less_equal(cdf, ut_cmp[n], out=hits)
+            np.add.reduce(hits, axis=1 - axis, dtype=np.intp, out=Y[n + 1])
+        yield Y[: L + 1]
 
-    states = np.empty((B, T + 1), dtype=np.int64)
-    states[:, 0] = init
-    for n in range(T):
-        rows = spec.cum_rows[states[:, n]]
-        states[:, n + 1] = np.minimum((rows <= us[:, n + 1, None]).sum(axis=1), s - 1)
+
+def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+    """The states of ``_path_segments`` joined into one (B, horizon+1) array."""
+    states = np.empty((hi - lo, spec.horizon + 1), dtype=np.intp)
+    start = 0
+    for seg in _path_segments(spec, lo, hi):
+        states[:, start : start + len(seg)] = seg.T
+        start += len(seg) - 1
     return states
 
 
@@ -360,14 +390,18 @@ def _noise_increments(spec: _EnsembleSpec, Y: np.ndarray, F: np.ndarray, X: np.n
     return xi
 
 
-def _simulate_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _EnsembleOut:
-    """The online TD(0) update along the sampled ``states`` of trajectories
-    [lo, lo + len(states)), feeding the collectors ``spec`` switches on;
-    time-blocked over a (d, B) layout as the module docstring describes."""
-    T, n0 = spec.horizon, spec.n0
-    B = len(states)
+def _simulate_chunk(
+    spec: _EnsembleSpec, lo: int, hi: int, segments: Iterable[np.ndarray]
+) -> _EnsembleOut:
+    """The online TD(0) update of trajectories [lo, hi) along their sampled
+    states, feeding the collectors ``spec`` switches on; time-blocked over a
+    (d, B) layout as the module docstring describes.  ``segments`` are the
+    states in order as (L+1, B) arrays, each starting at the state the one
+    before ended at (``_path_segments``); any L will do."""
+    n0 = spec.n0
+    B = hi - lo
     d = spec.phi.shape[1]
-    out = _EnsembleOut.empty(spec, lo, lo + B)
+    out = _EnsembleOut.empty(spec, lo, hi)
     phi_t = np.ascontiguousarray(spec.phi.T)
     gamma = spec.gamma
     x = np.repeat(spec.initial_x[:, None], B, axis=1)
@@ -379,52 +413,56 @@ def _simulate_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _Ensemb
     with np.errstate(over="ignore", invalid="ignore"):
         if n0 == 0:
             _collect(spec, out, 0, x[:, None, :])
-        for bs in range(0, T, _BLOCK):
-            K = min(_BLOCK, T - bs)
-            Y = np.ascontiguousarray(states[:, bs : bs + K + 1].T)
-            F = np.take(phi_t, Y, axis=1)  # phi at the states of steps bs .. bs+K
-            R = np.take(spec.rewards, Y[:-1])
-            a = spec.steps[bs : bs + K]
-            AF = F[:, :-1] * a[:, None]
-            X = np.empty((d, K + 1, B))
-            X[:, 0] = x
-            for j in range(K):
-                # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
-                np.multiply(F[:, j : j + 2], X[:, j, None], out=P)
-                dots = _dsum(P)
-                np.multiply(dots[1], gamma, out=t)
-                t += R[j]
-                t -= dots[0]
-                np.multiply(AF[:, j], t, out=u)
-                np.add(X[:, j], u, out=X[:, j + 1])
-            x = X[:, K]
+        start = 0
+        for seg in segments:
+            end = start + len(seg) - 1
+            for bs in range(start, end, _BLOCK):
+                K = min(_BLOCK, end - bs)
+                Y = seg[bs - start : bs - start + K + 1]
+                F = np.take(phi_t, Y, axis=1)  # phi at the states of steps bs .. bs+K
+                R = np.take(spec.rewards, Y[:-1])
+                a = spec.steps[bs : bs + K]
+                AF = F[:, :-1] * a[:, None]
+                X = np.empty((d, K + 1, B))
+                X[:, 0] = x
+                for j in range(K):
+                    # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
+                    np.multiply(F[:, j : j + 2], X[:, j, None], out=P)
+                    dots = _dsum(P)
+                    np.multiply(dots[1], gamma, out=t)
+                    t += R[j]
+                    t -= dots[0]
+                    np.multiply(AF[:, j], t, out=u)
+                    np.add(X[:, j], u, out=X[:, j + 1])
+                x = X[:, K]
 
-            finite = np.isfinite(X[:, 1:]).all(axis=0)
-            if not finite.all():
-                j, b = np.argwhere(~finite)[0]
-                raise NonFinite(f"trajectory {lo + b} became non-finite at step {bs + j + 1}")
+                finite = np.isfinite(X[:, 1:]).all(axis=0)
+                if not finite.all():
+                    j, b = np.argwhere(~finite)[0]
+                    raise NonFinite(f"trajectory {lo + b} became non-finite at step {bs + j + 1}")
 
-            if out.noise_sums is not None and bs + K > n0:
-                j0 = max(n0 - bs, 0)
-                xi = _noise_increments(spec, Y[j0:], F[:, j0:], X[:, j0:K])
-                a_xi = a[j0:, None] * xi
-                for j in range(K - j0):
-                    n = bs + j0 + j
-                    if n == n0:
-                        S = a_xi[:, j].copy()
-                    else:
-                        S *= 1.0 - a[j0 + j]
-                        S += a_xi[:, j]
-                    if fit_ptr < len(spec.fit_ms) and spec.fit_ms[fit_ptr] == n:
-                        out.noise_sums[:, fit_ptr] = np.sqrt(_dsum(S * S))
-                        fit_ptr += 1
-            _collect(spec, out, bs + 1, X[:, 1:])
+                if out.noise_sums is not None and bs + K > n0:
+                    j0 = max(n0 - bs, 0)
+                    xi = _noise_increments(spec, Y[j0:], F[:, j0:], X[:, j0:K])
+                    a_xi = a[j0:, None] * xi
+                    for j in range(K - j0):
+                        n = bs + j0 + j
+                        if n == n0:
+                            S = a_xi[:, j].copy()
+                        else:
+                            S *= 1.0 - a[j0 + j]
+                            S += a_xi[:, j]
+                        if fit_ptr < len(spec.fit_ms) and spec.fit_ms[fit_ptr] == n:
+                            out.noise_sums[:, fit_ptr] = np.sqrt(_dsum(S * S))
+                            fit_ptr += 1
+                _collect(spec, out, bs + 1, X[:, 1:])
+            start = end
     return out
 
 
 def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> _EnsembleOut:
     spec, lo, hi = args
-    return _simulate_chunk(spec, lo, _sample_paths(spec, lo, hi))
+    return _simulate_chunk(spec, lo, hi, _path_segments(spec, lo, hi))
 
 
 def _run_ensemble(spec: _EnsembleSpec, n: int, batch_size: int, jobs: int) -> _EnsembleOut:
@@ -518,7 +556,7 @@ def simulate_trajectory(
     T = config.horizon
     spec = _base_spec(config, analytic, horizon=T, diag_ms=np.arange(T + 1))
     states = _sample_paths(spec, index, index + 1)
-    xs = _simulate_chunk(spec, index, states).diag_x[0]
+    xs = _simulate_chunk(spec, index, index + 1, [states.T]).diag_x[0]
     zs = run_deterministic(config.problem, config.schedule, 0, T, config.initial_x)
     gap = np.linalg.norm(xs - zs, axis=1)
     return TrajectoryRecord(
@@ -881,7 +919,13 @@ def run_alltime_experiment(
 
     quantiles = None
     if out.err_matrix is not None:
-        qs = np.percentile(out.err_matrix, [25, 50, 75, 90], axis=0)
+        # over (cols, n) copies of 1024-column slices: the values of one
+        # whole-matrix call, without a second matrix-sized copy
+        parts = []
+        for c in range(0, span, 1024):
+            cols = np.ascontiguousarray(out.err_matrix[:, c : c + 1024].T)
+            parts.append(np.percentile(cols, [25, 50, 75, 90], axis=1))
+        qs = np.concatenate(parts, axis=1)
         quantiles = {"q25": qs[0], "q50": qs[1], "q75": qs[2], "q90": qs[3]}
 
     return ExperimentResult(

@@ -1,9 +1,9 @@
 """Finite irreducible aperiodic Markov chains.
 
 Validation and stationary analysis.  Path sampling is the ensemble
-engine's own (``harness._sample_paths``): inverse-CDF lookups on
+engine's own (``harness._path_segments``): inverse-CDF lookups on
 :meth:`MarkovChain.cumulative_rows`, one uniform per transition from each
-trajectory's stream.
+trajectory's stream, drawn one path segment at a time.
 
 All operations are pure given their inputs.
 """

@@ -5,9 +5,12 @@ Each trajectory owns an independent counter-based generator derived from
 order, so ensembles can be simulated serially, in batches, or across
 worker processes with identical results.
 
-Draw protocol used by the simulation engines: one uniform for the
+Draw protocol used by the simulation engine: one uniform for the
 initial state (consumed even when the initial state is fixed, to keep
 stream alignment policy-independent), then one uniform per transition.
+The engine draws them one path segment at a time; consecutive
+``Generator.random`` calls continue a stream exactly where the last one
+stopped, so the segment-wise draws equal one long draw bit for bit.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ It estimates
 by Monte Carlo, as an independent check on the linear-system Poisson
 solver.
 
+``reference_paths`` is the whole-path inverse-CDF sampler that the
+segment-wise ``harness._path_segments`` replaced: every uniform of a batch
+drawn at once, then each step gathers the (B, s) CDF rows and caps the
+count at s-1.  The segment sampler is checked against it state for state.
+
 ``reference_chunk`` is the per-step TD(0) kernel in the (B, d) layout that
 the time-blocked ``harness._simulate_chunk`` replaced: one update and one
 round of collectors per step.  The blocked kernel is checked against it.
@@ -30,6 +35,7 @@ from tdlab.errors import NonFinite, SolverFailure, ValidationError
 from tdlab.features import FeatureMap, weighted_gram
 from tdlab.harness import _EnsembleOut, _EnsembleSpec
 from tdlab.markov import MarkovChain, StationaryDistribution
+from tdlab.rng import stream
 from tdlab.schedule import StepSchedule
 
 EXACT_PRODUCT_LIMIT = 10_000
@@ -92,6 +98,34 @@ def expected_hitting_sums(
     var = np.maximum(total_sq / n_cycles - mean * mean, 0.0)
     se = np.sqrt(var / n_cycles)
     return mean.reshape(g.shape), se.reshape(g.shape)
+
+
+def reference_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+    """States at steps 0..horizon of trajectories [lo, hi), by inverse CDF on
+    each trajectory's own stream: one uniform for the start state (drawn
+    even when it is fixed), then one per transition."""
+    B = hi - lo
+    T = spec.horizon
+    s = spec.phi.shape[0]
+    us = np.empty((B, T + 1))
+    for j, i in enumerate(range(lo, hi)):
+        us[j] = stream(spec.master_seed, i).random(T + 1)
+
+    if spec.init_policy == "fixed":
+        init = np.full(B, spec.init_state, dtype=np.int64)
+    elif spec.init_policy == "uniform":
+        init = np.minimum((us[:, 0] * s).astype(np.int64), s - 1)
+    else:
+        init = np.minimum(
+            np.searchsorted(spec.cum_pi, us[:, 0], side="right"), s - 1
+        ).astype(np.int64)
+
+    states = np.empty((B, T + 1), dtype=np.int64)
+    states[:, 0] = init
+    for n in range(T):
+        rows = spec.cum_rows[states[:, n]]
+        states[:, n + 1] = np.minimum((rows <= us[:, n + 1, None]).sum(axis=1), s - 1)
+    return states
 
 
 def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _EnsembleOut:

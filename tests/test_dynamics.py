@@ -37,7 +37,7 @@ def engine_path(config, analytic, index=0, **spec_changes):
     T = config.horizon
     spec = replace(_base_spec(config, analytic, horizon=T, diag_ms=np.arange(T + 1)), **spec_changes)
     states = _sample_paths(spec, index, index + 1)
-    return states[0], _simulate_chunk(spec, index, states).diag_x[0]
+    return states[0], _simulate_chunk(spec, index, index + 1, [states.T]).diag_x[0]
 
 
 class TestTdStep:

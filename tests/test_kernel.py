@@ -1,9 +1,10 @@
 """The time-blocked TD kernel against the per-step reference kernel.
 
 ``harness._simulate_chunk`` runs the update in blocks of ``_BLOCK`` steps
-and feeds the collectors once per block; ``oracles.reference_chunk`` does
-both one step at a time.  Every collector must agree: the noise sums
-within 1e-12, everything else bit for bit.
+over path segments of ``_DRAW`` steps and feeds the collectors once per
+block; ``oracles.reference_chunk`` does both one step at a time along the
+whole path.  Every collector must agree: the noise sums within 1e-12,
+everything else bit for bit.
 """
 
 from dataclasses import replace
@@ -17,10 +18,11 @@ from tdlab.bounds import decay_curve
 from tdlab.harness import (
     ExperimentConfig,
     _BLOCK,
+    _DRAW,
     _base_spec,
+    _run_chunk,
     _run_ensemble,
     _sample_paths,
-    _simulate_chunk,
 )
 
 from conftest import random_problem
@@ -82,7 +84,7 @@ def assert_twins(spec, lo, B):
     excess = want.err_matrix - spec.primary_eps * spec.decay[None, :]
     spec = replace(spec, primary_floor=float(np.median(excess)))
     want = reference_chunk(spec, lo, states)
-    got = _simulate_chunk(spec, lo, states)
+    got = _run_chunk((spec, lo, lo + B))
     assert (got.lo, got.hi) == (want.lo, want.hi) == (lo, lo + B)
     for name in COLLECTORS:
         a, b = getattr(got, name), getattr(want, name)
@@ -110,6 +112,10 @@ class TestBlockedKernelTwins:
             (150, 151),  # one step
             (_BLOCK, 2 * _BLOCK + 1),  # n0 on a block boundary
             (_BLOCK + 2, 3 * _BLOCK + 5),  # the block before n0 ends one step short of it
+            (0, _DRAW),  # the horizon on a segment boundary
+            (_DRAW - 1, _DRAW + 1),  # n0 and the horizon one step either side of it
+            (_DRAW, 2 * _DRAW + 1),  # n0 on a segment boundary, one step into a third segment
+            (_DRAW + 1, 2 * _DRAW - 1),  # n0 just after a boundary, the horizon just before one
         ],
     )
     def test_reference_instance(self, ref_problem, ref_analytic, n0, horizon):
@@ -154,14 +160,15 @@ class TestInvariance:
 
 def divergent_paths(spec, bad):
     """A sampler stand-in: every trajectory stays in state 0, except that
-    trajectory i of ``bad`` sits in state 1 at step ``bad[i]``."""
+    trajectory i of ``bad`` sits in state 1 at step ``bad[i]``; the whole
+    path is one segment."""
 
     def sample(_spec, lo, hi):
         states = np.zeros((hi - lo, spec.horizon + 1), dtype=np.int64)
         for i, n in bad.items():
             if lo <= i < hi:
                 states[i - lo, n] = 1
-        return states
+        return [states.T]
 
     return sample
 
@@ -183,7 +190,7 @@ class TestNonFinite:
         spec = replace(spec, rewards=np.array([0.0, np.inf, 0.0, 0.0, 0.0]))
         step = 2 * _BLOCK + 22
         monkeypatch.setattr(
-            harness, "_sample_paths", divergent_paths(spec, {12: step + 19, 13: step, 14: step + 1})
+            harness, "_path_segments", divergent_paths(spec, {12: step + 19, 13: step, 14: step + 1})
         )
         with pytest.raises(NonFinite, match=f"trajectory 13 became non-finite at step {step + 1}$"):
             _run_ensemble(spec, 20, batch_size, 1)
