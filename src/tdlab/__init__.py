@@ -55,10 +55,8 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     TailFit,
-    convergence_diagnostics,
     estimate_p_init,
     fit_tail_exponent,
-    fit_tail_exponent_from_sim,
     run_alltime_experiment,
     simulate_trajectory,
     wilson_interval,

@@ -32,7 +32,6 @@ from .markov import MarkovChain, StationaryDistribution, stationary_distribution
 
 FIXED_POINT_TOL = 1e-8
 POISSON_TOL = 1e-8
-_CONSISTENCY_TOL = 1e-10
 
 
 class PolicyEvalProblem:
@@ -95,7 +94,6 @@ class PolicyEvalProblem:
         # averaged map: x  ->  x - map_matrix @ x + map_offset
         self.map_matrix = self.gram - gamma * self.cross_gram
         self.map_offset = Phi.T @ (pi * rewards)
-        self._check_map_consistency()
 
     @property
     def n_states(self) -> int:
@@ -104,18 +102,6 @@ class PolicyEvalProblem:
     @property
     def n_features(self) -> int:
         return self.features.n_features
-
-    def _check_map_consistency(self) -> None:
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            x = rng.standard_normal(self.n_features)
-            direct = sum(
-                self.stationary.pi[i] * self.state_map(x, i) for i in range(self.n_states)
-            )
-            if np.max(np.abs(direct - self.mean_field(x))) > _CONSISTENCY_TOL * max(
-                1.0, float(np.max(np.abs(direct)))
-            ):
-                raise SolverFailure("averaged-map matrix form disagrees with the state sum")
 
     def state_map(self, x: np.ndarray, i: int) -> np.ndarray:
         """The per-state expected-update map F(x, i)."""

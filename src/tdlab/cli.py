@@ -67,6 +67,11 @@ def _load(args) -> LoadedConfig:
             raise ValidationError(
                 f"--horizon: must exceed the start index {start}, got {args.horizon}"
             )
+        values = cfg.schedule.values
+        if values is not None and len(values) < args.horizon:
+            raise ValidationError(
+                f"--horizon: the table schedule has only {len(values)} values, got {args.horizon}"
+            )
         cfg.experiment.horizon = args.horizon
     return cfg
 

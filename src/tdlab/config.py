@@ -54,6 +54,8 @@ class LoadedConfig:
 
 
 def _require(mapping: dict, key: str, path: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: expected an object")
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing required field")
     return mapping[key]
@@ -128,18 +130,18 @@ def load_config(path: str | Path) -> LoadedConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
+    P = _matrix(_require(_require(raw, "chain", "$"), "P", "chain"), "chain.P")
     try:
-        chain = build_chain(_matrix(_require(_require(raw, "chain", "$"), "P", "chain"), "chain.P"))
+        chain = build_chain(P)
     except ValidationError as exc:
         raise ConfigError(f"chain.P: {exc}") from exc
     rewards = _vector(_require(_require(raw, "rewards", "$"), "r", "rewards"), "rewards.r")
     gamma = _number(_require(raw, "gamma", "$"), "gamma")
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma: must lie in (0, 1), got {gamma}")
+    Phi = _matrix(_require(_require(raw, "features", "$"), "Phi", "features"), "features.Phi")
     try:
-        features = build_features(
-            _matrix(_require(_require(raw, "features", "$"), "Phi", "features"), "features.Phi")
-        )
+        features = build_features(Phi)
     except ValidationError as exc:
         raise ConfigError(f"features.Phi: {exc}") from exc
     schedule = _build_schedule(_require(raw, "schedule", "$"))
@@ -200,6 +202,11 @@ def load_config(path: str | Path) -> LoadedConfig:
             experiment = ExperimentConfig(problem=problem, schedule=schedule, **fields)
         except ValidationError as exc:  # its message starts with the field name
             raise ConfigError(f"experiment.{exc}") from exc
+        if schedule.values is not None and len(schedule.values) < experiment.horizon:
+            raise ConfigError(
+                f"schedule.values: {len(schedule.values)} values do not cover "
+                f"experiment.horizon = {experiment.horizon}"
+            )
         if exp.get("p_init") is not None:
             p_init_user = _number(exp["p_init"], "experiment.p_init")
             if not 0.0 <= p_init_user <= 1.0:

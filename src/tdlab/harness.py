@@ -14,19 +14,26 @@ term; ``simulate_trajectory`` runs it on one trajectory alone.
 The kernel keeps the batch's iterates in a (d, B) layout and runs each
 segment's steps in blocks of ``_BLOCK``.  Per block it gathers the
 features, rewards and scaled features of that block's (K+1, B) slice of
-the segment once; per step it runs only the update (and, when D is fitted,
-the noise-sum recursion); after the block it checks the new iterates
-for non-finite values, forms the noise increments and feeds every
-collector, each vectorised over the block.  Feature-axis sums follow
-numpy's pairwise order (``_dsum``), so the iterates equal those of a
-per-step update in the (B, d) layout bit for bit.
+the segment once and runs only the update per step; after the block it
+checks the new iterates for non-finite values, takes the distances to x*
+of those at steps from n0 on, and hands the block (a ``_Block``) to every
+collector.  Feature-axis sums follow numpy's pairwise order (``_dsum``),
+so the iterates equal those of a per-step update in the (B, d) layout
+bit for bit.
 
-One experiment is one ensemble pass: the collectors (start error, max
-excess per epsilon, per-step counts, noise sums at the fit points,
-iterates at the checkpoints, the error matrix) all read the iterates of
-that pass.  Which collectors are on never changes the iterates, so a
-standalone pass with fewer collectors reproduces the same values bit
-for bit.
+A collector is one quantity the pass gathers, built from its own inputs:
+``StartError`` (the error at n0), ``Excess`` (the largest excess over the
+radius per trajectory and epsilon, and the per-step violation counts and
+error maxima), ``ErrMatrix`` (every error from n0 on), ``Checkpoints``
+(the iterates at given steps) and ``NoiseSums`` (the weighted martingale
+noise sums from the Poisson solution, for the tail-exponent fit).  The
+spec carries the collectors a caller lists; each batch fills an
+``empty`` copy of each, block by block through ``update``, and the
+ensemble ``merge``s every batch into a total preallocated for all
+trajectories.  One experiment is one pass with all five (the noise sums
+only when D is fitted, the matrix only under ``MAX_ERR_MATRIX_CELLS``).
+A collector reads only the block, never another collector, so which
+others ride along never changes its values.
 
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
@@ -41,15 +48,18 @@ statistically, monotone across the grids.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import AnalyticSolution, PolicyEvalProblem, solve_problem
+from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, solve_problem
 from .bounds import (
     TailSummary,
     build_query,
@@ -166,12 +176,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _EnsembleSpec:
-    """Picklable bundle of everything one worker needs."""
+    """Picklable bundle of the dynamics one worker runs, and its collectors."""
 
     cum_rows: np.ndarray
     cum_pi: np.ndarray
     phi: np.ndarray
-    next_phi: np.ndarray
     rewards: np.ndarray
     gamma: float
     steps: np.ndarray
@@ -182,69 +191,184 @@ class _EnsembleSpec:
     master_seed: int
     n0: int
     horizon: int
-    eps_grid: np.ndarray | None = None
-    decay: np.ndarray | None = None
-    primary_eps: float = 0.0
-    primary_floor: float = math.inf
-    count_violations: bool = False
-    track_noise_sum: bool = False
-    offset_sol: np.ndarray | None = None
-    linear_sol: np.ndarray | None = None
-    expected_offset: np.ndarray | None = None
-    expected_linear: np.ndarray | None = None
-    fit_ms: np.ndarray | None = None
-    diag_ms: np.ndarray | None = None
-    want_err_matrix: bool = False
+    collectors: tuple[_Collector, ...] = ()
 
 
-@dataclass
-class _EnsembleOut:
-    """What the collectors gathered over trajectories [lo, hi).
+class _Block(NamedTuple):
+    """One kernel block over steps bs..bs+K: the states ``Y`` (K+1, B), their
+    features ``F`` (d, K+1, B), the step sizes ``a`` (K,) and the iterates
+    ``X`` (d, K+1, B); then ``xs`` (d, K', B), the iterates of the block's
+    steps m0.. at or after n0, and ``err`` (K', B), their distances to x*."""
 
-    ``_simulate_chunk`` fills one per batch; the ensemble's own output is
-    the one over [0, n), into which every batch is absorbed.
+    bs: int
+    Y: np.ndarray
+    F: np.ndarray
+    a: np.ndarray
+    X: np.ndarray
+    n0: int
+    m0: int
+    xs: np.ndarray
+    err: np.ndarray
+
+
+class _Collector:
+    """One quantity an ensemble pass gathers (see the module docstring).
+
+    ``empty(lo, hi)`` is a copy with the arrays named in ``outputs`` sized
+    for trajectories [lo, hi), ``update(blk)`` reads one ``_Block``, and
+    ``merge(part)`` copies a batch's rows into a total over a wider range.
     """
 
-    lo: int
-    hi: int
-    err_n0: np.ndarray
-    max_excess: np.ndarray | None
-    per_m_counts: np.ndarray | None
-    err_max_per_m: np.ndarray | None
-    noise_sums: np.ndarray | None
-    diag_x: np.ndarray | None
-    err_matrix: np.ndarray | None
+    outputs: tuple[str, ...]
 
-    @classmethod
-    def empty(cls, spec: _EnsembleSpec, lo: int, hi: int) -> _EnsembleOut:
-        """The collectors ``spec`` switches on, sized for trajectories [lo, hi)."""
-        B = hi - lo
-        d = spec.phi.shape[1]
-        span = spec.horizon - spec.n0 + 1
-        n_eps = 0 if spec.eps_grid is None else len(spec.eps_grid)
-        track_noise = spec.track_noise_sum and spec.fit_ms is not None
-        return cls(
-            lo=lo,
-            hi=hi,
-            err_n0=np.empty(B),
-            max_excess=np.full((B, n_eps), -np.inf) if n_eps else None,
-            per_m_counts=np.zeros(span, dtype=np.int64) if spec.count_violations else None,
-            err_max_per_m=np.zeros(span) if spec.count_violations else None,
-            noise_sums=np.empty((B, len(spec.fit_ms))) if track_noise else None,
-            diag_x=np.empty((B, len(spec.diag_ms), d)) if spec.diag_ms is not None else None,
-            err_matrix=np.empty((B, span), dtype=np.float32) if spec.want_err_matrix else None,
-        )
+    def _sized(self, lo: int, hi: int, **arrays: np.ndarray) -> _Collector:
+        part = copy.copy(self)
+        part.lo, part.hi = lo, hi
+        vars(part).update(arrays)
+        return part
 
-    def absorb(self, part: _EnsembleOut) -> None:
-        """Copy the rows of a batch inside [lo, hi) and fold in its per-step columns."""
+    def merge(self, part: _Collector) -> None:
         rows = slice(part.lo - self.lo, part.hi - self.lo)
-        for name in ("err_n0", "max_excess", "noise_sums", "diag_x", "err_matrix"):
-            mine = getattr(self, name)
-            if mine is not None:
-                mine[rows] = getattr(part, name)
-        if self.per_m_counts is not None:
-            self.per_m_counts += part.per_m_counts
-            np.maximum(self.err_max_per_m, part.err_max_per_m, out=self.err_max_per_m)
+        for name in self.outputs:
+            getattr(self, name)[rows] = getattr(part, name)
+
+
+@dataclass(eq=False)
+class StartError(_Collector):
+    """The error at step n0."""
+
+    outputs = ("err",)
+
+    def empty(self, lo: int, hi: int) -> StartError:
+        return self._sized(lo, hi, err=np.empty(hi - lo))
+
+    def update(self, blk: _Block) -> None:
+        if blk.m0 == blk.n0:
+            self.err[:] = blk.err[0]
+
+
+@dataclass(eq=False)
+class Excess(_Collector):
+    """The largest excess of the error over the decaying radius part
+    ``decay * eps``, per trajectory and grid epsilon (``max_excess``), and
+    per step from n0, the count of excesses at the primary ``eps`` above
+    ``floor`` and the largest error (``counts``, ``err_max``)."""
+
+    eps_grid: np.ndarray
+    decay: np.ndarray
+    eps: float
+    floor: float
+    outputs = ("max_excess", "counts", "err_max")
+
+    def empty(self, lo: int, hi: int) -> Excess:
+        span = len(self.decay)
+        max_excess = np.full((hi - lo, len(self.eps_grid)), -np.inf)
+        counts, err_max = np.zeros(span, dtype=np.int64), np.zeros(span)
+        return self._sized(lo, hi, max_excess=max_excess, counts=counts, err_max=err_max)
+
+    def update(self, blk: _Block) -> None:
+        err = blk.err
+        idx = slice(blk.m0 - blk.n0, blk.m0 - blk.n0 + len(err))
+        ramp = self.decay[idx, None] * self.eps_grid[None, :]  # (K', n_eps)
+        np.maximum(
+            self.max_excess, (err[:, :, None] - ramp[:, None, :]).max(axis=0), out=self.max_excess
+        )
+        excess = err - (self.eps * self.decay[idx])[:, None]
+        self.counts[idx] += np.count_nonzero(excess > self.floor, axis=1)
+        np.maximum(self.err_max[idx], err.max(axis=1), out=self.err_max[idx])
+
+    def merge(self, part: Excess) -> None:  # the per-step outputs fold
+        self.max_excess[part.lo - self.lo : part.hi - self.lo] = part.max_excess
+        self.counts += part.counts
+        np.maximum(self.err_max, part.err_max, out=self.err_max)
+
+
+@dataclass(eq=False)
+class ErrMatrix(_Collector):
+    """The error at every step from n0, in float32; ``span`` steps."""
+
+    span: int
+    outputs = ("matrix",)
+
+    def empty(self, lo: int, hi: int) -> ErrMatrix:
+        return self._sized(lo, hi, matrix=np.empty((hi - lo, self.span), dtype=np.float32))
+
+    def update(self, blk: _Block) -> None:
+        i0 = blk.m0 - blk.n0
+        self.matrix[:, i0 : i0 + len(blk.err)] = blk.err.T
+
+
+@dataclass(eq=False)
+class Checkpoints(_Collector):
+    """The iterates at the sorted distinct steps ``ms`` >= n0, in ``dim``
+    features."""
+
+    ms: np.ndarray
+    dim: int
+    outputs = ("x",)
+
+    def empty(self, lo: int, hi: int) -> Checkpoints:
+        return self._sized(lo, hi, x=np.empty((hi - lo, len(self.ms), self.dim)))
+
+    def update(self, blk: _Block) -> None:
+        ms, m0 = self.ms, blk.m0
+        a, b = np.searchsorted(ms, [m0, m0 + blk.xs.shape[1]])
+        self.x[:, a:b] = blk.xs[:, ms[a:b] - m0].transpose(2, 1, 0)
+
+
+@dataclass(eq=False)
+class NoiseSums(_Collector):
+    """The norm of the weighted noise sum S_n = (1 - a_n) S_{n-1} + a_n xi_n,
+    from S_{n0} = a_{n0} xi_{n0}, after each sorted distinct step of ``ms``.
+
+    xi_n = gamma phi_y (phi_y' - E phi_y')·x_n + (L_y' - E L_y) x_n
+    + (o_y' - E o_y), with E phi_y' = ``next_phi`` and the Poisson
+    solutions L, o and their expectations from ``poisson``.
+    """
+
+    ms: np.ndarray
+    gamma: float
+    next_phi: np.ndarray
+    poisson: PoissonSolution
+    outputs = ("norms",)
+
+    def empty(self, lo: int, hi: int) -> NoiseSums:
+        return self._sized(lo, hi, norms=np.empty((hi - lo, len(self.ms))), S=None, ptr=0)
+
+    def _increments(self, Y: np.ndarray, F: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """xi for the states ``Y`` (K+1, B), features ``F`` (d, K+1, B) and
+        iterates ``X`` (d, K, B) before each step; shape (d, K, B)."""
+        y, y_next = Y[:-1], Y[1:]
+        sol = self.poisson
+
+        def at(table, states):  # table[states] with the feature axis first
+            return np.moveaxis(np.take(table, states, axis=0), -1, 0)
+
+        mgap = _dsum((F[:, 1:] - at(self.next_phi, y)) * X)
+        xi = self.gamma * F[:, :-1] * mgap
+        for i in range(len(xi)):  # row i of L_y' - E L_y, one row at a time to bound memory
+            G = at(sol.linear[:, i], y_next) - at(sol.expected_linear[:, i], y)
+            xi[i] += _dsum(G * X)
+        xi += at(sol.offset, y_next) - at(sol.expected_offset, y)
+        return xi
+
+    def update(self, blk: _Block) -> None:
+        bs, K, n0 = blk.bs, len(blk.a), blk.n0
+        if bs + K <= n0:
+            return
+        j0 = max(n0 - bs, 0)
+        a = blk.a[j0:]
+        a_xi = a[:, None] * self._increments(blk.Y[j0:], blk.F[:, j0:], blk.X[:, j0:K])
+        for j in range(K - j0):
+            n = bs + j0 + j
+            if n == n0:
+                self.S = a_xi[:, j].copy()
+            else:
+                self.S *= 1.0 - a[j]
+                self.S += a_xi[:, j]
+            if self.ptr < len(self.ms) and self.ms[self.ptr] == n:
+                self.norms[:, self.ptr] = np.sqrt(_dsum(self.S * self.S))
+                self.ptr += 1
 
 
 def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -331,92 +455,29 @@ def _dsum(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _collect(spec: _EnsembleSpec, out: _EnsembleOut, m0: int, xs: np.ndarray) -> None:
-    """Feed the iterates ``xs[:, k]`` = x_{m0+k}, shape (d, K, B), to the
-    collectors ``out`` holds; steps before n0 are skipped."""
-    n0 = spec.n0
-    if m0 < n0:
-        xs = xs[:, n0 - m0 :]
-        m0 = n0
-    K = xs.shape[1]
-    if K == 0:
-        return
-    if out.diag_x is not None:
-        ms = spec.diag_ms
-        a, b = np.searchsorted(ms, [m0, m0 + K])
-        out.diag_x[:, a:b] = xs[:, ms[a:b] - m0].transpose(2, 1, 0)
-    per_step = (
-        out.err_matrix is not None or out.max_excess is not None or out.per_m_counts is not None
-    )
-    i0 = m0 - n0
-    if not per_step:
-        if i0 > 0:
-            return
-        xs = xs[:, :1]
-    diff = xs - spec.x_star[:, None, None]
-    err = np.sqrt(_dsum(diff * diff))  # (K, B)
-    if i0 == 0:
-        out.err_n0[:] = err[0]
-    idx = slice(i0, i0 + len(err))
-    if out.err_matrix is not None:
-        out.err_matrix[:, idx] = err.T
-    if out.max_excess is not None:
-        ramp = spec.decay[idx, None] * spec.eps_grid[None, :]  # (K, n_eps)
-        np.maximum(
-            out.max_excess, (err[:, :, None] - ramp[:, None, :]).max(axis=0), out=out.max_excess
-        )
-    if out.per_m_counts is not None:
-        excess = err - (spec.primary_eps * spec.decay[idx])[:, None]
-        out.per_m_counts[idx] += np.count_nonzero(excess > spec.primary_floor, axis=1)
-        np.maximum(out.err_max_per_m[idx], err.max(axis=1), out=out.err_max_per_m[idx])
-
-
-def _noise_increments(spec: _EnsembleSpec, Y: np.ndarray, F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """xi_n = gamma phi_y (phi_y' - E phi_y')·x_n + (L_y' - E L_y) x_n
-    + (o_y' - E o_y) for a block's steps, shape (d, K, B), from the states
-    ``Y`` (K+1, B), the features ``F`` = phi_Y (d, K+1, B) and the iterates
-    ``X`` (d, K, B) before each step."""
-    y, y_next = Y[:-1], Y[1:]
-
-    def at(table, states):  # table[states] with the feature axis first
-        return np.moveaxis(np.take(table, states, axis=0), -1, 0)
-
-    mgap = _dsum((F[:, 1:] - at(spec.next_phi, y)) * X)
-    xi = spec.gamma * F[:, :-1] * mgap
-    for i in range(len(xi)):  # row i of L_y' - E L_y, one row at a time to bound memory
-        G = at(spec.linear_sol[:, i], y_next) - at(spec.expected_linear[:, i], y)
-        xi[i] += _dsum(G * X)
-    xi += at(spec.offset_sol, y_next) - at(spec.expected_offset, y)
-    return xi
-
-
 def _simulate_chunk(
     spec: _EnsembleSpec, lo: int, hi: int, segments: Iterable[np.ndarray]
-) -> _EnsembleOut:
+) -> tuple[_Collector, ...]:
     """The online TD(0) update of trajectories [lo, hi) along their sampled
-    states, feeding the collectors ``spec`` switches on; time-blocked over a
-    (d, B) layout as the module docstring describes.  ``segments`` are the
-    states in order as (L+1, B) arrays, each starting at the state the one
-    before ended at (``_path_segments``); any L will do."""
+    states, feeding an empty copy of each of the spec's collectors; time-blocked
+    over a (d, B) layout as the module docstring describes.  ``segments`` are
+    the states in order as (L+1, B) arrays, each starting at the state the
+    one before ended at (``_path_segments``); any L will do."""
     n0 = spec.n0
     B = hi - lo
     d = spec.phi.shape[1]
-    out = _EnsembleOut.empty(spec, lo, hi)
+    parts = tuple(c.empty(lo, hi) for c in spec.collectors)
     phi_t = np.ascontiguousarray(spec.phi.T)
     gamma = spec.gamma
     x = np.repeat(spec.initial_x[:, None], B, axis=1)
-    S = None  # the weighted noise sum, from step n0 on
-    fit_ptr = 0
     P = np.empty((d, 2, B))
     t = np.empty(B)
     u = np.empty((d, B))
     with np.errstate(over="ignore", invalid="ignore"):
-        if n0 == 0:
-            _collect(spec, out, 0, x[:, None, :])
         start = 0
         for seg in segments:
             end = start + len(seg) - 1
-            for bs in range(start, end, _BLOCK):
+            for bs in range(start, max(end, 1), _BLOCK):  # at horizon 0, one block of no steps
                 K = min(_BLOCK, end - bs)
                 Y = seg[bs - start : bs - start + K + 1]
                 F = np.take(phi_t, Y, axis=1)  # phi at the states of steps bs .. bs+K
@@ -441,55 +502,50 @@ def _simulate_chunk(
                     j, b = np.argwhere(~finite)[0]
                     raise NonFinite(f"trajectory {lo + b} became non-finite at step {bs + j + 1}")
 
-                if out.noise_sums is not None and bs + K > n0:
-                    j0 = max(n0 - bs, 0)
-                    xi = _noise_increments(spec, Y[j0:], F[:, j0:], X[:, j0:K])
-                    a_xi = a[j0:, None] * xi
-                    for j in range(K - j0):
-                        n = bs + j0 + j
-                        if n == n0:
-                            S = a_xi[:, j].copy()
-                        else:
-                            S *= 1.0 - a[j0 + j]
-                            S += a_xi[:, j]
-                        if fit_ptr < len(spec.fit_ms) and spec.fit_ms[fit_ptr] == n:
-                            out.noise_sums[:, fit_ptr] = np.sqrt(_dsum(S * S))
-                            fit_ptr += 1
-                _collect(spec, out, bs + 1, X[:, 1:])
+                if bs + K >= n0:  # the iterates of steps bs+j.. are new and at or after n0
+                    j = max(n0 - bs, 1 if bs else 0)
+                    diff = X[:, j:] - spec.x_star[:, None, None]
+                    blk = _Block(bs, Y, F, a, X, n0, bs + j, X[:, j:], np.sqrt(_dsum(diff * diff)))
+                    for part in parts:
+                        part.update(blk)
             start = end
-    return out
+    return parts
 
 
-def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> _EnsembleOut:
+def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> tuple[_Collector, ...]:
     spec, lo, hi = args
     return _simulate_chunk(spec, lo, hi, _path_segments(spec, lo, hi))
 
 
-def _run_ensemble(spec: _EnsembleSpec, n: int, batch_size: int, jobs: int) -> _EnsembleOut:
-    """Trajectories [0, n) in batches, on at most ``jobs`` worker processes
-    and never more workers than batches."""
+def _run_ensemble(
+    spec: _EnsembleSpec, n: int, batch_size: int, jobs: int
+) -> tuple[_Collector, ...]:
+    """The spec's collectors over trajectories [0, n), in batches on at most
+    ``jobs`` worker processes and never more workers than batches; each
+    batch is merged into the preallocated total as it arrives."""
     if jobs < 1:
         raise ValidationError(f"jobs: must be >= 1, got {jobs}")
     chunks = [(spec, lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-    total = _EnsembleOut.empty(spec, 0, n)
+    totals = tuple(c.empty(0, n) for c in spec.collectors)
     workers = min(jobs, len(chunks))
-    if workers == 1:
-        for chunk in chunks:
-            total.absorb(_run_chunk(chunk))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, chunks):
-                total.absorb(part)
-    return total
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for parts in (pool.map if pool else map)(_run_chunk, chunks):
+            for total, part in zip(totals, parts):
+                total.merge(part)
+    return totals
 
 
-def _base_spec(config: ExperimentConfig, analytic: AnalyticSolution, horizon: int, **kw) -> _EnsembleSpec:
+def _base_spec(
+    config: ExperimentConfig,
+    analytic: AnalyticSolution,
+    horizon: int,
+    collectors: tuple[_Collector, ...] = (),
+) -> _EnsembleSpec:
     problem = config.problem
     return _EnsembleSpec(
         cum_rows=problem.chain.cumulative_rows(),
         cum_pi=np.cumsum(analytic.stationary.pi),
         phi=problem.phi,
-        next_phi=problem.next_phi,
         rewards=problem.rewards,
         gamma=problem.gamma,
         steps=config.schedule.steps(0, horizon),
@@ -500,7 +556,7 @@ def _base_spec(config: ExperimentConfig, analytic: AnalyticSolution, horizon: in
         master_seed=config.master_seed,
         n0=config.n0,
         horizon=horizon,
-        **kw,
+        collectors=collectors,
     )
 
 
@@ -527,9 +583,9 @@ def estimate_p_init(
     uses, so the estimate matches the full run exactly.
     """
     analytic = analytic if analytic is not None else solve_problem(config.problem)
-    spec = _base_spec(config, analytic, horizon=config.n0)
-    out = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
-    exceed = int(np.count_nonzero(out.err_n0 > config.epsilon))
+    spec = _base_spec(config, analytic, config.n0, (StartError(),))
+    (start,) = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
+    exceed = int(np.count_nonzero(start.err > config.epsilon))
     return PInitEstimate(
         value=exceed / config.n_trajectories,
         interval=wilson_interval(exceed, config.n_trajectories),
@@ -554,9 +610,11 @@ def simulate_trajectory(
     analytic = analytic if analytic is not None else solve_problem(config.problem)
     config = replace(config, n0=0)
     T = config.horizon
-    spec = _base_spec(config, analytic, horizon=T, diag_ms=np.arange(T + 1))
+    every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
+    spec = _base_spec(config, analytic, T, (every_step,))
     states = _sample_paths(spec, index, index + 1)
-    xs = _simulate_chunk(spec, index, index + 1, [states.T]).diag_x[0]
+    (chk,) = _simulate_chunk(spec, index, index + 1, [states.T])
+    xs = chk.x[0]
     zs = run_deterministic(config.problem, config.schedule, 0, T, config.initial_x)
     gap = np.linalg.norm(xs - zs, axis=1)
     return TrajectoryRecord(
@@ -614,71 +672,6 @@ def fit_tail_exponent(points) -> TailFit:
 
 
 DEFAULT_FIT_QUANTILES = (0.50, 0.65, 0.75, 0.83, 0.88, 0.92, 0.95, 0.97, 0.98)
-
-
-def _default_fit_ms(n0: int, horizon: int, count: int = 16) -> np.ndarray:
-    """Tail indices to fit at; the sum bounded at index m has upper limit m-1,
-    so indices run over [n0+1, horizon] and are recorded one step earlier."""
-    ms = np.unique(np.geomspace(n0 + 1, horizon, count).astype(np.int64))
-    return ms[ms > n0]
-
-
-def _fit_points(
-    noise_sums: np.ndarray,
-    fit_ms: np.ndarray,
-    delta_grid: np.ndarray,
-    schedule: StepSchedule,
-    n0: int,
-    dims: int,
-) -> list[tuple[float, float, float, int]]:
-    points = []
-    for j, m in enumerate(fit_ms.tolist()):
-        w = schedule.tail_weight(n0, int(m))
-        col = noise_sums[:, j]
-        for delta in delta_grid.tolist():
-            p_hat = float(np.count_nonzero(col > delta)) / len(col)
-            points.append((p_hat, float(delta), w, dims))
-    return points
-
-
-def fit_tail_exponent_from_sim(
-    config: ExperimentConfig,
-    delta_grid=None,
-    jobs: int = 1,
-    analytic: AnalyticSolution | None = None,
-) -> TailFit:
-    """Simulate the weighted noise sums and fit the tail exponent from their tails.
-
-    When no delta grid is given, one is derived from pooled quantiles of the
-    observed sums (deterministic given the configuration).
-    """
-    analytic = analytic if analytic is not None else solve_problem(config.problem)
-    fit_ms = _default_fit_ms(config.n0, config.horizon)
-    spec = _base_spec(
-        config,
-        analytic,
-        horizon=config.horizon,
-        track_noise_sum=True,
-        offset_sol=analytic.poisson.offset,
-        linear_sol=analytic.poisson.linear,
-        expected_offset=analytic.poisson.expected_offset,
-        expected_linear=analytic.poisson.expected_linear,
-        fit_ms=fit_ms - 1,  # record one step before each tail index
-    )
-    out = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
-    assert out.noise_sums is not None and np.all(np.isfinite(out.noise_sums))
-    if delta_grid is None:
-        pooled = out.noise_sums.ravel()
-        delta_grid = np.unique(np.quantile(pooled, DEFAULT_FIT_QUANTILES))
-        delta_grid = delta_grid[delta_grid > 0.0]
-    else:
-        delta_grid = np.asarray(list(delta_grid), dtype=float)
-        if len(delta_grid) < 3:
-            raise ValidationError("tail fit needs at least 3 grid points")
-    points = _fit_points(
-        out.noise_sums, fit_ms, delta_grid, config.schedule, config.n0, config.problem.n_features
-    )
-    return fit_tail_exponent(points)
 
 
 @dataclass
@@ -830,44 +823,38 @@ def run_alltime_experiment(
     else:
         d_source = "fitted"
     need_fit = d_source == "fitted"
-    fit_ms = _default_fit_ms(n0, horizon) if need_fit else None
     span = horizon - n0 + 1
-    want_matrix = config.n_trajectories * span <= MAX_ERR_MATRIX_CELLS
-    checkpoints = _checkpoint_steps(config)
+    checkpoints = np.unique(np.geomspace(max(n0, 1), horizon, 8).astype(np.int64))
 
-    spec = _base_spec(
-        config,
-        analytic,
-        horizon=horizon,
-        eps_grid=eps_arr,
-        decay=decay,
-        primary_eps=config.epsilon,
-        primary_floor=primary_floor,
-        count_violations=True,
-        track_noise_sum=need_fit,
-        offset_sol=analytic.poisson.offset if need_fit else None,
-        linear_sol=analytic.poisson.linear if need_fit else None,
-        expected_offset=analytic.poisson.expected_offset if need_fit else None,
-        expected_linear=analytic.poisson.expected_linear if need_fit else None,
-        fit_ms=None if fit_ms is None else fit_ms - 1,
-        diag_ms=checkpoints,
-        want_err_matrix=want_matrix,
-    )
-    out = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
-    assert out.max_excess is not None and out.per_m_counts is not None
+    collectors = [
+        StartError(),
+        Excess(eps_arr, decay, config.epsilon, primary_floor),
+        Checkpoints(checkpoints, dims),
+    ]
+    if need_fit:
+        # tail indices m in [n0+1, horizon]; the sum bounded at m ends at m-1, where it is recorded
+        fit_ms = np.unique(np.geomspace(n0 + 1, horizon, 16).astype(np.int64))
+        fit_ms = fit_ms[fit_ms > n0]
+        collectors.append(NoiseSums(fit_ms - 1, problem.gamma, problem.next_phi, analytic.poisson))
+    if config.n_trajectories * span <= MAX_ERR_MATRIX_CELLS:
+        collectors.append(ErrMatrix(span))
+    spec = _base_spec(config, analytic, horizon, tuple(collectors))
+    out = {type(c): c for c in _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)}
+    err_n0, max_excess = out[StartError].err, out[Excess].max_excess
 
     n = config.n_trajectories
-    p_init_exceed = int(np.count_nonzero(out.err_n0 > config.epsilon))
+    p_init_exceed = int(np.count_nonzero(err_n0 > config.epsilon))
     p_init_hat = p_init_exceed / n
 
     fitted: TailFit | None = None
     if need_fit:
-        assert out.noise_sums is not None and fit_ms is not None
-        pooled = out.noise_sums.ravel()
-        fit_deltas = np.unique(np.quantile(pooled, DEFAULT_FIT_QUANTILES))
-        fit_deltas = fit_deltas[fit_deltas > 0.0]
+        noise_sums = out[NoiseSums].norms
+        fit_deltas = np.unique(np.quantile(noise_sums.ravel(), DEFAULT_FIT_QUANTILES))
+        fit_deltas = fit_deltas[fit_deltas > 0.0].tolist()
         fitted = fit_tail_exponent(
-            _fit_points(out.noise_sums, fit_ms, fit_deltas, sched, n0, dims)
+            (np.count_nonzero(col > dlt) / n, dlt, sched.tail_weight(n0, m), dims)
+            for m, col in zip(fit_ms.tolist(), noise_sums.T)
+            for dlt in fit_deltas
         )
         d_used = fitted.value
     elif d_source == "given":
@@ -892,16 +879,16 @@ def run_alltime_experiment(
 
     tail = tail_at(config.epsilon, config.delta, p_init_hat)
 
-    violations = int(np.count_nonzero(out.max_excess[:, i_primary] > primary_floor))
+    violations = int(np.count_nonzero(max_excess[:, i_primary] > primary_floor))
     alltime_prob = 1.0 - violations / n
 
     grid_rows: list[GridRow] = []
     for eps in eps_grid:
         i_eps = eps_grid.index(eps)
-        p_init_eps = int(np.count_nonzero(out.err_n0 > eps)) / n
+        p_init_eps = int(np.count_nonzero(err_n0 > eps)) / n
         for dlt in delta_grid:
             flr = floor_term(constants, sched, n0, eps, dlt)
-            vio = int(np.count_nonzero(out.max_excess[:, i_eps] > flr))
+            vio = int(np.count_nonzero(max_excess[:, i_eps] > flr))
             t = tail_at(eps, dlt, p_init_eps)
             grid_rows.append(
                 GridRow(
@@ -918,12 +905,12 @@ def run_alltime_experiment(
             )
 
     quantiles = None
-    if out.err_matrix is not None:
+    if ErrMatrix in out:
         # over (cols, n) copies of 1024-column slices: the values of one
         # whole-matrix call, without a second matrix-sized copy
         parts = []
         for c in range(0, span, 1024):
-            cols = np.ascontiguousarray(out.err_matrix[:, c : c + 1024].T)
+            cols = np.ascontiguousarray(out[ErrMatrix].matrix[:, c : c + 1024].T)
             parts.append(np.percentile(cols, [25, 50, 75, 90], axis=1))
         qs = np.concatenate(parts, axis=1)
         quantiles = {"q25": qs[0], "q50": qs[1], "q75": qs[2], "q90": qs[3]}
@@ -947,12 +934,12 @@ def run_alltime_experiment(
         D_used=d_used,
         D_source=d_source,
         fitted=fitted,
-        per_m_violation_counts=out.per_m_counts,
-        per_m_err_max=out.err_max_per_m,
+        per_m_violation_counts=out[Excess].counts,
+        per_m_err_max=out[Excess].err_max,
         radius=decay * config.epsilon + primary_floor,
         grid=grid_rows,
         err_quantiles=quantiles,
-        diagnostics=_diagnostics(checkpoints, out.diag_x, analytic.x_star, sched),
+        diagnostics=_diagnostics(checkpoints, out[Checkpoints].x, analytic.x_star, sched),
         wall_time=time.monotonic() - t0,
     )
 
@@ -977,17 +964,6 @@ class Diagnostics:
         }
 
 
-def _checkpoint_steps(config: ExperimentConfig, checkpoints=None) -> np.ndarray:
-    """Sorted distinct checkpoint steps; by default 8 geometric steps from
-    max(n0, 1) to the horizon.  Every step must lie within [n0, horizon]."""
-    if checkpoints is None:
-        checkpoints = np.geomspace(max(config.n0, 1), config.horizon, 8).astype(np.int64)
-    ms = np.unique(np.asarray([int(m) for m in checkpoints], dtype=np.int64))
-    if len(ms) == 0 or ms[0] < config.n0 or ms[-1] > config.horizon:
-        raise ValidationError("checkpoints must lie within [n0, horizon]")
-    return ms
-
-
 def _diagnostics(
     ms: np.ndarray, iterates: np.ndarray, x_star: np.ndarray, schedule: StepSchedule
 ) -> Diagnostics:
@@ -1009,21 +985,3 @@ def _diagnostics(
         n_trajectories=len(errors),
     )
 
-
-def convergence_diagnostics(
-    config: ExperimentConfig,
-    checkpoints=None,
-    jobs: int = 1,
-    analytic: AnalyticSolution | None = None,
-) -> Diagnostics:
-    """Median and quartiles of the error across trajectories at checkpoint steps.
-
-    For harmonic schedules the log-log slope of the median is reported as a
-    crude rate estimate.  ``run_alltime_experiment`` collects the same
-    values at the default checkpoints in its own pass.
-    """
-    analytic = analytic if analytic is not None else solve_problem(config.problem)
-    ms = _checkpoint_steps(config, checkpoints)
-    spec = _base_spec(config, analytic, horizon=config.horizon, diag_ms=ms)
-    out = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
-    return _diagnostics(ms, out.diag_x, analytic.x_star, config.schedule)

@@ -16,8 +16,15 @@ drawn at once, then each step gathers the (B, s) CDF rows and caps the
 count at s-1.  The segment sampler is checked against it state for state.
 
 ``reference_chunk`` is the per-step TD(0) kernel in the (B, d) layout that
-the time-blocked ``harness._simulate_chunk`` replaced: one update and one
-round of collectors per step.  The blocked kernel is checked against it.
+the time-blocked ``harness._simulate_chunk`` replaced: one update per step,
+then each collector's output filled for that step by its own rule, written
+out here and never through the collector's block-wise ``update``.  The
+blocked kernel and its collectors are checked against it.
+
+``convergence_diagnostics`` is a pass with only the checkpoint collector,
+at the experiment's default checkpoints or any others in [n0, horizon]:
+the twin of the checkpoint diagnostics the experiment gathers in its own
+pass.
 
 ``ProductSchedule`` adds the step-size product calculus, and
 ``weighted_norm``, ``project_weighted`` and ``corollary_rate`` the weighted
@@ -33,7 +40,20 @@ import numpy as np
 
 from tdlab.errors import NonFinite, SolverFailure, ValidationError
 from tdlab.features import FeatureMap, weighted_gram
-from tdlab.harness import _EnsembleOut, _EnsembleSpec
+from tdlab.analytic import AnalyticSolution, solve_problem
+from tdlab.harness import (
+    Checkpoints,
+    Diagnostics,
+    ErrMatrix,
+    Excess,
+    ExperimentConfig,
+    NoiseSums,
+    StartError,
+    _base_spec,
+    _diagnostics,
+    _EnsembleSpec,
+    _run_ensemble,
+)
 from tdlab.markov import MarkovChain, StationaryDistribution
 from tdlab.rng import stream
 from tdlab.schedule import StepSchedule
@@ -128,47 +148,35 @@ def reference_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     return states
 
 
-def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _EnsembleOut:
+def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:
     """The online TD(0) update along ``states``, one step at a time in the
-    (B, d) layout, feeding the collectors ``spec`` switches on after every
-    step.  Non-finite iterates are caught at the exact step."""
+    (B, d) layout, filling an empty copy of each of the spec's collectors
+    after every step by its own per-step rule.  Non-finite iterates are
+    caught at the exact step."""
     T = spec.horizon
     B = len(states)
-    d = spec.phi.shape[1]
     n0 = spec.n0
-
     x = np.repeat(spec.initial_x[None, :], B, axis=0)
-    out = _EnsembleOut.empty(spec, lo, lo + B)
-    per_step_err = (
-        out.err_matrix is not None or out.max_excess is not None or out.per_m_counts is not None
-    )
-    S = np.zeros((B, d))
-    fit_ptr = 0
-    diag_ptr = 0
+    parts = tuple(c.empty(lo, lo + B) for c in spec.collectors)
+    noise = [c for c in parts if isinstance(c, NoiseSums)]
+    S = {id(c): np.zeros((B, len(x[0]))) for c in noise}
 
     def collect(m: int, x: np.ndarray) -> None:
-        nonlocal diag_ptr
-        if out.diag_x is not None and diag_ptr < len(spec.diag_ms) and spec.diag_ms[diag_ptr] == m:
-            out.diag_x[:, diag_ptr] = x
-            diag_ptr += 1
         idx = m - n0
-        if idx != 0 and not per_step_err:
-            return
         err = np.linalg.norm(x - spec.x_star, axis=1)
-        if idx == 0:
-            out.err_n0[:] = err
-        if out.err_matrix is not None:
-            out.err_matrix[:, idx] = err
-        if out.max_excess is not None:
-            np.maximum(
-                out.max_excess,
-                err[:, None] - spec.decay[idx] * spec.eps_grid[None, :],
-                out=out.max_excess,
-            )
-        if out.per_m_counts is not None:
-            excess = err - spec.primary_eps * spec.decay[idx]
-            out.per_m_counts[idx] += int(np.count_nonzero(excess > spec.primary_floor))
-            out.err_max_per_m[idx] = max(out.err_max_per_m[idx], float(err.max()))
+        for c in parts:
+            if isinstance(c, StartError) and idx == 0:
+                c.err[:] = err
+            elif isinstance(c, ErrMatrix):
+                c.matrix[:, idx] = err
+            elif isinstance(c, Checkpoints):
+                c.x[:, c.ms == m] = x[:, None, :]
+            elif isinstance(c, Excess):
+                np.maximum(
+                    c.max_excess, err[:, None] - c.decay[idx] * c.eps_grid[None, :], out=c.max_excess
+                )
+                c.counts[idx] += int(np.count_nonzero(err - c.eps * c.decay[idx] > c.floor))
+                c.err_max[idx] = max(c.err_max[idx], float(err.max()))
 
     if n0 == 0:
         collect(0, x)
@@ -179,18 +187,14 @@ def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _Ensemb
             y_next = states[:, n + 1]
             phi_y = spec.phi[y]
             a = spec.steps[n]
-            if out.noise_sums is not None and n >= n0:
-                mgap = ((spec.phi[y_next] - spec.next_phi[y]) * x).sum(axis=1)
-                xi = spec.gamma * phi_y * mgap[:, None]
-                xi += ((spec.linear_sol[y_next] - spec.expected_linear[y]) @ x[..., None])[..., 0]
-                xi += spec.offset_sol[y_next] - spec.expected_offset[y]
-                if n == n0:
-                    S = a * xi
-                else:
-                    S = (1.0 - a) * S + a * xi
-                if fit_ptr < len(spec.fit_ms) and spec.fit_ms[fit_ptr] == n:
-                    out.noise_sums[:, fit_ptr] = np.linalg.norm(S, axis=1)
-                    fit_ptr += 1
+            for c in noise if n >= n0 else ():
+                sol = c.poisson
+                mgap = ((spec.phi[y_next] - c.next_phi[y]) * x).sum(axis=1)
+                xi = c.gamma * phi_y * mgap[:, None]
+                xi += ((sol.linear[y_next] - sol.expected_linear[y]) @ x[..., None])[..., 0]
+                xi += sol.offset[y_next] - sol.expected_offset[y]
+                S[id(c)] = a * xi if n == n0 else (1.0 - a) * S[id(c)] + a * xi
+                c.norms[:, c.ms == n] = np.linalg.norm(S[id(c)], axis=1)[:, None]
             proj_now = (phi_y * x).sum(axis=1)
             proj_next = (spec.phi[y_next] * x).sum(axis=1)
             x = x + a * phi_y * (spec.rewards[y] + spec.gamma * proj_next - proj_now)[:, None]
@@ -201,7 +205,31 @@ def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> _Ensemb
             if m >= n0:
                 collect(m, x)
 
-    return out
+    return parts
+
+
+def convergence_diagnostics(
+    config: ExperimentConfig,
+    checkpoints=None,
+    jobs: int = 1,
+    analytic: AnalyticSolution | None = None,
+) -> Diagnostics:
+    """Median and quartiles of the error across trajectories at checkpoint
+    steps, from a pass with only the checkpoint collector; by default at
+    the 8 geometric steps from max(n0, 1) to the horizon that
+    ``run_alltime_experiment`` collects in its own pass.  For harmonic
+    schedules the log-log slope of the median is reported as a crude rate
+    estimate."""
+    analytic = analytic if analytic is not None else solve_problem(config.problem)
+    if checkpoints is None:
+        checkpoints = np.geomspace(max(config.n0, 1), config.horizon, 8).astype(np.int64)
+    ms = np.unique(np.asarray([int(m) for m in checkpoints], dtype=np.int64))
+    if len(ms) == 0 or ms[0] < config.n0 or ms[-1] > config.horizon:
+        raise ValidationError("checkpoints must lie within [n0, horizon]")
+    chk = Checkpoints(ms, config.problem.n_features)
+    spec = _base_spec(config, analytic, config.horizon, (chk,))
+    (out,) = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
+    return _diagnostics(ms, out.x, analytic.x_star, config.schedule)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,18 @@ class TestMeanField:
             parts = t * ref_problem.mean_field(x) + (1 - t) * ref_problem.mean_field(z)
             assert np.max(np.abs(combo - parts)) <= 1e-12 * max(1.0, np.max(np.abs(parts)))
 
+    @pytest.mark.parametrize("instance", ["reference", "wide"])
+    def test_matrix_form_equals_the_state_sum(self, ref_problem, instance):
+        # mean_field(x) = sum_i pi(i) F(x, i), with the averaged map cached in matrix form
+        problem = ref_problem if instance == "reference" else random_problem(5, s=200, d=8)
+        pi = problem.stationary.pi
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            x = rng.standard_normal(problem.n_features)
+            direct = sum(pi[i] * problem.state_map(x, i) for i in range(problem.n_states))
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(direct))))
+            assert np.max(np.abs(direct - problem.mean_field(x))) <= tol
+
 
 class TestFixedPoint:
     def test_scalar_closed_form(self, scalar):

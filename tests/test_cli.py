@@ -10,7 +10,7 @@ import tdlab.cli as cli
 from tdlab import harness
 from tdlab.config import load_config
 from tdlab.errors import NonFinite
-from tdlab.harness import _base_spec, _run_ensemble, _sample_paths
+from tdlab.harness import Checkpoints, _base_spec, _run_ensemble, _sample_paths
 from tdlab.instances import reference_config_dict
 
 
@@ -172,6 +172,17 @@ class TestBadInputs:
         assert cli.main(full) == 1
         assert f"error: {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_horizon_past_a_table_schedule_exits_1(self, tmp_path, capsys, command):
+        raw = reference_config_dict(horizon=2000, n_trajectories=4)
+        values = (0.5 / np.arange(1, 2001)).tolist()
+        raw["schedule"] = {"kind": "table", "values": values, "d1": 0.5, "d2": 1.0, "d3": 0.5}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(raw))
+        argv = [command, str(path), "--horizon", "3000", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert "error: --horizon:" in capsys.readouterr().err
+
 
 class TestEnsembleTwins:
     def test_worker_count_leaves_result_unchanged(self, tmp_path):
@@ -192,9 +203,10 @@ class TestEnsembleTwins:
         cfg = load_config(path)
         exp = dataclasses.replace(cfg.require_experiment(), n0=0)  # collect from step 0
         steps = np.arange(exp.horizon + 1)
-        spec = _base_spec(exp, cfg.analytic, horizon=exp.horizon, diag_ms=steps)
+        every_step = Checkpoints(steps, cfg.problem.n_features)
+        spec = _base_spec(exp, cfg.analytic, exp.horizon, (every_step,))
         states = _sample_paths(spec, 0, exp.n_trajectories)
-        iterates = _run_ensemble(spec, exp.n_trajectories, 5, 1).diag_x
+        iterates = _run_ensemble(spec, exp.n_trajectories, 5, 1)[0].x
         errors = np.linalg.norm(iterates - cfg.analytic.x_star, axis=2)
         for i in (0, 7, 11):
             out = tmp_path / f"traj{i}"

@@ -76,6 +76,25 @@ class TestLoadConfig:
         raw["output"] = {"formats": ["xml"]}
         with pytest.raises(ConfigError, match=r"^output\.formats:"):
             load_config(write_config(tmp_path, raw))
+        for section, value in (
+            ("chain", 5), ("chain", "P"), ("rewards", 5), ("features", 5), ("schedule", 5)
+        ):
+            raw = with_experiment()
+            raw[section] = value
+            with pytest.raises(ConfigError, match=f"^{section}: expected an object$"):
+                load_config(write_config(tmp_path, raw))
+
+    def test_table_shorter_than_the_horizon_is_named(self, tmp_path):
+        def with_table(length):
+            raw = with_experiment()  # n0 = 100, horizon = 300
+            values = (0.5 / np.arange(1, length + 1)).tolist()
+            raw["schedule"] = {"kind": "table", "values": values, "d1": 0.5, "d2": 1.0, "d3": 0.5}
+            return raw
+
+        for length in (50, 299):
+            with pytest.raises(ConfigError, match=r"^schedule\.values: .*horizon = 300"):
+                load_config(write_config(tmp_path, with_table(length)))
+        assert load_config(write_config(tmp_path, with_table(300))).issues == []
 
     def test_malformed_json_gives_its_position(self, tmp_path):
         with pytest.raises(ConfigError, match=r"cfg\.json:1:2:"):

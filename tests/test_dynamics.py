@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tdlab import NonFinite, run_deterministic, simulate_trajectory, solve_problem
-from tdlab.harness import ExperimentConfig, _base_spec, _sample_paths, _simulate_chunk
+from tdlab.harness import Checkpoints, ExperimentConfig, _base_spec, _sample_paths, _simulate_chunk
 from tdlab.rng import stream
 
 from conftest import random_problem
@@ -35,9 +35,10 @@ def path_config(problem, horizon, initial_x, policy="fixed:0", seed=0, schedule=
 def engine_path(config, analytic, index=0, **spec_changes):
     """States and iterates of trajectory ``index``, straight from the engine."""
     T = config.horizon
-    spec = replace(_base_spec(config, analytic, horizon=T, diag_ms=np.arange(T + 1)), **spec_changes)
+    every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
+    spec = replace(_base_spec(config, analytic, T, (every_step,)), **spec_changes)
     states = _sample_paths(spec, index, index + 1)
-    return states[0], _simulate_chunk(spec, index, index + 1, [states.T]).diag_x[0]
+    return states[0], _simulate_chunk(spec, index, index + 1, [states.T])[0].x[0]
 
 
 class TestTdStep:

@@ -7,13 +7,14 @@ from tdlab import (
     StepSchedule,
     ValidationError,
     fit_tail_exponent,
-    fit_tail_exponent_from_sim,
     solve_problem,
 )
 from tdlab.bounds import decay_curve, floor_term
 from tdlab.harness import (
+    Checkpoints,
+    Excess,
     ExperimentConfig,
-    convergence_diagnostics,
+    NoiseSums,
     estimate_p_init,
     run_alltime_experiment,
     wilson_interval,
@@ -23,6 +24,7 @@ from tdlab.harness import (
 )
 
 from conftest import random_problem
+from oracles import convergence_diagnostics
 
 
 def small_config(problem, analytic=None, **kw):
@@ -116,14 +118,9 @@ class TestFitTailExponent:
 
     def test_simulation_fit_runs(self, ref_problem, ref_analytic):
         cfg = small_config(ref_problem, n_trajectories=120, horizon=800)
-        fit = fit_tail_exponent_from_sim(cfg, analytic=ref_analytic)
+        fit = run_alltime_experiment(cfg, analytic=ref_analytic).fitted
         assert fit.value > 0.0
         assert fit.n_points >= 3
-
-    def test_needs_three_grid_points(self, ref_problem, ref_analytic):
-        cfg = small_config(ref_problem)
-        with pytest.raises(ValidationError):
-            fit_tail_exponent_from_sim(cfg, delta_grid=[0.1, 0.2], analytic=ref_analytic)
 
 
 class TestAllTimeExperiment:
@@ -194,15 +191,13 @@ class TestAllTimeExperiment:
             ref_problem, n_trajectories=200, n0=100, horizon=600,
             epsilon=0.045, initial_x=far, batch_size=64,
         )
-        spec = _base_spec(
-            cfg, ref_analytic, horizon=cfg.horizon,
-            eps_grid=np.array([cfg.epsilon]),
-            decay=decay_curve(c, sched, cfg.n0, cfg.horizon),
-            primary_eps=cfg.epsilon,
-            primary_floor=floor_term(c, sched, cfg.n0, cfg.epsilon, cfg.delta),
-            count_violations=True,
-        )
-        out = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
+        spec = _base_spec(cfg, ref_analytic, cfg.horizon, (Excess(
+            np.array([cfg.epsilon]),
+            decay_curve(c, sched, cfg.n0, cfg.horizon),
+            cfg.epsilon,
+            floor_term(c, sched, cfg.n0, cfg.epsilon, cfg.delta),
+        ),))
+        (out,) = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
         excess = out.max_excess[:, 0]
         a0 = sched.step(cfg.n0)
         margin = 1.0 - c.alpha - a0 * c.remainder_gain
@@ -289,24 +284,20 @@ class TestNoiseSums:
         cfg = small_config(problem, n_trajectories=6, n0=20, horizon=300, batch_size=4)
         n0, T = cfg.n0, cfg.horizon
         poisson = analytic.poisson
-        spec = _base_spec(
-            cfg, analytic, horizon=T,
-            track_noise_sum=True,
-            offset_sol=poisson.offset,
-            linear_sol=poisson.linear,
-            expected_offset=poisson.expected_offset,
-            expected_linear=poisson.expected_linear,
-            fit_ms=np.arange(n0, T),  # S_n after every step n in [n0, T)
-            diag_ms=np.arange(n0, T + 1),  # the iterate x_n at every step from n0
-        )
-        out = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
+        spec = _base_spec(cfg, analytic, T, (
+            # S_n after every step n in [n0, T)
+            NoiseSums(np.arange(n0, T), problem.gamma, problem.next_phi, poisson),
+            # the iterate x_n at every step from n0
+            Checkpoints(np.arange(n0, T + 1), problem.n_features),
+        ))
+        noise, chk = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
         states = _sample_paths(spec, 0, cfg.n_trajectories)
         steps = cfg.schedule.steps(0, T)
         for i in range(cfg.n_trajectories):
             S = np.zeros(problem.n_features)
             norms = []
             for n in range(n0, T):
-                y, y_next, x = int(states[i, n]), int(states[i, n + 1]), out.diag_x[i, n - n0]
+                y, y_next, x = int(states[i, n]), int(states[i, n + 1]), chk.x[i, n - n0]
                 xi = (
                     problem.noise_matrix(y, y_next) @ x
                     + poisson.linear_noise(y, y_next) @ x
@@ -314,5 +305,5 @@ class TestNoiseSums:
                 )
                 S = (1.0 - steps[n]) * S + steps[n] * xi
                 norms.append(np.linalg.norm(S))
-            assert np.max(np.abs(np.array(norms) - out.noise_sums[i])) <= 1e-12
+            assert np.max(np.abs(np.array(norms) - noise.norms[i])) <= 1e-12
             assert np.max(norms) > 0.0

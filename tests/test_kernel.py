@@ -3,8 +3,9 @@
 ``harness._simulate_chunk`` runs the update in blocks of ``_BLOCK`` steps
 over path segments of ``_DRAW`` steps and feeds the collectors once per
 block; ``oracles.reference_chunk`` does both one step at a time along the
-whole path.  Every collector must agree: the noise sums within 1e-12,
-everything else bit for bit.
+whole path.  Every output of every collector must agree: the noise sums
+within 1e-12, everything else bit for bit.  Each collector's outputs are
+also the same whether it runs alone or alongside all the others.
 """
 
 from dataclasses import replace
@@ -16,10 +17,16 @@ from tdlab import NonFinite, StepSchedule, solve_problem
 from tdlab import harness
 from tdlab.bounds import decay_curve
 from tdlab.harness import (
+    Checkpoints,
+    ErrMatrix,
+    Excess,
     ExperimentConfig,
+    NoiseSums,
+    StartError,
     _BLOCK,
     _DRAW,
     _base_spec,
+    _Collector,
     _run_chunk,
     _run_ensemble,
     _sample_paths,
@@ -28,19 +35,11 @@ from tdlab.harness import (
 from conftest import random_problem
 from oracles import reference_chunk
 
-COLLECTORS = (
-    "err_n0",
-    "max_excess",
-    "per_m_counts",
-    "err_max_per_m",
-    "noise_sums",
-    "diag_x",
-    "err_matrix",
-)
+KINDS = _Collector.__subclasses__()
 
 
 def full_spec(problem, analytic, n0, horizon, fit_ms=None, diag_ms=None, policy="stationary"):
-    """A spec with every collector on, started away from the fixed point."""
+    """A spec with one collector of every kind, started away from the fixed point."""
     config = ExperimentConfig(
         problem=problem,
         schedule=StepSchedule.harmonic(0.5),
@@ -57,43 +56,45 @@ def full_spec(problem, analytic, n0, horizon, fit_ms=None, diag_ms=None, policy=
         fit_ms = np.unique(np.linspace(n0, horizon - 1, 7).astype(np.int64))
     if diag_ms is None:
         diag_ms = np.unique(np.linspace(n0, horizon, 6).astype(np.int64))
-    poisson = analytic.poisson
-    return _base_spec(
-        config,
-        analytic,
-        horizon=horizon,
-        eps_grid=np.array([0.05, 0.2, 0.6]),
-        decay=decay_curve(analytic.constants, config.schedule, n0, horizon),
-        primary_eps=0.2,
-        count_violations=True,
-        track_noise_sum=True,
-        offset_sol=poisson.offset,
-        linear_sol=poisson.linear,
-        expected_offset=poisson.expected_offset,
-        expected_linear=poisson.expected_linear,
-        fit_ms=np.asarray(fit_ms, dtype=np.int64),
-        diag_ms=np.asarray(diag_ms, dtype=np.int64),
-        want_err_matrix=True,
+    decay = decay_curve(analytic.constants, config.schedule, n0, horizon)
+    collectors = (
+        StartError(),
+        Excess(np.array([0.05, 0.2, 0.6]), decay, 0.2, np.inf),
+        ErrMatrix(horizon - n0 + 1),
+        Checkpoints(np.asarray(diag_ms, dtype=np.int64), problem.n_features),
+        NoiseSums(np.asarray(fit_ms, dtype=np.int64), problem.gamma, problem.next_phi, analytic.poisson),
     )
+    assert {type(c) for c in collectors} == set(KINDS)
+    return _base_spec(config, analytic, horizon, collectors)
+
+
+def by_kind(parts):
+    return {type(c): c for c in parts}
 
 
 def assert_twins(spec, lo, B):
     states = _sample_paths(spec, lo, lo + B)
-    want = reference_chunk(spec, lo, states)
+    want = by_kind(reference_chunk(spec, lo, states))
     # a floor at the median excess, so about half the (step, trajectory) cells count
-    excess = want.err_matrix - spec.primary_eps * spec.decay[None, :]
-    spec = replace(spec, primary_floor=float(np.median(excess)))
-    want = reference_chunk(spec, lo, states)
-    got = _run_chunk((spec, lo, lo + B))
-    assert (got.lo, got.hi) == (want.lo, want.hi) == (lo, lo + B)
-    for name in COLLECTORS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.dtype == b.dtype, name
-        if name == "noise_sums":  # the reference's stacked ``@`` rounds differently
-            assert np.max(np.abs(a - b), initial=0.0) <= 1e-12, name
-        else:  # integers, and the iterates and errors bit for bit
-            assert np.array_equal(a, b), name
-    assert 0 < want.per_m_counts.sum() < want.err_matrix.size
+    ex = want[Excess]
+    floor = float(np.median(want[ErrMatrix].matrix - ex.eps * ex.decay[None, :]))
+    spec = replace(spec, collectors=tuple(
+        replace(c, floor=floor) if isinstance(c, Excess) else c for c in spec.collectors
+    ))
+    want = by_kind(reference_chunk(spec, lo, states))
+    got = by_kind(_run_chunk((spec, lo, lo + B)))
+    assert set(got) == set(want) == set(KINDS)
+    for kind, g in got.items():
+        w = want[kind]
+        assert (g.lo, g.hi) == (w.lo, w.hi) == (lo, lo + B)
+        for name in kind.outputs:
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            if kind is NoiseSums:  # the reference's stacked ``@`` rounds differently
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-12, name
+            else:  # integers, and the iterates and errors bit for bit
+                assert np.array_equal(a, b), name
+    assert 0 < want[Excess].counts.sum() < want[ErrMatrix].matrix.size
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,18 @@ class TestBlockedKernelTwins:
             fit_ms=edges, diag_ms=sorted(set(edges + [horizon])),
         )
         assert_twins(spec, lo=0, B=6)
+
+
+class TestCollectorIndependence:
+    @pytest.mark.parametrize("batch_size", [8, 64])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_alone_equals_alongside_the_others(self, ref_problem, ref_analytic, kind, batch_size):
+        spec = full_spec(ref_problem, ref_analytic, 0, 700)
+        (collector,) = [c for c in spec.collectors if isinstance(c, kind)]
+        (alone,) = _run_ensemble(replace(spec, collectors=(collector,)), 70, batch_size, 1)
+        alongside = by_kind(_run_ensemble(spec, 70, batch_size, 1))[kind]
+        for name in kind.outputs:
+            assert np.array_equal(getattr(alone, name), getattr(alongside, name)), name
 
 
 class TestInvariance:
@@ -219,11 +232,11 @@ class TestWorkerPool:
             problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=10, horizon=30,
             n_trajectories=8 * batches, master_seed=0, epsilon=0.5, delta=0.25,
         )
-        spec = _base_spec(cfg, ref_analytic, horizon=30)
-        pooled = _run_ensemble(spec, cfg.n_trajectories, 8, jobs)
-        serial = _run_ensemble(spec, cfg.n_trajectories, 8, 1)
+        spec = _base_spec(cfg, ref_analytic, 30, (StartError(),))
+        (pooled,) = _run_ensemble(spec, cfg.n_trajectories, 8, jobs)
+        (serial,) = _run_ensemble(spec, cfg.n_trajectories, 8, 1)
         assert opened == [workers]
-        assert np.array_equal(pooled.err_n0, serial.err_n0)
+        assert np.array_equal(pooled.err, serial.err)
 
     def test_jobs_below_one_refused(self, ref_problem, ref_analytic):
         cfg = ExperimentConfig(

@@ -9,6 +9,7 @@ at s-1.  Every state must be equal.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tdlab.harness import (
     _DRAW,
     _TAKE_COLUMNS_MAX_S,
     ExperimentConfig,
+    StartError,
     _base_spec,
     _path_segments,
     _run_chunk,
@@ -108,12 +110,12 @@ class TestMemory:
     def test_run_chunk_peaks_below_a_full_path_array(self, ref_problem, ref_analytic):
         # the (B, T+1) int64 states alone would take 64 * 20 001 * 8 bytes
         B, T = 64, 20_000
-        spec = path_spec(ref_problem, ref_analytic, T)
+        spec = replace(path_spec(ref_problem, ref_analytic, T), collectors=(StartError(),))
         tracemalloc.start()
         try:
-            out = _run_chunk((spec, 0, B))
+            (start,) = _run_chunk((spec, 0, B))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.all(np.isfinite(out.err_n0))
+        assert np.all(np.isfinite(start.err))
         assert peak < B * (T + 1) * 8

@@ -162,6 +162,27 @@ class TestContractionProduct:
             sched.contraction_product(5, 1, 1.0)
 
 
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            StepSchedule.harmonic(0.5),
+            StepSchedule.harmonic(0.99),
+            StepSchedule.polynomial(d3=0.9, d2=0.5),
+            StepSchedule.polynomial(d3=0.6, d2=0.7, d1=0.3),
+            StepSchedule.polynomial(d3=0.99, d2=1.0, d1=0.01),
+        ],
+        ids=lambda s: f"{s.kind}-{s.d1}-{s.d2}-{s.d3}",
+    )
+    def test_analytic_forms_stay_inside(self, sched):
+        # d1 / (n+1) <= a(n) <= d3 / (n+1)^d2 and a(n) < 1, on 64 geometric steps to 10 000
+        grid = np.unique(np.geomspace(1, 10_001, 64).astype(int)) - 1
+        vals = sched.steps(0, int(grid[-1]) + 1)[grid]
+        assert np.all(vals < 1.0)
+        assert np.all(vals >= sched.d1 / (grid + 1.0) - 1e-15)
+        assert np.all(vals <= sched.d3 / (grid + 1.0) ** sched.d2 + 1e-15)
+
+
 class TestEnvelopeDominations:
     def test_noise_weight_domination(self):
         # max_k a(k) chi(m, k+1) <= d3 2^d1 tail_weight(n0, m)
