@@ -21,7 +21,6 @@ roundoff; Monte Carlo counterparts live in the test suite as oracles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,10 @@ class PolicyEvalProblem:
     stationary average of F is affine; its matrix and offset are cached so
     the averaged map costs one mat-vec.
 
-    Construction is allowed when the feature-scaling condition fails, but
-    the instance is flagged and contraction-dependent operations raise.
+    Construction is allowed when the feature-scaling condition fails.  The
+    one flag is ``assumption``, the :class:`AssumptionReport`: callers read
+    ``assumption.satisfied``, and contraction-dependent operations raise
+    :class:`AssumptionViolated` while it is false.
     """
 
     def __init__(
@@ -72,14 +73,6 @@ class PolicyEvalProblem:
         self.features = features
         self.stationary = stationary_distribution(chain)
         self.assumption: AssumptionReport = check_assumption(features, self.stationary, gamma)
-        if not self.assumption.satisfied:
-            warnings.warn(
-                "feature scaling condition fails "
-                f"(gain {self.assumption.feature_gain:.6g} >= "
-                f"threshold {self.assumption.threshold:.6g}); "
-                "contraction-dependent operations will raise",
-                stacklevel=2,
-            )
 
         Phi = features.Phi
         pi = self.stationary.pi

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .analytic import ConstantsBundle
 from .errors import InfeasibleStart, SeriesDivergence, ValidationError
@@ -226,7 +225,12 @@ class TailSummary:
 
 def _series_remainder(c: float, q: float, M: int) -> float:
     """Upper bound on sum_{m > M} exp(-c m^q) via the decreasing-integrand integral,
-    evaluated exactly with the regularized upper incomplete gamma function."""
+    evaluated exactly with the regularized upper incomplete gamma function.
+
+    scipy is imported here, at its one use, so that start-up does not load it.
+    """
+    from scipy.special import gammaincc
+
     a = 1.0 / q
     scale = math.gamma(a) / (q * c**a)
     return float(scale * gammaincc(a, c * float(M) ** q))

@@ -97,25 +97,25 @@ def _vector(value, path: str) -> np.ndarray:
 
 def _build_schedule(block: dict) -> StepSchedule:
     kind = _require(block, "kind", "schedule")
+
+    def number(key: str) -> float:
+        return _number(_require(block, key, "schedule"), f"schedule.{key}")
+
+    if kind == "harmonic":
+        make, args = StepSchedule.harmonic, dict(d1=number("d1"))
+    elif kind == "polynomial":
+        make = StepSchedule.polynomial
+        args = dict(d3=number("d3"), d2=number("d2"), d1=number("d1") if "d1" in block else None)
+    elif kind == "table":
+        make = StepSchedule.table
+        values = _vector(_require(block, "values", "schedule"), "schedule.values")
+        args = dict(values=values, d1=number("d1"), d2=number("d2"), d3=number("d3"))
+    else:
+        raise ConfigError(f"schedule.kind: unknown kind {kind!r}")
     try:
-        if kind == "harmonic":
-            return StepSchedule.harmonic(_number(_require(block, "d1", "schedule"), "schedule.d1"))
-        if kind == "polynomial":
-            return StepSchedule.polynomial(
-                d3=_number(_require(block, "d3", "schedule"), "schedule.d3"),
-                d2=_number(_require(block, "d2", "schedule"), "schedule.d2"),
-                d1=_number(block["d1"], "schedule.d1") if "d1" in block else None,
-            )
-        if kind == "table":
-            return StepSchedule.table(
-                values=_vector(_require(block, "values", "schedule"), "schedule.values"),
-                d1=_number(_require(block, "d1", "schedule"), "schedule.d1"),
-                d2=_number(_require(block, "d2", "schedule"), "schedule.d2"),
-                d3=_number(_require(block, "d3", "schedule"), "schedule.d3"),
-            )
-    except ValidationError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-    raise ConfigError(f"schedule.kind: unknown kind {kind!r}")
+        return make(**args)
+    except ValidationError as exc:  # its message starts with the field name
+        raise ConfigError(f"schedule.{exc}") from exc
 
 
 def load_config(path: str | Path) -> LoadedConfig:
@@ -146,14 +146,10 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError(f"features.Phi: {exc}") from exc
     schedule = _build_schedule(_require(raw, "schedule", "$"))
 
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            problem = PolicyEvalProblem(chain, rewards, gamma, features)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        problem = PolicyEvalProblem(chain, rewards, gamma, features)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
 
     issues: list[str] = []
     analytic: AnalyticSolution | None = None

@@ -1,21 +1,24 @@
 """Finite irreducible aperiodic Markov chains.
 
-Validation and stationary analysis.  Path sampling is the ensemble
-engine's own (``harness._path_segments``): inverse-CDF lookups on
-:meth:`MarkovChain.cumulative_rows`, one uniform per transition from each
-trajectory's stream, drawn one path segment at a time.
+Validation and stationary analysis.  Irreducibility and the period come
+from one breadth-first walk from state 0 over the support digraph: its
+levels show which states state 0 reaches, the same walk over the
+transposed support shows which states reach state 0, and the period is
+the gcd of ``level[u] + 1 - level[v]`` over the edges ``u -> v``.
+
+Path sampling is the ensemble engine's own (``harness._path_segments``):
+inverse-CDF lookups on :meth:`MarkovChain.cumulative_rows`, one uniform
+per transition from each trajectory's stream, drawn one path segment at
+a time.
 
 All operations are pure given their inputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NotIrreducible, NotStochastic, Periodic, SolverFailure
 
@@ -41,35 +44,18 @@ class StationaryDistribution:
 
     pi: np.ndarray
 
-    @property
-    def diag(self) -> np.ndarray:
-        """The diagonal weight matrix with the stationary probabilities on the diagonal."""
-        return np.diag(self.pi)
 
-
-def _period(support: np.ndarray) -> int:
-    """Period of a strongly connected digraph given as a boolean adjacency matrix.
-
-    BFS from node 0 assigns levels; the period is the gcd of
-    ``level[u] + 1 - level[v]`` over all edges ``u -> v``.
-    """
-    s = support.shape[0]
-    level = np.full(s, -1, dtype=int)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(support[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(s):
-        for v in np.flatnonzero(support[u]):
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g)
+def _levels(support: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from state 0 over a boolean adjacency matrix; -1 if unreached."""
+    level = np.full(support.shape[0], -1)
+    frontier = np.zeros(support.shape[0], dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        depth += 1
+        frontier = support[frontier].any(axis=0) & (level < 0)
+    return level
 
 
 def build_chain(P: np.ndarray) -> MarkovChain:
@@ -77,8 +63,10 @@ def build_chain(P: np.ndarray) -> MarkovChain:
 
     Raises NotStochastic when a row sum strays beyond 1e-12 or an entry
     leaves [0, 1] (renormalization is refused: silent fixes hide config
-    bugs), NotIrreducible when the support digraph is not strongly
-    connected, and Periodic when the chain period exceeds one.
+    bugs), NotIrreducible naming the first state that state 0 cannot
+    reach, or else the first state that cannot reach state 0, and
+    Periodic when the gcd of the walk's level gaps over the edges
+    exceeds one.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -95,11 +83,17 @@ def build_chain(P: np.ndarray) -> MarkovChain:
             f"row {bad} sums to {P[bad].sum():.17g}, off by {row_err[bad]:.3e} "
             f"(tolerance {ROW_SUM_TOL:g}); renormalization is refused"
         )
+    if s == 0:
+        raise NotIrreducible("a chain needs at least one state")
     support = P > 0.0
-    n_comp, _ = connected_components(csr_matrix(support), directed=True, connection="strong")
-    if n_comp != 1:
-        raise NotIrreducible(f"support digraph has {n_comp} strongly connected components")
-    period = _period(support)
+    level = _levels(support)
+    if np.any(level < 0):
+        raise NotIrreducible(f"state {int(np.argmax(level < 0))} is not reachable from state 0")
+    back = _levels(support.T)
+    if np.any(back < 0):
+        raise NotIrreducible(f"state {int(np.argmax(back < 0))} cannot reach state 0")
+    u, v = np.nonzero(support)
+    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
     if period != 1:
         raise Periodic(f"chain has period {period}")
     return MarkovChain(P=P, n_states=s)

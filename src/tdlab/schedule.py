@@ -35,7 +35,9 @@ class StepSchedule:
 
     kind is one of ``harmonic`` (a(n) = d1/(n+1)), ``polynomial``
     (a(n) = d3/(n+1)^d2) or ``table`` (explicit values, validated
-    pointwise; evaluation past the table raises).
+    pointwise; evaluation past the table raises).  Each validation message
+    starts with the field at fault: ``kind``, ``d1``, ``d2``, ``d3`` or
+    ``values``.
     """
 
     kind: str
@@ -46,44 +48,44 @@ class StepSchedule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("harmonic", "polynomial", "table"):
-            raise ValidationError(f"unknown schedule kind {self.kind!r}")
+            raise ValidationError(f"kind: unknown schedule kind {self.kind!r}")
         if not self.d1 > 0:
-            raise ValidationError(f"d1 must be positive, got {self.d1}")
+            raise ValidationError(f"d1: must be positive, got {self.d1}")
         if not 0.0 < self.d2 <= 1.0:
-            raise ValidationError(f"d2 must lie in (0, 1], got {self.d2}")
+            raise ValidationError(f"d2: must lie in (0, 1], got {self.d2}")
         if not self.d3 > 0:
-            raise ValidationError(f"d3 must be positive, got {self.d3}")
+            raise ValidationError(f"d3: must be positive, got {self.d3}")
         if self.kind == "harmonic":
             if self.d1 >= 1.0:
                 raise ValidationError(
-                    f"harmonic schedule needs d1 < 1 so that a(0) < 1, got d1={self.d1}"
+                    f"d1: harmonic schedule needs d1 < 1 so that a(0) < 1, got d1={self.d1}"
                 )
             if self.d1 > self.d3:
-                raise ValidationError("harmonic schedule violates its upper envelope at n=0")
+                raise ValidationError("d3: harmonic schedule violates its upper envelope at n=0")
         elif self.kind == "polynomial":
             if self.d3 >= 1.0:
                 raise ValidationError(
-                    f"polynomial schedule needs d3 < 1 so that a(0) < 1, got d3={self.d3}"
+                    f"d3: polynomial schedule needs d3 < 1 so that a(0) < 1, got d3={self.d3}"
                 )
             if self.d1 > self.d3:
                 raise ValidationError(
-                    f"lower envelope fails at n=0: d1={self.d1} > d3={self.d3}"
+                    f"d1: lower envelope fails at n=0: d1={self.d1} > d3={self.d3}"
                 )
         else:
             if self.values is None or len(self.values) == 0:
-                raise ValidationError("table schedule needs a non-empty value list")
+                raise ValidationError("values: table schedule needs a non-empty value list")
             vals = np.asarray(self.values, dtype=float)
             if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
-                raise ValidationError("table entries must be finite and positive")
+                raise ValidationError("values: table entries must be finite and positive")
             if np.any(vals >= 1.0):
-                raise ValidationError("table entries must be strictly below 1")
+                raise ValidationError("values: table entries must be strictly below 1")
             if np.any(np.diff(vals) > 0.0):
-                raise ValidationError("table entries must be non-increasing")
+                raise ValidationError("values: table entries must be non-increasing")
             n = np.arange(len(vals), dtype=float)
             low = self.d1 / (n + 1.0)
             high = self.d3 / (n + 1.0) ** self.d2
             if np.any(vals < low - 1e-15) or np.any(vals > high + 1e-15):
-                raise ValidationError("table entries leave the (d1, d2, d3) envelope")
+                raise ValidationError("values: table entries leave the (d1, d2, d3) envelope")
 
     @classmethod
     def harmonic(cls, d1: float) -> "StepSchedule":

@@ -2,6 +2,12 @@
 
 No production path uses anything here.
 
+``chain_class`` classifies a transition matrix by powers of its support
+matrix A alone, as an independent check on ``markov.build_chain``'s graph
+walk: the chain is irreducible iff every entry of ``(I + A)^(s-1)`` is
+positive (``reachability``), and irreducible and aperiodic iff every entry
+of ``A^((s-1)^2 + 1)`` is positive (Wielandt's bound).
+
 ``expected_hitting_sums`` is a regenerative (hitting-time) accumulator.
 It estimates
 
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tdlab.errors import NonFinite, SolverFailure, ValidationError
+from tdlab.errors import NonFinite, NotIrreducible, Periodic, SolverFailure, ValidationError
 from tdlab.features import FeatureMap, weighted_gram
 from tdlab.analytic import AnalyticSolution, solve_problem
 from tdlab.harness import (
@@ -59,6 +65,30 @@ from tdlab.rng import stream
 from tdlab.schedule import StepSchedule
 
 EXACT_PRODUCT_LIMIT = 10_000
+
+
+def _pattern_power(A: np.ndarray, k: int) -> np.ndarray:
+    """Positive-entry pattern of the k-th power of a nonnegative matrix with pattern ``A``."""
+    out = np.eye(len(A), dtype=bool)
+    for _ in range(k):
+        out = (out.astype(int) @ A.astype(int)) > 0
+    return out
+
+
+def reachability(P: np.ndarray) -> np.ndarray:
+    """``reach[i, j]``: state i reaches state j, the pattern of ``(I + A)^(s-1)``."""
+    A = np.asarray(P) > 0.0
+    return _pattern_power(A | np.eye(len(A), dtype=bool), len(A) - 1)
+
+
+def chain_class(P: np.ndarray):
+    """The error ``build_chain`` must raise for ``P`` (NotIrreducible or Periodic), or None."""
+    A = np.asarray(P) > 0.0
+    if not reachability(P).all():
+        return NotIrreducible
+    if not _pattern_power(A, (len(A) - 1) ** 2 + 1).all():
+        return Periodic
+    return None
 
 
 def expected_hitting_sums(

@@ -103,8 +103,8 @@ class TestExactValueFunction:
     def test_two_state_hand_solved(self):
         chain = build_chain(np.array([[0.5, 0.5], [0.5, 0.5]]))
         feats = build_features(np.eye(2))
-        with pytest.warns(UserWarning):  # gain 0.707 over the 0.667 threshold, flagged
-            p = PolicyEvalProblem(chain, np.array([1.0, 0.0]), 0.5, feats)
+        p = PolicyEvalProblem(chain, np.array([1.0, 0.0]), 0.5, feats)
+        assert not p.assumption.satisfied  # gain 0.707 over the 0.667 threshold, flagged
         assert_allclose(exact_value_function(p), [1.5, 0.5], rtol=1e-12)
 
     def test_zero_rewards(self):
@@ -134,8 +134,8 @@ class TestContractionFactor:
     def test_raises_when_assumption_fails(self):
         chain = build_chain(np.array([[1.0]]))
         feats = build_features(np.array([[1.0]]))
-        with pytest.warns(UserWarning, match="scaling"):
-            p = PolicyEvalProblem(chain, np.array([1.0]), 0.5, feats)
+        p = PolicyEvalProblem(chain, np.array([1.0]), 0.5, feats)
+        assert not p.assumption.satisfied
         with pytest.raises(AssumptionViolated):
             contraction_factor(p)
 

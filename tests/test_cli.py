@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +251,14 @@ class TestQuantileCap:
         assert cli.main(["experiment", cfg, "--out", str(full)]) == 0
         assert "MAX_ERR_MATRIX_CELLS" not in capsys.readouterr().err
         assert (full / "result.json").read_bytes() == (out / "result.json").read_bytes()
+
+
+class TestStartUp:
+    def test_import_loads_no_scipy(self):
+        # scipy serves only the infinite tail's remainder; every command's start-up skips it
+        code = "import sys, tdlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"

@@ -84,6 +84,26 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=f"^{section}: expected an object$"):
                 load_config(write_config(tmp_path, raw))
 
+    @pytest.mark.parametrize(
+        "schedule, field, words",
+        [
+            ({"kind": "polynomial", "d2": 0.8}, "d3", "missing required field"),
+            ({"kind": "harmonic", "d1": "x"}, "d1", "expected a number"),
+            ({"kind": "polynomial", "d3": 0.5, "d2": 1.5}, "d2", "must lie in"),
+            ({"kind": "table", "values": [0.1, 0.2], "d1": 0.1, "d2": 1.0, "d3": 0.5},
+             "values", "non-increasing"),
+            ({"kind": "table", "values": [0.5, 0.01], "d1": 0.4, "d2": 1.0, "d3": 0.9},
+             "values", "envelope"),
+        ],
+        ids=["missing-d3", "d1-not-a-number", "d2-range", "table-increasing", "table-envelope"],
+    )
+    def test_bad_schedule_field_is_named_once(self, tmp_path, schedule, field, words):
+        raw = with_experiment()
+        raw["schedule"] = schedule
+        with pytest.raises(ConfigError, match=rf"^schedule\.{field}: .*{words}") as info:
+            load_config(write_config(tmp_path, raw))
+        assert str(info.value).count("schedule") == 1
+
     def test_table_shorter_than_the_horizon_is_named(self, tmp_path):
         def with_table(length):
             raw = with_experiment()  # n0 = 100, horizon = 300

@@ -17,7 +17,7 @@ from tdlab.instances import scalar_problem, whitened_features
 from tdlab.rng import stream
 
 from conftest import random_chain
-from oracles import expected_hitting_sums
+from oracles import chain_class, expected_hitting_sums, reachability
 
 
 def path_spec(problem, horizon, policy, seed=0):
@@ -34,6 +34,25 @@ def path_spec(problem, horizon, policy, seed=0):
         initial_state_policy=policy,
     )
     return _base_spec(config, solve_problem(problem), horizon=horizon)
+
+
+def random_support_chain(rng, s):
+    """A random chain on s states: a sparse support, or a cyclic one over k classes
+    (every edge steps to the next class), sometimes with one random edge added."""
+    if rng.random() < 0.4:
+        support = rng.random((s, s)) < rng.uniform(0.1, 0.6)
+        for u in np.flatnonzero(~support.any(axis=1)):
+            support[u, rng.integers(s)] = True
+    else:
+        k = int(rng.integers(1, s + 1))
+        cls = rng.permutation(np.arange(s) % k)
+        support = (cls[None, :] == (cls[:, None] + 1) % k) & (rng.random((s, s)) < 0.7)
+        for u in np.flatnonzero(~support.any(axis=1)):
+            support[u, rng.choice(np.flatnonzero(cls == (cls[u] + 1) % k))] = True
+        if rng.random() < 0.3:
+            support[rng.integers(s), rng.integers(s)] = True
+    P = support * rng.uniform(0.1, 1.0, size=(s, s))
+    return P / P.sum(axis=1, keepdims=True)
 
 
 def two_state_problem():
@@ -76,6 +95,52 @@ class TestBuildChain:
         P[0, 1] = P[1, 2] = P[2, 0] = 1.0
         with pytest.raises(Periodic):
             build_chain(P)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(NotIrreducible):
+            build_chain(np.zeros((0, 0)))
+
+
+class TestChainClassTwin:
+    """``build_chain``'s graph walk against the matrix-power classifier in ``oracles``."""
+
+    @pytest.mark.parametrize(
+        "P, error, match",
+        [
+            ([[0.5, 0.5], [0.0, 1.0]], NotIrreducible, "^state 1 cannot reach state 0"),
+            ([[1.0, 0.0], [0.5, 0.5]], NotIrreducible, "^state 1 is not reachable from state 0"),
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], Periodic, "period 3"),
+            ([[0, 0.5, 0.5, 0], [1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]], None, None),
+        ],
+        ids=["no-return", "no-reach", "three-cycle", "cycles-2-and-3"],
+    )
+    def test_hand_cases(self, P, error, match):
+        P = np.array(P, dtype=float)
+        assert chain_class(P) is error
+        if error is None:
+            assert build_chain(P).n_states == len(P)
+        else:
+            with pytest.raises(error, match=match):
+                build_chain(P)
+
+    def test_random_chains_agree(self):
+        rng = np.random.default_rng(8)
+        seen = {None: 0, NotIrreducible: 0, Periodic: 0}
+        for _ in range(400):
+            P = random_support_chain(rng, int(rng.integers(1, 9)))
+            expected = chain_class(P)
+            seen[expected] += 1
+            if expected is None:
+                build_chain(P)
+                continue
+            with pytest.raises(expected) as info:
+                build_chain(P)
+            if expected is NotIrreducible:
+                reach = reachability(P)
+                unreached, stuck = np.flatnonzero(~reach[0]), np.flatnonzero(~reach[:, 0])
+                first = unreached[0] if unreached.size else stuck[0]
+                assert str(info.value).startswith(f"state {first} ")
+        assert min(seen.values()) >= 50, seen
 
 
 class TestStationaryDistribution:
