@@ -21,7 +21,7 @@ roundoff; Monte Carlo counterparts live in the test suite as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -175,21 +175,6 @@ class ConstantsBundle:
     feature_gain: float
     x_star_norm: float
 
-    def as_dict(self) -> dict:
-        return {
-            "offset_solution_max": self.offset_solution_max,
-            "linear_solution_max": self.linear_solution_max,
-            "noise_matrix_max": self.noise_matrix_max,
-            "update_offset_bound": self.update_offset_bound,
-            "update_gain_bound": self.update_gain_bound,
-            "remainder_gain": self.remainder_gain,
-            "remainder_offset": self.remainder_offset,
-            "increment_scale": self.increment_scale,
-            "alpha": self.alpha,
-            "feature_gain": self.feature_gain,
-            "x_star_norm": self.x_star_norm,
-        }
-
 
 @dataclass(frozen=True)
 class AnalyticSolution:
@@ -217,15 +202,8 @@ class AnalyticSolution:
                 "offset_residual": self.poisson.offset_residual,
                 "linear_residual": self.poisson.linear_residual,
             },
-            "constants": self.constants.as_dict(),
-            "assumption": {
-                "feature_gain": self.assumption.feature_gain,
-                "threshold": self.assumption.threshold,
-                "satisfied": self.assumption.satisfied,
-                "max_row_norm": self.assumption.max_row_norm,
-                "row_condition_satisfied": self.assumption.row_condition_satisfied,
-                "rescaling_factor": self.assumption.rescaling_factor,
-            },
+            "constants": asdict(self.constants),
+            "assumption": asdict(self.assumption),
             "fixed_point_residual": self.fixed_point_residual,
         }
 
@@ -385,12 +363,13 @@ def compute_constants(
     )
 
 
-def solve_problem(problem: PolicyEvalProblem, anchor_state: int = 0) -> AnalyticSolution:
-    """Compute the full analytic ground truth for one instance."""
+def solve_problem(problem: PolicyEvalProblem) -> AnalyticSolution:
+    """Compute the full analytic ground truth for one instance, with the
+    Poisson solutions anchored at state 0."""
     alpha = contraction_factor(problem)
     x_star = fixed_point(problem)
     v_exact = exact_value_function(problem)
-    poisson = poisson_solve(problem, anchor_state)
+    poisson = poisson_solve(problem)
     constants = compute_constants(problem, poisson, x_star, alpha)
     return AnalyticSolution(
         stationary=problem.stationary,

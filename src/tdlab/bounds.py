@@ -25,11 +25,13 @@ integral and added to the sum, keeping the reported probability a true
 lower bound.  The cut is where a term drops below a relative cutoff of
 the first term, capped at a fixed term budget, so the cost is bounded
 for any positive exponent strength.
+
+Nothing here writes a file: ``cli`` owns every output format, and
+``BoundReport.tail_terms`` hands it the per-step terms of ``bound.csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -367,26 +369,19 @@ class BoundReport:
             "radius_last": float(self.radius[-1]),
         }
 
-    def to_csv(self, path, schedule: StepSchedule) -> None:
-        """Per-step rows: m, radius, per-step tail term, cumulative tail."""
-        cross = self.tail.crossover
-        cum = 0.0
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "radius", "tail_term", "cumulative_tail"])
-            for m, r in zip(self.ms.tolist(), self.radius.tolist()):
-                if m > self.query.n0 and self.query.D_const is not None:
-                    term = martingale_tail(
-                        self.query.delta,
-                        cross,
-                        self.query.D_const,
-                        schedule.tail_weight(self.query.n0, m),
-                        self.dims,
-                    )
-                else:
-                    term = 0.0
-                cum += term
-                writer.writerow([m, repr(r), repr(term), repr(cum)])
+    def tail_terms(self, schedule: StepSchedule) -> list[float]:
+        """The per-step tail term at each m of ``ms``: 0 at n0 and without
+        noise, else :func:`martingale_tail` at ``tail_weight(n0, m)``.  On a
+        finite horizon they sum to ``tail.tail_sum`` up to rounding."""
+        q = self.query
+        if q.D_const is None:
+            return [0.0] * len(self.ms)
+        return [0.0] + [
+            martingale_tail(
+                q.delta, self.tail.crossover, q.D_const, schedule.tail_weight(q.n0, m), self.dims
+            )
+            for m in self.ms[1:].tolist()
+        ]
 
 
 def evaluate_bound(

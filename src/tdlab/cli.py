@@ -1,11 +1,15 @@
-"""Command-line entry point.
+"""Command-line entry point, and the one module that writes files.
 
 Subcommands: ``validate`` a config, ``solve`` the analytic ground truth,
 ``simulate`` one trajectory to CSV, ``bound`` evaluate the radius curve
 and probability bound, and ``experiment`` run the Monte Carlo all-time
-verification.  Every command is deterministic given (config, flags); all
-JSON is written with sorted keys so reruns are byte-identical.  Timings
-go to stderr only.
+verification.  Every command is deterministic given (config, flags).
+
+Every file format lives here.  JSON goes through ``_write_json``: sorted
+keys, no NaN or infinity.  CSV goes through ``_write_csv``: a header, one
+row per step or grid cell, floats as their ``repr``, so each cell reads
+back as the same double.  Reruns are byte-identical.  Timings go to
+stderr only.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime numerical failure.
 The only environment override is ``OUTPUT_DIR``.
@@ -15,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 from .bounds import build_query, check_n0, evaluate_bound
@@ -126,9 +131,15 @@ def cmd_simulate(args) -> int:
     record = simulate_trajectory(cfg.require_experiment(), args.trajectory, analytic)
     out = _out_dir(args, cfg)
     path = out / f"trajectory_{args.trajectory}.csv"
-    record.to_csv(path, include_components=args.components)
+    _write_trajectory_csv(path, record, args.components)
     print(path)
     return 0
+
+
+def _require_tail_start(exp, uses_d: bool) -> None:
+    """A tail with a constant D weighs step m by tail_weight(n0, m), defined for n0 >= 1."""
+    if uses_d and exp.n0 < 1:
+        raise ValidationError(f"experiment.n0: a tail constant D needs n0 >= 1, got {exp.n0}")
 
 
 def cmd_bound(args) -> int:
@@ -143,6 +154,7 @@ def cmd_bound(args) -> int:
             "no tail-exponent constant: set experiment.D_const, pass --D, "
             "or run the experiment command to fit one"
         )
+    _require_tail_start(exp, d_const is not None)
     if cfg.p_init_user is not None:
         p_init, source = cfg.p_init_user, "user"
     else:
@@ -166,7 +178,7 @@ def cmd_bound(args) -> int:
     out = _out_dir(args, cfg)
     _write_json(out / "bound.json", report.as_dict())
     if "csv" in cfg.formats:
-        report.to_csv(out / "bound.csv", cfg.schedule)
+        _write_bound_csv(out / "bound.csv", report, cfg.schedule)
     if report.tail.vacuous:
         print("warning: vacuous bound (tail sum and initial term exceed 1)", file=sys.stderr)
     print(out / "bound.json")
@@ -177,6 +189,7 @@ def cmd_experiment(args) -> int:
     cfg = _load(args)
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()
+    _require_tail_start(exp, exp.D_const is not None or analytic.constants.increment_scale != 0.0)
     t0 = time.monotonic()
     result = run_alltime_experiment(exp, jobs=args.jobs, analytic=analytic)
     out = _out_dir(args, cfg)
@@ -202,55 +215,47 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _write_per_m_csv(path: Path, result) -> None:
-    q = result.err_quantiles
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
+    """Every CSV: a header, then one row per step or grid cell.  The csv module
+    writes a Python float as its ``repr``, so each cell reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["m", "radius", "err_max", "err_q25", "err_q50", "err_q75", "err_q90", "violations"]
-        )
-        for i, m in enumerate(range(result.n0, result.horizon + 1)):
-            row = [m, repr(float(result.radius[i])), repr(float(result.per_m_err_max[i]))]
-            if q is not None:
-                row += [repr(float(q[k][i])) for k in ("q25", "q50", "q75", "q90")]
-            else:
-                row += ["", "", "", ""]
-            row.append(int(result.per_m_violation_counts[i]))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_per_m_csv(path: Path, result) -> None:
+    keys = ("q25", "q50", "q75", "q90")
+    q = result.err_quantiles  # None when the error matrix is over its cap: blank cells
+    quantiles = [[""] * len(result.radius) if q is None else q[k].tolist() for k in keys]
+    header = ["m", "radius", "err_max", *(f"err_{k}" for k in keys), "violations"]
+    columns = [range(result.n0, result.horizon + 1), result.radius.tolist(),
+               result.per_m_err_max.tolist(), *quantiles, result.per_m_violation_counts.tolist()]
+    _write_csv(path, header, zip(*columns))
 
 
 def _write_summary_csv(path: Path, result) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "epsilon",
-                "delta",
-                "floor",
-                "violations",
-                "alltime_prob",
-                "wilson_lo",
-                "wilson_hi",
-                "tail_sum",
-                "theoretical_lower_bound",
-                "vacuous",
-            ]
-        )
-        for row in result.grid:
-            writer.writerow(
-                [
-                    repr(row.epsilon),
-                    repr(row.delta),
-                    repr(row.floor),
-                    row.violations,
-                    repr(row.alltime_prob),
-                    repr(row.interval[0]),
-                    repr(row.interval[1]),
-                    repr(row.tail_sum),
-                    repr(row.theoretical_lower_bound),
-                    int(row.vacuous),
-                ]
-            )
+    header = ["epsilon", "delta", "floor", "violations", "alltime_prob", "wilson_lo",
+              "wilson_hi", "tail_sum", "theoretical_lower_bound", "vacuous"]
+    rows = ([r.epsilon, r.delta, r.floor, r.violations, r.alltime_prob, *r.interval,
+             r.tail_sum, r.theoretical_lower_bound, int(r.vacuous)] for r in result.grid)
+    _write_csv(path, header, rows)
+
+
+def _write_bound_csv(path: Path, report, schedule) -> None:
+    terms = report.tail_terms(schedule)
+    rows = zip(report.ms.tolist(), report.radius.tolist(), terms, itertools.accumulate(terms))
+    _write_csv(path, ["m", "radius", "tail_term", "cumulative_tail"], rows)
+
+
+def _write_trajectory_csv(path: Path, record, include_components: bool) -> None:
+    header = ["n", "state", "dist_to_target", "dist_to_comparison", "peak_deviation"]
+    columns = [record.states, record.dist_to_target, record.dist_to_comparison,
+               record.peak_deviation]
+    if include_components:
+        header += [f"x{j}" for j in range(record.x.shape[1])]
+        columns += list(record.x.T)
+    _write_csv(path, header, zip(range(len(record.states)), *(c.tolist() for c in columns)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,11 @@
 """The single-path record and the noiseless comparison run.
 
 ``harness.simulate_trajectory`` runs the ensemble engine on one
-trajectory and returns a :class:`TrajectoryRecord`.  The comparison
-recursion replaces the sampled update with its stationary average and is
-started from the same point; the gap between the two runs isolates the
-stochastic part of the error.
+trajectory and returns a :class:`TrajectoryRecord`; ``cli`` writes it as
+the ``simulate`` CSV, as it writes every other output file.  The
+comparison recursion replaces the sampled update with its stationary
+average and is started from the same point; the gap between the two runs
+isolates the stochastic part of the error.
 
 Iterates are never projected or clipped; divergence raises, with the
 step index, rather than being silently absorbed.
@@ -12,7 +13,6 @@ step index, rather than being silently absorbed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,26 +37,6 @@ class TrajectoryRecord:
     dist_to_target: np.ndarray
     dist_to_comparison: np.ndarray
     peak_deviation: np.ndarray
-
-    def to_csv(self, path, include_components: bool = False) -> None:
-        """Write the scalar series as CSV (one row per step index)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["n", "state", "dist_to_target", "dist_to_comparison", "peak_deviation"]
-            if include_components:
-                header += [f"x{j}" for j in range(self.x.shape[1])]
-            writer.writerow(header)
-            for k in range(len(self.states)):
-                row = [
-                    k,
-                    int(self.states[k]),
-                    repr(float(self.dist_to_target[k])),
-                    repr(float(self.dist_to_comparison[k])),
-                    repr(float(self.peak_deviation[k])),
-                ]
-                if include_components:
-                    row += [repr(float(v)) for v in self.x[k]]
-                writer.writerow(row)
 
 
 def run_deterministic(

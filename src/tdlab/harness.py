@@ -54,12 +54,12 @@ import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, solve_problem
+from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem
 from .bounds import (
     TailSummary,
     build_query,
@@ -573,16 +573,13 @@ class PInitEstimate:
 
 
 def estimate_p_init(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    analytic: AnalyticSolution | None = None,
+    config: ExperimentConfig, jobs: int = 1, *, analytic: AnalyticSolution
 ) -> PInitEstimate:
     """Fraction of trajectories whose error at the start index exceeds epsilon.
 
     Simulates from step 0 to n0 with the same streams the full experiment
     uses, so the estimate matches the full run exactly.
     """
-    analytic = analytic if analytic is not None else solve_problem(config.problem)
     spec = _base_spec(config, analytic, config.n0, (StartError(),))
     (start,) = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
     exceed = int(np.count_nonzero(start.err > config.epsilon))
@@ -594,9 +591,7 @@ def estimate_p_init(
 
 
 def simulate_trajectory(
-    config: ExperimentConfig,
-    index: int,
-    analytic: AnalyticSolution | None = None,
+    config: ExperimentConfig, index: int, analytic: AnalyticSolution
 ) -> TrajectoryRecord:
     """Trajectory ``index`` of the ensemble alone, from step 0 to the horizon.
 
@@ -607,7 +602,6 @@ def simulate_trajectory(
     same start.  Distances and the running peak of the gap are taken from
     the recorded iterates after the loop.
     """
-    analytic = analytic if analytic is not None else solve_problem(config.problem)
     config = replace(config, n0=0)
     T = config.horizon
     every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
@@ -725,7 +719,7 @@ class ExperimentResult:
     wall_time: float = field(default=0.0, compare=False)
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "n_trajectories": self.n_trajectories,
             "n0": self.n0,
             "horizon": self.horizon,
@@ -745,38 +739,15 @@ class ExperimentResult:
             "D_used": self.D_used,
             "D_source": self.D_source,
             "fitted_D": None if self.fitted is None else self.fitted.value,
-            "fit": None
-            if self.fitted is None
-            else {
-                "value": self.fitted.value,
-                "conservative": self.fitted.conservative,
-                "n_points": self.fitted.n_points,
-                "residual_rms": self.fitted.residual_rms,
-            },
+            "fit": None if self.fitted is None else asdict(self.fitted),
             "per_m_violation_counts": self.per_m_violation_counts.tolist(),
-            "grid": [
-                {
-                    "epsilon": row.epsilon,
-                    "delta": row.delta,
-                    "floor": row.floor,
-                    "violations": row.violations,
-                    "alltime_prob": row.alltime_prob,
-                    "interval": list(row.interval),
-                    "tail_sum": row.tail_sum,
-                    "theoretical_lower_bound": row.theoretical_lower_bound,
-                    "vacuous": row.vacuous,
-                }
-                for row in self.grid
-            ],
+            "grid": [asdict(row) for row in self.grid],
             "diagnostics": self.diagnostics.as_dict(),
         }
-        return out
 
 
 def run_alltime_experiment(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    analytic: AnalyticSolution | None = None,
+    config: ExperimentConfig, jobs: int = 1, *, analytic: AnalyticSolution
 ) -> ExperimentResult:
     """Run the ensemble once and verify the all-time radius event.
 
@@ -793,7 +764,6 @@ def run_alltime_experiment(
     """
     t0 = time.monotonic()
     problem = config.problem
-    analytic = analytic if analytic is not None else solve_problem(problem)
     constants = analytic.constants
     sched = config.schedule
     n0, horizon = config.n0, config.horizon
@@ -812,7 +782,6 @@ def run_alltime_experiment(
     if config.delta not in delta_grid:
         delta_grid = [config.delta] + delta_grid
     eps_arr = np.asarray(eps_grid)
-    i_primary = eps_grid.index(config.epsilon)
 
     decay = decay_curve(constants, sched, n0, horizon)
     primary_floor = floor_term(constants, sched, n0, config.epsilon, config.delta)
@@ -844,7 +813,6 @@ def run_alltime_experiment(
 
     n = config.n_trajectories
     p_init_exceed = int(np.count_nonzero(err_n0 > config.epsilon))
-    p_init_hat = p_init_exceed / n
 
     fitted: TailFit | None = None
     if need_fit:
@@ -877,32 +845,28 @@ def run_alltime_experiment(
         )
         return tail_probability(q, dims, sched, constants)
 
-    tail = tail_at(config.epsilon, config.delta, p_init_hat)
-
-    violations = int(np.count_nonzero(max_excess[:, i_primary] > primary_floor))
-    alltime_prob = 1.0 - violations / n
-
+    # the primary (epsilon, delta) is one of the cells; its row is the verdict
     grid_rows: list[GridRow] = []
-    for eps in eps_grid:
-        i_eps = eps_grid.index(eps)
+    for i_eps, eps in enumerate(eps_grid):
         p_init_eps = int(np.count_nonzero(err_n0 > eps)) / n
         for dlt in delta_grid:
             flr = floor_term(constants, sched, n0, eps, dlt)
             vio = int(np.count_nonzero(max_excess[:, i_eps] > flr))
             t = tail_at(eps, dlt, p_init_eps)
-            grid_rows.append(
-                GridRow(
-                    epsilon=eps,
-                    delta=dlt,
-                    floor=flr,
-                    violations=vio,
-                    alltime_prob=1.0 - vio / n,
-                    interval=wilson_interval(n - vio, n),
-                    tail_sum=t.tail_sum,
-                    theoretical_lower_bound=t.prob_lower_bound,
-                    vacuous=t.vacuous,
-                )
+            row = GridRow(
+                epsilon=eps,
+                delta=dlt,
+                floor=flr,
+                violations=vio,
+                alltime_prob=1.0 - vio / n,
+                interval=wilson_interval(n - vio, n),
+                tail_sum=t.tail_sum,
+                theoretical_lower_bound=t.prob_lower_bound,
+                vacuous=t.vacuous,
             )
+            grid_rows.append(row)
+            if (eps, dlt) == (config.epsilon, config.delta):
+                primary, tail = row, t
 
     quantiles = None
     if ErrMatrix in out:
@@ -922,13 +886,13 @@ def run_alltime_experiment(
         master_seed=config.master_seed,
         epsilon=config.epsilon,
         delta=config.delta,
-        empirical_alltime_prob=alltime_prob,
-        alltime_interval=wilson_interval(n - violations, n),
-        violations=violations,
-        empirical_p_init=p_init_hat,
+        empirical_alltime_prob=primary.alltime_prob,
+        alltime_interval=primary.interval,
+        violations=primary.violations,
+        empirical_p_init=p_init_exceed / n,
         p_init_interval=wilson_interval(p_init_exceed, n),
         p_init_source=p_init_source,
-        theoretical_lower_bound=tail.prob_lower_bound,
+        theoretical_lower_bound=primary.theoretical_lower_bound,
         tail=tail,
         floor=primary_floor,
         D_used=d_used,
@@ -954,14 +918,7 @@ class Diagnostics:
     n_trajectories: int
 
     def as_dict(self) -> dict:
-        return {
-            "checkpoints": self.checkpoints.tolist(),
-            "median": self.median.tolist(),
-            "q25": self.q25.tolist(),
-            "q75": self.q75.tolist(),
-            "loglog_slope": self.loglog_slope,
-            "n_trajectories": self.n_trajectories,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
 
 
 def _diagnostics(

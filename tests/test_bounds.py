@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tdlab.cli as cli
 from tdlab import (
     BoundQuery,
     ConstantsBundle,
@@ -282,7 +283,7 @@ class TestBuildQuery:
         assert d["p_init"] == 0.05
         assert d["radius_first"] >= d["radius_last"]
         path = tmp_path / "bound.csv"
-        report.to_csv(path, sched)
+        cli._write_bound_csv(path, report, sched)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "m,radius,tail_term,cumulative_tail"
         assert len(lines) == 1 + (50 - 2 + 1)  # header + one row per m in [2, 50]

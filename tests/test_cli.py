@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import tdlab.cli as cli
 from tdlab import harness
+from tdlab.bounds import build_query, evaluate_bound
 from tdlab.config import load_config
 from tdlab.errors import NonFinite
 from tdlab.harness import Checkpoints, _base_spec, _run_ensemble, _sample_paths
@@ -262,3 +264,175 @@ class TestStartUp:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "[]"
+
+
+def n0_zero_config(tmp_path, kind):
+    """A config with n0 = 0: the noiseless scalar instance without or with
+    D_const, or the noisy reference instance at d1 = 0.001 without D_const
+    (D is fitted), where n0 = 0 is a feasible start."""
+    if kind == "reference":
+        raw = reference_config_dict(n0=0, d1=0.001, horizon=300, n_trajectories=8)
+        path = tmp_path / "ref_n0_0.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+    return scalar_config(tmp_path, n0=0, **({"D_const": 2.0} if kind == "scalar-with-d" else {}))
+
+
+class TestTailStartIndex:
+    @pytest.fixture
+    def no_ensemble(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the start index was checked")
+
+        monkeypatch.setattr(harness, "_run_ensemble", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "scalar-with-d"],  # D given
+            ["experiment", "reference"],  # D fitted
+            ["bound", "scalar", "--D", "1"],
+            ["bound", "reference", "--D", "1"],
+        ],
+    )
+    def test_tail_constant_needs_n0_at_least_1(self, tmp_path, capsys, no_ensemble, argv):
+        out = tmp_path / "out"
+        config = n0_zero_config(tmp_path, argv[1])
+        assert cli.main([argv[0], config, *argv[2:], "--out", str(out)]) == 1
+        assert "error: experiment.n0:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "bound"])
+    def test_noiseless_without_d_still_runs_at_n0_0(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert cli.main([command, n0_zero_config(tmp_path, "scalar"), "--out", str(out)]) == 0
+        name = "result.json" if command == "experiment" else "bound.json"
+        assert strict_load(out / name)["D_source"] == "noiseless"
+
+    @pytest.mark.parametrize("kind", ["scalar-with-d", "reference"])
+    def test_simulate_still_runs_at_n0_0(self, tmp_path, kind):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", n0_zero_config(tmp_path, kind), "--out", str(out)]) == 0
+        assert (out / "trajectory_0.csv").exists()
+
+
+def read_columns(path):
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def kept_returns(monkeypatch, name):
+    """Wrap ``cli.<name>``; the returned list collects what each call gave the command."""
+    kept, real = [], getattr(cli, name)
+
+    def keep(*args, **kwargs):
+        kept.append(real(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, name, keep)
+    return kept
+
+
+def assert_cells_exact(path, expected):
+    """Every float cell of the named columns reads back as the in-memory double."""
+    columns = read_columns(path)
+    for name, values in expected.items():
+        assert [float(cell) for cell in columns[name]] == [float(v) for v in values], name
+
+
+class TestCsvWriters:
+    def test_only_cli_imports_csv(self):
+        importers = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name == "csv" or name.startswith("csv.") for name in names):
+                    importers.append(path.name)
+        assert importers == ["cli.py"]
+
+    @pytest.mark.parametrize("D", [5.0, 0.005])
+    def test_tail_terms_sum_to_the_tail_sum(self, tmp_path, D):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(reference_config_dict()))
+        cfg = load_config(path)
+        exp, constants = cfg.require_experiment(), cfg.require_analytic().constants
+        query = build_query(
+            constants,
+            cfg.schedule,
+            epsilon=exp.epsilon,
+            delta=exp.delta,
+            n0=exp.n0,
+            horizon=exp.horizon,
+            D_const=D,
+            p_init=0.0,
+        )
+        report = evaluate_bound(query, cfg.problem.n_features, cfg.schedule, constants)
+        terms = report.tail_terms(cfg.schedule)
+        assert len(terms) == len(report.ms) and terms[0] == 0.0
+        assert math.isclose(sum(terms), report.tail.tail_sum, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("D", ["5", "0.005"])
+    def test_bound_csv_ends_at_the_json_tail_sum(self, tmp_path, D):
+        out = tmp_path / "out"
+        assert cli.main(["bound", reference_config(tmp_path), "--D", D, "--out", str(out)]) == 0
+        last = float(read_columns(out / "bound.csv")["cumulative_tail"][-1])
+        tail_sum = strict_load(out / "bound.json")["tail_sum"]
+        assert math.isclose(last, tail_sum, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_experiment_cells_read_back_exactly(self, tmp_path, monkeypatch):
+        kept = kept_returns(monkeypatch, "run_alltime_experiment")
+        out = tmp_path / "out"
+        cfg = reference_config(tmp_path, n_trajectories=24, horizon=600)
+        assert cli.main(["experiment", cfg, "--out", str(out)]) == 0
+        res = kept[0]
+        quantiles = {f"err_{k}": v for k, v in res.err_quantiles.items()}
+        expected = {"radius": res.radius, "err_max": res.per_m_err_max, **quantiles}
+        assert_cells_exact(out / "per_m.csv", expected)
+        grid = res.grid
+        assert_cells_exact(
+            out / "summary.csv",
+            {
+                "epsilon": [r.epsilon for r in grid],
+                "delta": [r.delta for r in grid],
+                "floor": [r.floor for r in grid],
+                "alltime_prob": [r.alltime_prob for r in grid],
+                "wilson_lo": [r.interval[0] for r in grid],
+                "wilson_hi": [r.interval[1] for r in grid],
+                "tail_sum": [r.tail_sum for r in grid],
+                "theoretical_lower_bound": [r.theoretical_lower_bound for r in grid],
+            },
+        )
+
+    def test_bound_cells_read_back_exactly(self, tmp_path, monkeypatch):
+        kept = kept_returns(monkeypatch, "evaluate_bound")
+        out = tmp_path / "out"
+        path = reference_config(tmp_path)
+        assert cli.main(["bound", path, "--D", "0.05", "--out", str(out)]) == 0
+        report = kept[0]
+        terms = report.tail_terms(load_config(path).schedule)
+        assert_cells_exact(
+            out / "bound.csv",
+            {"radius": report.radius, "tail_term": terms, "cumulative_tail": np.cumsum(terms)},
+        )
+
+    def test_simulate_cells_read_back_exactly(self, tmp_path, monkeypatch):
+        kept = kept_returns(monkeypatch, "simulate_trajectory")
+        out = tmp_path / "out"
+        argv = ["simulate", reference_config(tmp_path), "--trajectory", "3", "--components"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        rec = kept[0]
+        assert_cells_exact(
+            out / "trajectory_3.csv",
+            {
+                "dist_to_target": rec.dist_to_target,
+                "dist_to_comparison": rec.dist_to_comparison,
+                "peak_deviation": rec.peak_deviation,
+                **{f"x{j}": rec.x[:, j] for j in range(rec.x.shape[1])},
+            },
+        )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tdlab.cli as cli
 from tdlab import NonFinite, run_deterministic, simulate_trajectory, solve_problem
 from tdlab.harness import Checkpoints, ExperimentConfig, _base_spec, _sample_paths, _simulate_chunk
 from tdlab.rng import stream
@@ -174,7 +175,7 @@ class TestOnline:
         cfg = path_config(ref_problem, 20, np.zeros(2))
         rec = simulate_trajectory(cfg, 0, ref_analytic)
         path = tmp_path / "traj.csv"
-        rec.to_csv(path, include_components=True)
+        cli._write_trajectory_csv(path, rec, include_components=True)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,state,dist_to_target,dist_to_comparison,peak_deviation,x0,x1"
         assert len(lines) == 22
