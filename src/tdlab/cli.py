@@ -32,7 +32,7 @@ from .bounds import build_query, check_n0, evaluate_bound
 from .config import LoadedConfig, load_config
 from .errors import ComputeError, NonFinite, ValidationError
 from . import harness
-from .harness import estimate_p_init, run_alltime_experiment, simulate_trajectory
+from .harness import estimate_p_init, require_tail_start, run_alltime_experiment, simulate_trajectory
 
 
 def _write_json(path: Path, obj) -> None:
@@ -137,9 +137,10 @@ def cmd_simulate(args) -> int:
 
 
 def _require_tail_start(exp, uses_d: bool) -> None:
-    """A tail with a constant D weighs step m by tail_weight(n0, m), defined for n0 >= 1."""
-    if uses_d and exp.n0 < 1:
-        raise ValidationError(f"experiment.n0: a tail constant D needs n0 >= 1, got {exp.n0}")
+    try:
+        require_tail_start(exp.n0, uses_d)
+    except ValidationError as exc:  # its message starts with the field name
+        raise ValidationError(f"experiment.{exc}") from exc
 
 
 def cmd_bound(args) -> int:

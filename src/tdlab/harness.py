@@ -11,6 +11,17 @@ all-time event frequency against the closed-form lower bound; ``bound``
 runs the same engine up to the start index for the initial-condition
 term; ``simulate_trajectory`` runs it on one trajectory alone.
 
+The sampler draws the next state as the count of CDF entries of the
+current row at or below the step's uniform u.  Small chains (up to
+``_TAKE_COLUMNS_MAX_S`` states) compare u with the whole row.  Larger ones
+use a guide table, the indexed search of Chen & Asau (1974; Devroye 1986,
+section III.2.4), built once per batch (``_guide_table``): for each state
+and each of G buckets [b/G, (b+1)/G) it holds the count at or below b/G,
+so a step compares u only with the w entries that follow, where w is the
+most any row puts strictly inside one bucket.  G is a power of two, so
+the bucket floor(u*G) is exact, and both ways give the same state for
+every u.
+
 The kernel keeps the batch's iterates in a (d, B) layout and runs each
 segment's steps in blocks of ``_BLOCK``.  Per block it gathers the
 features, rewards and scaled features of that block's (K+1, B) slice of
@@ -77,7 +88,8 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 MAX_ERR_MATRIX_CELLS = 40_000_000  # float32 error matrix cap (~160 MB)
 _BLOCK = 64  # steps per block of the TD kernel
 _DRAW = 16 * _BLOCK  # steps per sampled path segment
-_TAKE_COLUMNS_MAX_S = 32  # largest state count whose CDF table is read as (s-1, B) columns
+_TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
+_GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -371,6 +383,45 @@ class NoiseSums(_Collector):
                 self.ptr += 1
 
 
+class _Guide(NamedTuple):
+    """The guide table (indexed search) of an inverse-CDF lookup over the
+    first s-1 CDF columns ``cdf`` (s, s-1), in ``G`` buckets of width 1/G.
+
+    ``first`` (G, s) holds first[b, y] = #{j < s-1 : cdf[y, j] <= b/G}.
+    ``rows`` (s, s-1+w) is ``cdf`` padded on the right with 2.0, and ``w``
+    >= 1 is the largest count, over all (y, b), of entries of row y
+    strictly inside (b/G, (b+1)/G).  For u in [b/G, (b+1)/G) the entries
+    at or below u are the first[b, y] at or below b/G and those of
+    rows[y, first[b, y]:][:w] at or below u, since every later one is at
+    or above (b+1)/G > u; the padding is above every u.
+    """
+
+    G: int
+    w: int
+    first: np.ndarray
+    rows: np.ndarray
+
+
+def _guide_table(cdf: np.ndarray) -> _Guide:
+    """The ``_Guide`` of nondecreasing CDF rows ``cdf`` (s, s-1).  G is the
+    smallest power of two >= 4s unless G*s would pass ``_GUIDE_MAX_CELLS``,
+    then the largest that does not (at least 1); a power of two makes b/G
+    and floor(u*G) exact."""
+    s = len(cdf)
+    G = 1 << min((4 * s - 1).bit_length(), max((_GUIDE_MAX_CELLS // s).bit_length() - 1, 0))
+    edges = np.arange(G + 1) / G
+    first = np.empty((G, s), dtype=np.intp)
+    w = 1
+    for y, row in enumerate(cdf):
+        at_or_below = np.searchsorted(row, edges[:-1], side="right")
+        below_next = np.searchsorted(row, edges[1:], side="left")
+        first[:, y] = at_or_below
+        w = max(w, int((below_next - at_or_below).max()))
+    rows = np.full((s, s - 1 + w), 2.0)
+    rows[:, : s - 1] = cdf
+    return _Guide(G, w, first, rows)
+
+
 def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The states of trajectories [lo, hi) at steps 0..horizon, by inverse
     CDF on each trajectory's own stream, one segment at a time.
@@ -383,9 +434,14 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     continue the stream exactly as one long draw would.
 
     The next state is the number of CDF entries of the current row at or
-    below the uniform.  Rows are nondecreasing, so counting only the first
+    below the uniform u.  Rows are nondecreasing, so counting only the first
     s-1 columns equals the count capped at s-1.  Up to ``_TAKE_COLUMNS_MAX_S``
-    states the table is read as (s-1, B) columns, above it as (B, s-1) rows.
+    states each step compares u with the whole row, read from an (s-1, B)
+    table of CDF columns.  Above it each step reads the guide table
+    (``_Guide``): the bucket b = floor(u*G) of every step of a segment is
+    taken at once, and the step adds to first[b, y] the count of the w
+    entries after it at or below u, from one (w, B) take of the padded rows.
+    Both give the same count for every u.
     """
     B = hi - lo
     T = spec.horizon
@@ -393,12 +449,22 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     gens = [stream(spec.master_seed, i) for i in range(lo, hi)]
     u = np.empty((B, 1 + _DRAW))  # column 0 is the start-state draw
     ut = np.empty((_DRAW, B))
-    if s <= _TAKE_COLUMNS_MAX_S:  # the CDF row of state y is column y
-        table, axis, ut_cmp = np.ascontiguousarray(spec.cum_rows[:, : s - 1].T), 1, ut
+    columns = s <= _TAKE_COLUMNS_MAX_S
+    if columns:  # the CDF row of state y is column y
+        table = np.ascontiguousarray(spec.cum_rows[:, : s - 1].T)
+        cdf = np.empty((s - 1, B))
+        hits = np.empty(cdf.shape, dtype=bool)
     else:
-        table, axis, ut_cmp = np.ascontiguousarray(spec.cum_rows[:, : s - 1]), 0, ut[:, :, None]
-    cdf = np.empty((s - 1, B) if axis else (B, s - 1))
-    hits = np.empty(cdf.shape, dtype=bool)
+        guide = _guide_table(spec.cum_rows[:, : s - 1])
+        first, rows = guide.first.ravel(), guide.rows.ravel()
+        stride = guide.rows.shape[1]
+        window = np.arange(guide.w)[:, None]
+        bucket = np.empty((_DRAW, B), dtype=np.intp)  # b*s of each step's uniform
+        at = np.empty(B, dtype=np.intp)
+        below = np.empty(B, dtype=np.intp)
+        idx = np.empty((guide.w, B), dtype=np.intp)
+        cdf = np.empty((guide.w, B))
+        hits = np.empty(cdf.shape, dtype=bool)
     Y = np.empty((_DRAW + 1, B), dtype=np.intp)
     for start in range(0, max(T, 1), _DRAW):
         L = min(_DRAW, T - start)
@@ -413,10 +479,24 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
         else:
             Y[0] = np.minimum(np.searchsorted(spec.cum_pi, u[:, 0], side="right"), s - 1)
         ut[:L] = u[:, 1 : 1 + L].T
-        for n in range(L):
-            table.take(Y[n], axis=axis, out=cdf, mode="clip")
-            np.less_equal(cdf, ut_cmp[n], out=hits)
-            np.add.reduce(hits, axis=1 - axis, dtype=np.intp, out=Y[n + 1])
+        if columns:
+            for n in range(L):
+                table.take(Y[n], axis=1, out=cdf, mode="clip")
+                np.less_equal(cdf, ut[n], out=hits)
+                np.add.reduce(hits, axis=0, dtype=np.intp, out=Y[n + 1])
+        else:
+            np.multiply(ut[:L], guide.G, out=bucket[:L], casting="unsafe")  # floor: u >= 0
+            bucket[:L] *= s
+            for n in range(L):
+                np.add(bucket[n], Y[n], out=at)
+                first.take(at, out=below, mode="clip")  # first[b, y]
+                np.multiply(Y[n], stride, out=at)
+                at += below  # the flat index of rows[y, first[b, y]]
+                np.add(at, window, out=idx)
+                rows.take(idx, out=cdf, mode="clip")
+                np.less_equal(cdf, ut[n], out=hits)
+                np.add.reduce(hits, axis=0, dtype=np.intp, out=Y[n + 1])
+                Y[n + 1] += below
         yield Y[: L + 1]
 
 
@@ -746,6 +826,12 @@ class ExperimentResult:
         }
 
 
+def require_tail_start(n0: int, uses_d: bool) -> None:
+    """A tail with a constant D weighs step m by tail_weight(n0, m), defined for n0 >= 1."""
+    if uses_d and n0 < 1:
+        raise ValidationError(f"n0: a tail constant D needs n0 >= 1, got {n0}")
+
+
 def run_alltime_experiment(
     config: ExperimentConfig, jobs: int = 1, *, analytic: AnalyticSolution
 ) -> ExperimentResult:
@@ -760,7 +846,8 @@ def run_alltime_experiment(
     0, so every martingale increment is identically 0) skips the noise
     sums and the fit: every tail is 0 and every bound is 1 - p_init.
     The same pass collects the errors at the default convergence
-    checkpoints, reduced into ``diagnostics``.
+    checkpoints, reduced into ``diagnostics``.  A tail constant, given or
+    fitted, needs n0 >= 1; that is checked before the ensemble runs.
     """
     t0 = time.monotonic()
     problem = config.problem
@@ -768,6 +855,13 @@ def run_alltime_experiment(
     sched = config.schedule
     n0, horizon = config.n0, config.horizon
     dims = problem.n_features
+    if config.D_const is not None:
+        d_source = "given"
+    elif constants.increment_scale == 0.0:
+        d_source = "noiseless"
+    else:
+        d_source = "fitted"
+    require_tail_start(n0, d_source != "noiseless")
     chk = check_n0(constants, sched, n0)
     if not chk.feasible:
         raise InfeasibleStart(
@@ -785,12 +879,6 @@ def run_alltime_experiment(
 
     decay = decay_curve(constants, sched, n0, horizon)
     primary_floor = floor_term(constants, sched, n0, config.epsilon, config.delta)
-    if config.D_const is not None:
-        d_source = "given"
-    elif constants.increment_scale == 0.0:
-        d_source = "noiseless"
-    else:
-        d_source = "fitted"
     need_fit = d_source == "fitted"
     span = horizon - n0 + 1
     checkpoints = np.unique(np.geomspace(max(n0, 1), horizon, 8).astype(np.int64))

@@ -9,6 +9,7 @@ from tdlab import (
     fit_tail_exponent,
     solve_problem,
 )
+from tdlab import harness
 from tdlab.bounds import decay_curve, floor_term
 from tdlab.harness import (
     Checkpoints,
@@ -121,6 +122,25 @@ class TestFitTailExponent:
         fit = run_alltime_experiment(cfg, analytic=ref_analytic).fitted
         assert fit.value > 0.0
         assert fit.n_points >= 3
+
+
+class TestTailStartIndex:
+    @pytest.fixture
+    def no_ensemble(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the start index was checked")
+
+        monkeypatch.setattr(harness, "_run_ensemble", refuse)
+
+    @pytest.mark.parametrize("D_const", [1.0, None])  # given; fitted on the noisy reference
+    def test_tail_constant_needs_n0_at_least_1(self, ref_problem, ref_analytic, no_ensemble, D_const):
+        cfg = small_config(ref_problem, n0=0, D_const=D_const)
+        with pytest.raises(ValidationError, match=r"^n0: a tail constant D needs n0 >= 1, got 0$"):
+            run_alltime_experiment(cfg, analytic=ref_analytic)
+
+    def test_noiseless_without_d_runs_at_n0_0(self, scalar, scalar_analytic):
+        result = run_alltime_experiment(small_config(scalar, n0=0), analytic=scalar_analytic)
+        assert result.D_source == "noiseless" and result.D_used is None
 
 
 class TestAllTimeExperiment:

@@ -1,11 +1,19 @@
 """The segment-wise path sampler against the whole-path reference sampler.
 
 ``harness._path_segments`` draws each trajectory's uniforms one segment of
-``_DRAW`` steps at a time and picks the next state from a table of the
-first s-1 CDF columns, read as (s-1, B) columns up to
-``_TAKE_COLUMNS_MAX_S`` states and as (B, s-1) rows above; the oracle
-``reference_paths`` draws the whole path at once and caps the full count
-at s-1.  Every state must be equal.
+``_DRAW`` steps at a time.  The next state is the count of the first s-1
+CDF entries of the current row at or below the uniform u.  Up to
+``_TAKE_COLUMNS_MAX_S`` states each step compares u with the whole row,
+read as (s-1, B) CDF columns.  Above it each step reads a guide table
+(``harness._guide_table``): the count at or below the bucket edge b/G with
+b = floor(u*G), plus the count at or below u of the next w entries.  The
+oracle ``reference_paths`` draws the whole path at once and caps the full
+count at s-1.  Every state must be equal, in both layouts.
+
+The guide lookup is also pinned against a per-row ``searchsorted`` on CDF
+rows built to hit its edges: entries exactly on b/G, repeated and trailing
+1.0 entries (states of probability 0), uniforms on and just below b/G and
+at 1 - 2^-53, and a row whose mass sits below 1/G, so that w >= s/2.
 """
 
 import tracemalloc
@@ -15,12 +23,15 @@ import numpy as np
 import pytest
 
 from tdlab import StepSchedule, solve_problem
+import tdlab.harness as harness
 from tdlab.harness import (
     _DRAW,
+    _GUIDE_MAX_CELLS,
     _TAKE_COLUMNS_MAX_S,
     ExperimentConfig,
     StartError,
     _base_spec,
+    _guide_table,
     _path_segments,
     _run_chunk,
     _sample_paths,
@@ -60,6 +71,21 @@ def wide():
     return problem, solve_problem(problem)
 
 
+@pytest.fixture(scope="module", params=[_TAKE_COLUMNS_MAX_S + 1, 33, 600])
+def sized(request):
+    """Random chains just above the column limit, just above the earlier
+    limit of 32, and past s = 512, where int64 search keys would overflow."""
+    problem = random_problem(request.param, s=request.param, d=3)
+    return problem, solve_problem(problem)
+
+
+@pytest.fixture(params=["columns", "guide"])
+def layout(request, monkeypatch):
+    """Route every chain through one branch of ``_path_segments``."""
+    monkeypatch.setattr(harness, "_TAKE_COLUMNS_MAX_S", 10**9 if request.param == "columns" else 0)
+    return request.param
+
+
 class TestReferenceTwins:
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_column_layout(self, ref_problem, ref_analytic, horizon):
@@ -86,6 +112,117 @@ class TestReferenceTwins:
         assert_equal_paths(path_spec(*wide, 70, policy), 0, 3)
 
 
+class TestBothLayouts:
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_reference(self, layout, ref_problem, ref_analytic, horizon):
+        assert_equal_paths(path_spec(ref_problem, ref_analytic, horizon), 3, 20)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_scalar(self, layout, scalar, scalar_analytic, horizon):
+        assert_equal_paths(path_spec(scalar, scalar_analytic, horizon), 0, 4)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_wide(self, layout, wide, horizon):
+        assert_equal_paths(path_spec(*wide, horizon, policy="uniform"), 0, 7)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_sizes(self, layout, sized, horizon):
+        assert_equal_paths(path_spec(*sized, horizon, policy="uniform"), 2, 9)
+
+
+def guide_size(s):
+    """The table's bucket count below its cell cap: the smallest power of two >= 4s."""
+    return 1 << (4 * s - 1).bit_length()
+
+
+def edge_cdf(s, G):
+    """Nondecreasing (s, s-1) CDF rows that hit the guide lookup's edges."""
+    rng = np.random.default_rng(s)
+    rows = [
+        np.arange(1, s) / G,  # every entry exactly on a bucket edge
+        np.sort(rng.integers(0, G + 1, size=s - 1)) / G,  # edges, repeated, and 1.0
+        np.minimum(np.cumsum(rng.dirichlet(np.ones(s)))[: s - 1], 1.0),
+        np.r_[np.sort(rng.random(s // 2)), np.ones(s - 1 - s // 2)],  # trailing 1.0
+        np.r_[np.full(s // 3, 0.25), np.full(s - 1 - s // 3, 0.5)],  # repeated edges
+        np.zeros(s - 1),
+    ]
+    rows += [np.sort(rng.random(s - 1)) for _ in range(s - len(rows))]
+    return np.array(rows)
+
+
+def crowded_cdf(s, G):
+    """``edge_cdf`` with one row whose mass sits below 1/G, so that w >= s/2."""
+    cdf = edge_cdf(s, G)
+    cdf[5] = np.r_[np.sort(np.random.default_rng(s).random(s - 2)) / G, 1.0]
+    return cdf
+
+
+def edge_uniforms(G):
+    """0, every bucket edge b/G, the double just below each, and 1 - 2^-53."""
+    edges = np.arange(G) / G
+    return np.r_[edges, np.nextafter(edges[1:], 0.0), 1.0 - 2.0**-53]
+
+
+def guide_lookup(guide, y, u):
+    """The rule ``_path_segments`` applies per step, one (state, uniform) at a time."""
+    b = int(u * guide.G)
+    lo = guide.first[b, y]
+    return lo + int(np.count_nonzero(guide.rows[y, lo : lo + guide.w] <= u))
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("s", [8, 33, 200])
+    @pytest.mark.parametrize("rows", [edge_cdf, crowded_cdf])
+    def test_lookup_equals_searchsorted(self, s, rows):
+        G = guide_size(s)
+        cdf = rows(s, G)
+        guide = _guide_table(cdf)
+        assert guide.G == G
+        assert (guide.w >= s // 2) == (rows is crowded_cdf)
+        us = edge_uniforms(G)
+        for y, row in enumerate(cdf):
+            want = np.searchsorted(row, us, side="right")
+            assert [guide_lookup(guide, y, u) for u in us] == want.tolist(), y
+
+    def test_bucket_edges_are_exact(self):
+        G = guide_size(33)
+        assert ((np.arange(G) / G) * G == np.arange(G)).all()
+        assert int((1.0 - 2.0**-53) * G) == G - 1
+
+    @pytest.mark.parametrize("s", [2, 33, 255, 256, 257, 600, 3000])
+    def test_bucket_count_is_capped(self, s):
+        G = _guide_table(np.full((s, 1), 0.5)).G
+        assert G & (G - 1) == 0 and G * s <= _GUIDE_MAX_CELLS
+        assert G == guide_size(s) or 2 * G * s > _GUIDE_MAX_CELLS
+
+    @pytest.mark.parametrize("s", [33, 200])
+    @pytest.mark.parametrize("rows", [edge_cdf, crowded_cdf])
+    def test_path_segments_on_edge_uniforms(self, layout, wide, monkeypatch, s, rows):
+        """The sampler's own loop, fed the edge uniforms in place of a stream."""
+        cdf = rows(s, guide_size(s))
+        us = np.tile(edge_uniforms(guide_size(s)), 3)
+        us = us[np.random.default_rng(1).permutation(len(us))]
+
+        class Fixed:  # stands in for rng.stream(seed, index)
+            def __init__(self, seed, index):
+                self.pos = 0
+
+            def random(self, out):
+                out[:] = us[self.pos : self.pos + len(out)]
+                self.pos += len(out)
+
+        monkeypatch.setattr(harness, "stream", Fixed)
+        spec = replace(
+            path_spec(*wide, len(us) - 1, policy="fixed:3"),
+            cum_rows=np.c_[cdf, np.ones(s)],
+            phi=np.zeros((s, 1)),
+        )
+        want = [3]
+        for u in us[1:]:
+            want.append(int(np.searchsorted(cdf[want[-1]], u, side="right")))
+        assert _sample_paths(spec, 0, 1)[0].tolist() == want
+
+
 class TestSegments:
     def test_batch_rows_are_each_trajectory_alone(self, ref_problem, ref_analytic):
         spec = path_spec(ref_problem, ref_analytic, 2 * _DRAW + 1)
@@ -107,6 +244,20 @@ class TestSegments:
 
 
 class TestMemory:
+    def test_guide_tables_stay_under_the_cell_cap(self):
+        s = 2000
+        cdf = np.sort(np.random.default_rng(0).random((s, s - 1)), axis=1)
+        tracemalloc.start()
+        try:
+            guide = _guide_table(cdf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert guide.first.size == guide.G * s <= _GUIDE_MAX_CELLS
+        # the padded rows replace the parent's contiguous copy of the CDF table
+        assert guide.rows.shape == (s, s - 1 + guide.w)
+        assert peak < guide.first.nbytes + guide.rows.nbytes + (1 << 20)
+
     def test_run_chunk_peaks_below_a_full_path_array(self, ref_problem, ref_analytic):
         # the (B, T+1) int64 states alone would take 64 * 20 001 * 8 bytes
         B, T = 64, 20_000
