@@ -20,7 +20,6 @@ from .bounds import (
     check_n0,
     evaluate_bound,
     floor_term,
-    martingale_tail,
     radius_curve,
     tail_crossover,
     tail_probability,

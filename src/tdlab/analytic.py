@@ -96,24 +96,10 @@ class PolicyEvalProblem:
     def n_features(self) -> int:
         return self.features.n_features
 
-    def state_map(self, x: np.ndarray, i: int) -> np.ndarray:
-        """The per-state expected-update map F(x, i)."""
-        x = np.asarray(x, dtype=float)
-        return self.offset_terms[i] + self.linear_terms[i] @ x + x
-
     def mean_field(self, x: np.ndarray) -> np.ndarray:
         """Stationary average of the per-state map; an affine contraction."""
         x = np.asarray(x, dtype=float)
         return x - self.map_matrix @ x + self.map_offset
-
-    def noise_matrix(self, y: int, y_next: int) -> np.ndarray:
-        """Martingale-difference matrix of the transition ``y -> y_next``.
-
-        Rank one: the feature vector at ``y`` times the gap between the
-        realized and expected next feature vectors, scaled by the discount.
-        Conditional mean over ``y_next`` is exactly zero.
-        """
-        return self.gamma * np.outer(self.phi[y], self.phi[y_next] - self.next_phi[y])
 
 
 @dataclass(frozen=True)
@@ -135,14 +121,6 @@ class PoissonSolution:
     expected_linear: np.ndarray
     offset_residual: float
     linear_residual: float
-
-    def offset_noise(self, y: int, y_next: int) -> np.ndarray:
-        """Martingale-difference increment of the offset solution along a transition."""
-        return self.offset[y_next] - self.expected_offset[y]
-
-    def linear_noise(self, y: int, y_next: int) -> np.ndarray:
-        """Martingale-difference increment of the linear solution along a transition."""
-        return self.linear[y_next] - self.expected_linear[y]
 
 
 @dataclass(frozen=True)

@@ -18,21 +18,29 @@ that the iterate at n0 already sits outside epsilon.  Above the
 crossover scale the per-step tail switches from a quadratic to a linear
 exponent.  A problem without noise has a tail sum of exactly 0, and no D.
 
-Infinite horizons are summed with a certified truncation: terms decay
-like exp(-c m^q), the exact terms are summed up to a cut, and the
-remainder beyond the cut is bounded by the corresponding incomplete-gamma
-integral and added to the sum, keeping the reported probability a true
-lower bound.  The cut is where a term drops below a relative cutoff of
-the first term, capped at a fixed term budget, so the cost is bounded
-for any positive exponent strength.
+Every tail term is 2 d exp(-c m^q) for one pair (c, q) read off the
+query and the schedule; the finite sum, the infinite partial sum and the
+per-step terms of ``bound.csv`` read the same vectorised terms.
 
-Nothing here writes a file: ``cli`` owns every output format, and
-``BoundReport.tail_terms`` hands it the per-step terms of ``bound.csv``.
+Infinite horizons are summed with a certified truncation: the exact terms
+up to a cut, plus the incomplete-gamma integral beyond it as a bound on
+the remainder, so the reported probability stays a true lower bound.  The
+cut is where a term drops below a relative cutoff of the first term,
+capped at a fixed term budget.  The cut is compared as m^q and the
+remainder's scale Gamma(1/q) / (q c^(1/q)) is taken in log space, so no
+power overflows for any finite positive D; a tail sum beyond the double
+range raises ``SeriesDivergence``.
+
+The start-index and D rules live here, for the harness and the CLI:
+``require_feasible`` (the one margin and message), ``tail_constant_source``
+(D given, noiseless or fitted) and ``require_tail_start`` (D needs n0 >= 1).
+Nothing here writes a file: ``cli`` owns every output format.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,7 @@ from .schedule import StepSchedule
 
 _REL_TERM_CUTOFF = 1e-16
 _TERM_BUDGET = 2**18  # exact terms summed at most (2 MB); the remainder bounds the rest
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -52,17 +61,43 @@ class StartIndexCheck:
     smallest_feasible: int | None  # None when no index of a finite table works
 
 
+def _margin(constants: ConstantsBundle, schedule: StepSchedule, n0: int) -> float:
+    return 1.0 - constants.alpha - schedule.step(n0) * constants.remainder_gain
+
+
 def check_n0(constants: ConstantsBundle, schedule: StepSchedule, n0: int) -> StartIndexCheck:
     """Feasibility of a start index: the contraction margin left after the
     step-size correction, plus the smallest index that is feasible at all."""
     if n0 < 0:
         raise ValidationError(f"start index must be >= 0, got {n0}")
-    margin = 1.0 - constants.alpha - schedule.step(n0) * constants.remainder_gain
-    return StartIndexCheck(
-        feasible=margin > 0.0,
-        margin=margin,
-        smallest_feasible=_smallest_feasible_n0(constants, schedule),
-    )
+    margin = _margin(constants, schedule, n0)
+    return StartIndexCheck(margin > 0.0, margin, _smallest_feasible_n0(constants, schedule))
+
+
+def require_feasible(constants: ConstantsBundle, schedule: StepSchedule, n0: int) -> float:
+    """The margin at a feasible start index, else :class:`InfeasibleStart`;
+    a feasible start reads nothing of the schedule but ``step``."""
+    margin = _margin(constants, schedule, n0)
+    if margin <= 0.0:
+        raise InfeasibleStart(
+            f"start index {n0} infeasible (margin {margin:.6g}); "
+            f"smallest feasible index is {_smallest_feasible_n0(constants, schedule)}"
+        )
+    return margin
+
+
+def tail_constant_source(constants: ConstantsBundle, D_const: float | None) -> str:
+    """Where D comes from: ``given``; ``noiseless`` when the problem has no
+    noise, so every tail is 0 without one; else ``fitted`` from an ensemble."""
+    if D_const is not None:
+        return "given"
+    return "noiseless" if constants.increment_scale == 0.0 else "fitted"
+
+
+def require_tail_start(n0: int, source: str) -> None:
+    """A tail with a constant D weighs step m by tail_weight(n0, m), defined for n0 >= 1."""
+    if source != "noiseless" and n0 < 1:
+        raise ValidationError(f"n0: a tail constant D needs n0 >= 1, got {n0}")
 
 
 def _smallest_feasible_n0(constants: ConstantsBundle, schedule: StepSchedule) -> int | None:
@@ -112,7 +147,7 @@ def build_query(
     p_init: float,
     p_init_source: str = "user",
 ) -> BoundQuery:
-    """Validate ranges and feasibility, then freeze the query.
+    """Validate ranges, the tail constant and feasibility, then freeze the query.
 
     ``D_const`` may be None only when the problem has no noise
     (``increment_scale`` 0): the tail is then 0 and needs no constant.
@@ -123,28 +158,19 @@ def build_query(
         raise ValidationError(f"delta must lie in (0, 1], got {delta}")
     if not 0.0 <= p_init <= 1.0:
         raise ValidationError(f"p_init must lie in [0, 1], got {p_init}")
-    if D_const is None:
-        if constants.increment_scale != 0.0:
-            raise ValidationError("a problem with noise needs a tail-exponent constant")
-    elif not (math.isfinite(D_const) and D_const > 0.0):
+    source = tail_constant_source(constants, D_const)
+    if source == "fitted":
+        raise ValidationError(
+            "no tail-exponent constant: set experiment.D_const, pass --D, "
+            "or run the experiment command to fit one"
+        )
+    if D_const is not None and not (math.isfinite(D_const) and D_const > 0.0):
         raise ValidationError(f"tail-exponent constant must be finite and positive, got {D_const}")
     if horizon is not None and horizon < n0:
         raise ValidationError(f"horizon {horizon} must be >= start index {n0}")
-    chk = check_n0(constants, schedule, n0)
-    if not chk.feasible:
-        raise InfeasibleStart(
-            f"start index {n0} infeasible (margin {chk.margin:.6g}); "
-            f"smallest feasible index is {chk.smallest_feasible}"
-        )
-    return BoundQuery(
-        epsilon=epsilon,
-        delta=delta,
-        n0=n0,
-        horizon=horizon,
-        D_const=D_const,
-        p_init=p_init,
-        p_init_source=p_init_source,
-    )
+    require_feasible(constants, schedule, n0)
+    require_tail_start(n0, source)
+    return BoundQuery(epsilon, delta, n0, horizon, D_const, p_init, p_init_source)
 
 
 def floor_term(
@@ -155,10 +181,8 @@ def floor_term(
     delta: float,
 ) -> float:
     """The non-decaying part of the radius; requires a feasible start index."""
+    margin = require_feasible(constants, schedule, n0)
     a0 = schedule.step(n0)
-    margin = 1.0 - constants.alpha - a0 * constants.remainder_gain
-    if margin <= 0.0:
-        raise InfeasibleStart(f"start index {n0} infeasible (margin {margin:.6g})")
     return (a0 * (constants.remainder_offset + constants.remainder_gain * epsilon) + delta) / margin
 
 
@@ -192,10 +216,8 @@ def tail_crossover(
     constants: ConstantsBundle, schedule: StepSchedule, n0: int, dims: int
 ) -> float:
     """Scale separating the quadratic-exponent tail regime from the linear one."""
+    margin = require_feasible(constants, schedule, n0)
     a0 = schedule.step(n0)
-    margin = 1.0 - constants.alpha - a0 * constants.remainder_gain
-    if margin <= 0.0:
-        raise InfeasibleStart(f"start index {n0} infeasible (margin {margin:.6g})")
     return (
         math.sqrt(dims)
         * constants.increment_scale
@@ -203,15 +225,28 @@ def tail_crossover(
     )
 
 
-def martingale_tail(
-    delta: float, crossover: float, D_const: float, omega: float, dims: int
-) -> float:
-    """Per-step tail bound 2 d exp(-D delta^p / omega), quadratic p at or below
-    the crossover and linear above it (the dimension factor is a union bound)."""
-    if delta <= 0.0 or omega <= 0.0 or D_const <= 0.0:
-        raise ValidationError("delta, omega and the exponent constant must be positive")
-    power = 2.0 if delta <= crossover else 1.0
-    return 2.0 * dims * math.exp(-D_const * delta**power / omega)
+def _tail_exponent(
+    query: BoundQuery, schedule: StepSchedule, crossover: float
+) -> tuple[float, float]:
+    """(c, q) with D delta^p / tail_weight(n0, m) = c m^q: quadratic p at or
+    below the crossover, linear above it."""
+    power = 2.0 if query.delta <= crossover else 1.0
+    strength = query.D_const * query.delta**power
+    if strength <= 0.0:
+        raise SeriesDivergence(f"tail terms do not decay: D * delta^{power:g} is {strength:g}")
+    d1, d2 = schedule.d1, schedule.d2
+    if d1 <= d2:
+        return strength * float(query.n0) ** (d2 - d1), d1
+    return strength, d2
+
+
+def _tail_terms(c: float, q: float, first: int, last: int) -> np.ndarray:
+    """exp(-c m^q) for m = first .. last (empty when last < first)."""
+    terms = np.arange(first, last + 1, dtype=float)
+    np.power(terms, q, out=terms)
+    with np.errstate(over="ignore"):  # -inf for a huge c, and its term is 0
+        terms *= -c
+    return np.exp(terms, out=terms)
 
 
 @dataclass(frozen=True)
@@ -226,16 +261,27 @@ class TailSummary:
 
 
 def _series_remainder(c: float, q: float, M: int) -> float:
-    """Upper bound on sum_{m > M} exp(-c m^q) via the decreasing-integrand integral,
-    evaluated exactly with the regularized upper incomplete gamma function.
+    """Upper bound on sum_{m > M} exp(-c m^q): the integral from M,
+    Gamma(a) Q(a, c M^q) / (q c^a) with a = 1/q and Q the regularized upper
+    incomplete gamma function, taken in log space; inf beyond the double range.
 
     scipy is imported here, at its one use, so that start-up does not load it.
     """
     from scipy.special import gammaincc
 
     a = 1.0 / q
-    scale = math.gamma(a) / (q * c**a)
-    return float(scale * gammaincc(a, c * float(M) ** q))
+    upper = float(gammaincc(a, c * float(M) ** q))
+    if upper == 0.0:  # below the double range, as every later exact term
+        return 0.0
+    log_rem = math.lgamma(a) - math.log(q) - a * math.log(c) + math.log(upper)
+    return math.exp(log_rem) if log_rem < _LOG_FLOAT_MAX else math.inf
+
+
+def _summary(
+    tail_sum: float, p_init: float, cross: float, delta: float, cut=None, remainder=0.0
+) -> TailSummary:
+    prob = 1.0 - tail_sum - p_init
+    return TailSummary(tail_sum, prob, prob <= 0.0, cross, delta <= cross, cut, remainder)
 
 
 def tail_probability(
@@ -252,56 +298,29 @@ def tail_probability(
     if dims < 1:
         raise ValidationError(f"dimension must be >= 1, got {dims}")
     n0 = query.n0
+    require_tail_start(n0, tail_constant_source(constants, query.D_const))
     if query.D_const is None:
         return zero_tail(constants, schedule, n0, dims, query.delta, query.p_init)
-    if n0 < 1:
-        raise ValidationError("tail weights need a start index >= 1")
     cross = tail_crossover(constants, schedule, n0, dims)
-    quad = query.delta <= cross
-    power = 2.0 if quad else 1.0
-    strength = query.D_const * query.delta**power
-    if strength <= 0.0:
-        raise SeriesDivergence("tail terms do not decay: nonpositive exponent strength")
-
-    d1, d2 = schedule.d1, schedule.d2
-    if d1 <= d2:
-        c = strength * float(n0) ** (d2 - d1)
-        q = d1
-    else:
-        c = strength
-        q = d2
-
-    truncated_at: int | None = None
-    remainder = 0.0
+    c, q = _tail_exponent(query, schedule, cross)
     if query.horizon is not None:
-        if query.horizon <= n0:
-            total = 0.0
-        else:
-            ms = np.arange(n0 + 1, query.horizon + 1, dtype=float)
-            total = float(np.sum(np.exp(-c * ms**q)))
+        truncated_at, remainder, last = None, 0.0, query.horizon
     else:
-        # exp(-c m^q) < cutoff * exp(-c (n0+1)^q) once m passes this index;
-        # the first term is a lower bound on any partial sum
-        rel_cut = (float(n0 + 1) ** q - math.log(_REL_TERM_CUTOFF) / c) ** (1.0 / q)
-        truncated_at = int(min(rel_cut, n0 + _TERM_BUDGET))
-        terms = np.arange(n0 + 1, truncated_at + 1, dtype=float)
-        np.power(terms, q, out=terms)
-        terms *= -c
-        np.exp(terms, out=terms)
+        # exp(-c m^q) < cutoff * exp(-c (n0+1)^q) once m^q passes cut_q, which
+        # is inf, not an error, for a tiny c; the first term bounds any partial sum
+        last = truncated_at = n0 + _TERM_BUDGET
+        cut_q = float(n0 + 1) ** q - math.log(_REL_TERM_CUTOFF) / c
+        if cut_q < float(last) ** q:
+            last = truncated_at = int(cut_q ** (1.0 / q))
         remainder = _series_remainder(c, q, truncated_at)
-        total = float(terms.sum()) + remainder
-
-    tail_sum = 2.0 * dims * total
-    prob = 1.0 - tail_sum - query.p_init
-    return TailSummary(
-        tail_sum=tail_sum,
-        prob_lower_bound=prob,
-        vacuous=prob <= 0.0,
-        crossover=cross,
-        quadratic_branch=quad,
-        truncated_at=truncated_at,
-        remainder_bound=2.0 * dims * remainder,
-    )
+    tail_sum = 2.0 * dims * (float(_tail_terms(c, q, n0 + 1, last).sum()) + remainder)
+    if not math.isfinite(tail_sum):
+        raise SeriesDivergence(
+            f"the tail sum exceeds the double range: its terms exp(-c m^{q:g}) decay too "
+            f"slowly at c = {c:.6g}, as the tail-exponent constant D is too small"
+        )
+    remainder_bound = 2.0 * dims * remainder
+    return _summary(tail_sum, query.p_init, cross, query.delta, truncated_at, remainder_bound)
 
 
 def zero_tail(
@@ -324,17 +343,7 @@ def zero_tail(
         raise ValidationError(
             f"the tail vanishes only without noise; increment scale is {constants.increment_scale}"
         )
-    cross = tail_crossover(constants, schedule, n0, dims)
-    prob = 1.0 - p_init
-    return TailSummary(
-        tail_sum=0.0,
-        prob_lower_bound=prob,
-        vacuous=prob <= 0.0,
-        crossover=cross,
-        quadratic_branch=delta <= cross,
-        truncated_at=None,
-        remainder_bound=0.0,
-    )
+    return _summary(0.0, p_init, tail_crossover(constants, schedule, n0, dims), delta)
 
 
 @dataclass(frozen=True)
@@ -347,6 +356,7 @@ class BoundReport:
     radius: np.ndarray
     floor: float
     tail: TailSummary
+    D_source: str  # ``tail_constant_source`` of the query's constant
 
     def as_dict(self) -> dict:
         return {
@@ -355,7 +365,7 @@ class BoundReport:
             "n0": self.query.n0,
             "horizon": self.query.horizon,
             "D_const": self.query.D_const,
-            "D_source": "noiseless" if self.query.D_const is None else "given",
+            "D_source": self.D_source,
             "p_init": self.query.p_init,
             "p_init_source": self.query.p_init_source,
             "dims": self.dims,
@@ -371,17 +381,13 @@ class BoundReport:
 
     def tail_terms(self, schedule: StepSchedule) -> list[float]:
         """The per-step tail term at each m of ``ms``: 0 at n0 and without
-        noise, else :func:`martingale_tail` at ``tail_weight(n0, m)``.  On a
-        finite horizon they sum to ``tail.tail_sum`` up to rounding."""
+        noise.  On a finite horizon they sum to ``tail.tail_sum`` up to rounding."""
         q = self.query
         if q.D_const is None:
             return [0.0] * len(self.ms)
-        return [0.0] + [
-            martingale_tail(
-                q.delta, self.tail.crossover, q.D_const, schedule.tail_weight(q.n0, m), self.dims
-            )
-            for m in self.ms[1:].tolist()
-        ]
+        c, power = _tail_exponent(q, schedule, self.tail.crossover)
+        terms = 2.0 * self.dims * _tail_terms(c, power, q.n0 + 1, int(self.ms[-1]))
+        return [0.0] + terms.tolist()
 
 
 def evaluate_bound(
@@ -396,17 +402,17 @@ def evaluate_bound(
     For infinite-horizon queries the curve is still tabulated to a finite
     ``curve_horizon`` (default: 10 * n0 + 1000) for reporting.
     """
+    n0 = query.n0
     horizon = query.horizon if query.horizon is not None else curve_horizon
     if horizon is None:
-        horizon = 10 * query.n0 + 1000
-    ms, radius = radius_curve(
-        constants, schedule, query.n0, horizon, query.epsilon, query.delta
-    )
+        horizon = 10 * n0 + 1000
+    floor = floor_term(constants, schedule, n0, query.epsilon, query.delta)
     return BoundReport(
         query=query,
         dims=dims,
-        ms=ms,
-        radius=radius,
-        floor=floor_term(constants, schedule, query.n0, query.epsilon, query.delta),
+        ms=np.arange(n0, horizon + 1),
+        radius=decay_curve(constants, schedule, n0, horizon) * query.epsilon + floor,
+        floor=floor,
         tail=tail_probability(query, dims, schedule, constants),
+        D_source=tail_constant_source(constants, query.D_const),
     )

@@ -26,13 +26,14 @@ import os
 import sys
 import time
 from collections.abc import Iterable
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bounds import build_query, check_n0, evaluate_bound
 from .config import LoadedConfig, load_config
 from .errors import ComputeError, NonFinite, ValidationError
 from . import harness
-from .harness import estimate_p_init, require_tail_start, run_alltime_experiment, simulate_trajectory
+from .harness import estimate_p_init, run_alltime_experiment, simulate_trajectory
 
 
 def _write_json(path: Path, obj) -> None:
@@ -136,11 +137,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _require_tail_start(exp, uses_d: bool) -> None:
+def _in_experiment(exp, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` on the config's experiment block.  A library
+    check that names a field of the block (``n0: ...``) gets the block's
+    prefix, as the config's own messages have."""
     try:
-        require_tail_start(exp.n0, uses_d)
-    except ValidationError as exc:  # its message starts with the field name
-        raise ValidationError(f"experiment.{exc}") from exc
+        return call(*args, **kwargs)
+    except ValidationError as exc:
+        if str(exc).partition(":")[0] in {f.name for f in fields(exp)}:
+            raise ValidationError(f"experiment.{exc}") from exc
+        raise
 
 
 def cmd_bound(args) -> int:
@@ -149,29 +155,22 @@ def cmd_bound(args) -> int:
     cfg = _load(args)
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()
-    d_const = args.D if args.D is not None else exp.D_const
-    if d_const is None and analytic.constants.increment_scale != 0.0:
-        raise ValidationError(
-            "no tail-exponent constant: set experiment.D_const, pass --D, "
-            "or run the experiment command to fit one"
-        )
-    _require_tail_start(exp, d_const is not None)
-    if cfg.p_init_user is not None:
-        p_init, source = cfg.p_init_user, "user"
-    else:
-        est = estimate_p_init(exp, jobs=args.jobs, analytic=analytic)
-        p_init, source = est.value, "empirical"
-    query = build_query(
+    # the query is checked in full before the initial-error ensemble runs
+    query = _in_experiment(
+        exp,
+        build_query,
         analytic.constants,
         cfg.schedule,
         epsilon=exp.epsilon,
         delta=exp.delta,
         n0=exp.n0,
         horizon=None if args.infinite else exp.horizon,
-        D_const=d_const,
-        p_init=p_init,
-        p_init_source=source,
+        D_const=args.D if args.D is not None else exp.D_const,
+        p_init=0.0 if cfg.p_init_user is None else cfg.p_init_user,
     )
+    if cfg.p_init_user is None:
+        est = estimate_p_init(exp, jobs=args.jobs, analytic=analytic)
+        query = replace(query, p_init=est.value, p_init_source="empirical")
     report = evaluate_bound(
         query, cfg.problem.n_features, cfg.schedule, analytic.constants,
         curve_horizon=exp.horizon,
@@ -190,9 +189,8 @@ def cmd_experiment(args) -> int:
     cfg = _load(args)
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()
-    _require_tail_start(exp, exp.D_const is not None or analytic.constants.increment_scale != 0.0)
     t0 = time.monotonic()
-    result = run_alltime_experiment(exp, jobs=args.jobs, analytic=analytic)
+    result = _in_experiment(exp, run_alltime_experiment, exp, jobs=args.jobs, analytic=analytic)
     out = _out_dir(args, cfg)
     _write_json(out / "result.json", result.as_dict())
     if "csv" in cfg.formats:

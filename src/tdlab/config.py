@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import AnalyticSolution, PolicyEvalProblem, solve_problem
-from .bounds import check_n0
-from .errors import ConfigError, ValidationError
+from .bounds import require_feasible
+from .errors import ConfigError, InfeasibleStart, ValidationError
 from .features import build_features
 from .harness import ExperimentConfig
 from .markov import build_chain
@@ -208,12 +208,10 @@ def load_config(path: str | Path) -> LoadedConfig:
             if not 0.0 <= p_init_user <= 1.0:
                 raise ConfigError(f"experiment.p_init: must lie in [0, 1], got {p_init_user}")
         if analytic is not None:
-            chk = check_n0(analytic.constants, schedule, experiment.n0)
-            if not chk.feasible:
-                issues.append(
-                    f"experiment.n0: start index {experiment.n0} infeasible "
-                    f"(margin {chk.margin:.6g}); smallest feasible is {chk.smallest_feasible}"
-                )
+            try:
+                require_feasible(analytic.constants, schedule, experiment.n0)
+            except InfeasibleStart as exc:
+                issues.append(f"experiment.n0: {exc}")
 
     output_dir = "."
     formats: tuple[str, ...] = ("json", "csv")

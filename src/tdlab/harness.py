@@ -74,13 +74,15 @@ from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem
 from .bounds import (
     TailSummary,
     build_query,
-    check_n0,
     decay_curve,
     floor_term,
+    require_feasible,
+    require_tail_start,
+    tail_constant_source,
     tail_probability,
 )
 from .dynamics import TrajectoryRecord, run_deterministic
-from .errors import InfeasibleStart, InsufficientTailData, NonFinite, ValidationError
+from .errors import InsufficientTailData, NonFinite, ValidationError
 from .rng import stream
 from .schedule import StepSchedule
 
@@ -826,12 +828,6 @@ class ExperimentResult:
         }
 
 
-def require_tail_start(n0: int, uses_d: bool) -> None:
-    """A tail with a constant D weighs step m by tail_weight(n0, m), defined for n0 >= 1."""
-    if uses_d and n0 < 1:
-        raise ValidationError(f"n0: a tail constant D needs n0 >= 1, got {n0}")
-
-
 def run_alltime_experiment(
     config: ExperimentConfig, jobs: int = 1, *, analytic: AnalyticSolution
 ) -> ExperimentResult:
@@ -847,7 +843,9 @@ def run_alltime_experiment(
     sums and the fit: every tail is 0 and every bound is 1 - p_init.
     The same pass collects the errors at the default convergence
     checkpoints, reduced into ``diagnostics``.  A tail constant, given or
-    fitted, needs n0 >= 1; that is checked before the ensemble runs.
+    fitted, needs n0 >= 1, and n0 must be feasible; both are checked before
+    the ensemble runs.  Every grid cell's tail is the primary query with
+    that cell's epsilon, delta and p_init.
     """
     t0 = time.monotonic()
     problem = config.problem
@@ -855,19 +853,9 @@ def run_alltime_experiment(
     sched = config.schedule
     n0, horizon = config.n0, config.horizon
     dims = problem.n_features
-    if config.D_const is not None:
-        d_source = "given"
-    elif constants.increment_scale == 0.0:
-        d_source = "noiseless"
-    else:
-        d_source = "fitted"
-    require_tail_start(n0, d_source != "noiseless")
-    chk = check_n0(constants, sched, n0)
-    if not chk.feasible:
-        raise InfeasibleStart(
-            f"start index {n0} infeasible (margin {chk.margin:.6g}); "
-            f"smallest feasible is {chk.smallest_feasible}"
-        )
+    d_source = tail_constant_source(constants, config.D_const)
+    require_tail_start(n0, d_source)
+    require_feasible(constants, sched, n0)
 
     eps_grid = list(config.epsilon_grid) if config.epsilon_grid else []
     if config.epsilon not in eps_grid:
@@ -903,6 +891,7 @@ def run_alltime_experiment(
     p_init_exceed = int(np.count_nonzero(err_n0 > config.epsilon))
 
     fitted: TailFit | None = None
+    d_used = None if config.D_const is None else float(config.D_const)
     if need_fit:
         noise_sums = out[NoiseSums].norms
         fit_deltas = np.unique(np.quantile(noise_sums.ravel(), DEFAULT_FIT_QUANTILES))
@@ -913,25 +902,17 @@ def run_alltime_experiment(
             for dlt in fit_deltas
         )
         d_used = fitted.value
-    elif d_source == "given":
-        d_used = float(config.D_const)
-    else:
-        d_used = None
-    p_init_source = "fitted-ensemble" if need_fit else "empirical"
-
-    def tail_at(eps: float, dlt: float, p_init: float) -> TailSummary:
-        q = build_query(
-            constants,
-            sched,
-            epsilon=eps,
-            delta=dlt,
-            n0=n0,
-            horizon=horizon,
-            D_const=d_used,
-            p_init=p_init,
-            p_init_source=p_init_source,
-        )
-        return tail_probability(q, dims, sched, constants)
+    query = build_query(
+        constants,
+        sched,
+        epsilon=config.epsilon,
+        delta=config.delta,
+        n0=n0,
+        horizon=horizon,
+        D_const=d_used,
+        p_init=p_init_exceed / n,
+        p_init_source="fitted-ensemble" if need_fit else "empirical",
+    )
 
     # the primary (epsilon, delta) is one of the cells; its row is the verdict
     grid_rows: list[GridRow] = []
@@ -940,7 +921,9 @@ def run_alltime_experiment(
         for dlt in delta_grid:
             flr = floor_term(constants, sched, n0, eps, dlt)
             vio = int(np.count_nonzero(max_excess[:, i_eps] > flr))
-            t = tail_at(eps, dlt, p_init_eps)
+            t = tail_probability(
+                replace(query, epsilon=eps, delta=dlt, p_init=p_init_eps), dims, sched, constants
+            )
             row = GridRow(
                 epsilon=eps,
                 delta=dlt,
@@ -979,7 +962,7 @@ def run_alltime_experiment(
         violations=primary.violations,
         empirical_p_init=p_init_exceed / n,
         p_init_interval=wilson_interval(p_init_exceed, n),
-        p_init_source=p_init_source,
+        p_init_source=query.p_init_source,
         theoretical_lower_bound=primary.theoretical_lower_bound,
         tail=tail,
         floor=primary_floor,

@@ -32,6 +32,12 @@ at the experiment's default checkpoints or any others in [n0, horizon]:
 the twin of the checkpoint diagnostics the experiment gathers in its own
 pass.
 
+``martingale_tail`` is the per-step tail bound for one step's weight, the
+twin of the vectorised terms of ``bounds``.  ``state_map``,
+``noise_matrix``, ``offset_noise`` and ``linear_noise`` are the
+per-transition quantities of a problem and its Poisson solution, which
+the engine never evaluates one transition at a time.
+
 ``ProductSchedule`` adds the step-size product calculus, and
 ``weighted_norm``, ``project_weighted`` and ``corollary_rate`` the weighted
 geometry and the rate shape, that the paper states but the bound evaluator
@@ -46,7 +52,7 @@ import numpy as np
 
 from tdlab.errors import NonFinite, NotIrreducible, Periodic, SolverFailure, ValidationError
 from tdlab.features import FeatureMap, weighted_gram
-from tdlab.analytic import AnalyticSolution, solve_problem
+from tdlab.analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, solve_problem
 from tdlab.harness import (
     Checkpoints,
     Diagnostics,
@@ -349,3 +355,40 @@ def corollary_rate(n0: int, m: int, eps1: float, eps2: float) -> float:
     first = math.sqrt(math.log(1.0 / eps1)) / math.sqrt(n0)
     second = math.sqrt(math.log(n0) / n0) / math.sqrt(eps2) * (n0 / m + 1.0 / n0)
     return first + second
+
+
+def martingale_tail(
+    delta: float, crossover: float, D_const: float, omega: float, dims: int
+) -> float:
+    """Per-step tail bound 2 d exp(-D delta^p / omega), quadratic p at or below
+    the crossover and linear above it (the dimension factor is a union bound)."""
+    if delta <= 0.0 or omega <= 0.0 or D_const <= 0.0:
+        raise ValidationError("delta, omega and the exponent constant must be positive")
+    power = 2.0 if delta <= crossover else 1.0
+    return 2.0 * dims * math.exp(-D_const * delta**power / omega)
+
+
+def state_map(problem: PolicyEvalProblem, x: np.ndarray, i: int) -> np.ndarray:
+    """The per-state expected-update map F(x, i)."""
+    x = np.asarray(x, dtype=float)
+    return problem.offset_terms[i] + problem.linear_terms[i] @ x + x
+
+
+def noise_matrix(problem: PolicyEvalProblem, y: int, y_next: int) -> np.ndarray:
+    """Martingale-difference matrix of the transition ``y -> y_next``.
+
+    Rank one: the feature vector at ``y`` times the gap between the
+    realized and expected next feature vectors, scaled by the discount.
+    Conditional mean over ``y_next`` is exactly zero.
+    """
+    return problem.gamma * np.outer(problem.phi[y], problem.phi[y_next] - problem.next_phi[y])
+
+
+def offset_noise(poisson: PoissonSolution, y: int, y_next: int) -> np.ndarray:
+    """Martingale-difference increment of the offset solution along a transition."""
+    return poisson.offset[y_next] - poisson.expected_offset[y]
+
+
+def linear_noise(poisson: PoissonSolution, y: int, y_next: int) -> np.ndarray:
+    """Martingale-difference increment of the linear solution along a transition."""
+    return poisson.linear[y_next] - poisson.expected_linear[y]

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 import tdlab.cli as cli
 from tdlab import (
     BoundQuery,
+    BoundReport,
     ConstantsBundle,
+    ExperimentConfig,
     InfeasibleStart,
     SeriesDivergence,
     StepSchedule,
@@ -17,14 +19,16 @@ from tdlab import (
     check_n0,
     evaluate_bound,
     floor_term,
-    martingale_tail,
+    harness,
     radius_curve,
+    run_alltime_experiment,
     tail_crossover,
     tail_probability,
+    tail_weight,
 )
 from tdlab.bounds import _TERM_BUDGET, zero_tail
 
-from oracles import corollary_rate
+from oracles import corollary_rate, martingale_tail
 
 
 def bundle(alpha=0.5, gain=1.0, offset=1.0, scale=1.0, x_norm=0.0):
@@ -319,3 +323,143 @@ class TestCorollaryRate:
             corollary_rate(0, 5, 0.1, 0.1)
         with pytest.raises(ValidationError):
             corollary_rate(5, 4, 0.1, 0.1)
+
+
+def polynomial_schedule():
+    """d1 < d2, with the slow tail exponent q = d1 = 0.05."""
+    return StepSchedule.polynomial(d3=0.5, d2=0.6, d1=0.05)
+
+
+class TestTailTermsTwin:
+    """``BoundReport.tail_terms`` reads the same vectorised terms as the
+    sums; each equals the per-step oracle at that step's tail weight."""
+
+    SCHEDULES = {
+        "harmonic": lambda: StepSchedule.harmonic(0.5),  # d1 < d2 = 1
+        "polynomial": polynomial_schedule,  # d1 < d2 < 1
+        "flat": lambda: flat_schedule(0.05),  # d1 = 0.05 > d2 = 0.01
+        "unit-stub": unit_harmonic_stub,  # only d1, d2 and step
+    }
+    BRANCHES = {
+        "quadratic": (bundle(), 0.3),  # delta at or below the crossover
+        "linear": (bundle(scale=1e-4, gain=0.01, offset=0.01), 0.9),  # above it
+    }
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_each_term_matches_the_per_step_oracle(self, kind, branch):
+        sched = self.SCHEDULES[kind]()
+        c, delta = self.BRANCHES[branch]
+        n0, horizon = 4, 300
+        q = build_query(
+            c, sched, epsilon=0.5, delta=delta, n0=n0, horizon=horizon, D_const=2.0, p_init=0.0
+        )
+        if isinstance(sched, StepSchedule):
+            report = evaluate_bound(q, 2, sched, c)
+        else:  # the stub has no step sums for the radius curve
+            ms = np.arange(n0, horizon + 1)
+            tail = tail_probability(q, 2, sched, c)
+            report = BoundReport(q, 2, ms, np.zeros(len(ms)), 0.0, tail, "given")
+        assert report.tail.quadratic_branch == (branch == "quadratic")
+        terms = report.tail_terms(sched)
+        expected = [0.0] + [
+            martingale_tail(
+                delta, report.tail.crossover, 2.0, tail_weight(sched.d1, sched.d2, n0, m), 2
+            )
+            for m in range(n0 + 1, horizon + 1)
+        ]
+        assert len(terms) == len(expected) and terms[0] == 0.0
+        assert min(expected[1:]) > 1e-300  # normal doubles, so the relative test is sharp
+        assert_allclose(terms, expected, rtol=1e-12, atol=0.0)
+
+
+def test_one_infeasible_start_message(ref_problem, ref_analytic, monkeypatch):
+    """Every site that needs a feasible start raises the same text, naming
+    the smallest feasible index, before any ensemble runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the start index was checked")
+
+    monkeypatch.setattr(harness, "_run_ensemble", refuse)
+    c, sched = ref_analytic.constants, StepSchedule.harmonic(0.5)
+    k = check_n0(c, sched, 1).smallest_feasible
+    n0 = k - 1
+    assert n0 >= 1
+    margin = check_n0(c, sched, n0).margin
+    expected = (
+        f"start index {n0} infeasible (margin {margin:.6g}); smallest feasible index is {k}"
+    )
+    config = ExperimentConfig(
+        problem=ref_problem, schedule=sched, n0=n0, horizon=n0 + 50, n_trajectories=4,
+        master_seed=0, epsilon=0.5, delta=0.25, D_const=1.0,
+    )
+    sites = {
+        "build_query": lambda: build_query(
+            c, sched, epsilon=0.5, delta=0.5, n0=n0, horizon=None, D_const=1.0, p_init=0.0
+        ),
+        "floor_term": lambda: floor_term(c, sched, n0, 0.5, 0.5),
+        "tail_crossover": lambda: tail_crossover(c, sched, n0, 2),
+        "run_alltime_experiment": lambda: run_alltime_experiment(config, analytic=ref_analytic),
+    }
+    for name, site in sites.items():
+        with pytest.raises(InfeasibleStart) as info:
+            site()
+        assert str(info.value) == expected, name
+
+
+class TestExtremeTailConstants:
+    """The infinite tail for any finite positive D: a finite sum, or a
+    numerical failure that names D.  The cases run on the reference
+    constants at n0 = 100 (harmonic, q = 0.5) and n0 = 1200 (polynomial,
+    q = 0.05)."""
+
+    @staticmethod
+    def query(ref_analytic, kind, D, horizon=None):
+        if kind == "harmonic":
+            sched, n0 = StepSchedule.harmonic(0.5), 100
+        else:
+            sched, n0 = polynomial_schedule(), 1200
+        c = ref_analytic.constants
+        q = build_query(
+            c, sched, epsilon=0.045, delta=0.1, n0=n0, horizon=horizon, D_const=D, p_init=0.1
+        )
+        return q, sched, c
+
+    @pytest.mark.parametrize("D", [1e30, 1e300, 1.7e308])
+    @pytest.mark.parametrize("kind", ["harmonic", "polynomial"])
+    def test_huge_constant_gives_a_tail_near_0(self, ref_analytic, kind, D):
+        q, sched, c = self.query(ref_analytic, kind, D)
+        out = tail_probability(q, 2, sched, c)
+        assert 0.0 <= out.tail_sum <= 1e-300 and 0.0 <= out.remainder_bound <= out.tail_sum
+        assert isinstance(out.truncated_at, int) and out.truncated_at >= q.n0
+        assert out.prob_lower_bound == 0.9 and not out.vacuous
+        finite = tail_probability(self.query(ref_analytic, kind, D, q.n0 + 5000)[0], 2, sched, c)
+        assert 0.0 <= finite.tail_sum <= out.tail_sum
+
+    @pytest.mark.parametrize(
+        "kind, D", [("harmonic", 1e-300), ("harmonic", 1e-320), ("polynomial", 1e-20)]
+    )
+    def test_tiny_constant_names_the_cause(self, ref_analytic, kind, D):
+        q, sched, c = self.query(ref_analytic, kind, D)
+        with pytest.raises(SeriesDivergence, match="tail-exponent constant D is too small"):
+            tail_probability(q, 2, sched, c)
+
+    @pytest.mark.parametrize(
+        "kind, D",
+        [("harmonic", 1e-8), ("harmonic", 0.005), ("harmonic", 5.0),
+         ("polynomial", 1e-5), ("polynomial", 1.0), ("polynomial", 1e4)],
+    )
+    def test_remainder_is_kept_and_bounds_the_next_terms(self, ref_analytic, kind, D):
+        q, sched, c = self.query(ref_analytic, kind, D)
+        inf = tail_probability(q, 2, sched, c)
+        fin = tail_probability(self.query(ref_analytic, kind, D, q.n0 + 5000)[0], 2, sched, c)
+        assert math.isfinite(inf.tail_sum) and inf.tail_sum >= fin.tail_sum
+        # the next 2^20 exact terms beyond the cut, from the per-step weights
+        cut = inf.truncated_at
+        ms = np.arange(cut + 1, cut + 2**20 + 1, dtype=float)
+        weights = 1.0 / (float(q.n0) ** (sched.d2 - sched.d1) * ms**sched.d1)
+        power = 2.0 if inf.quadratic_branch else 1.0
+        beyond = 4.0 * float(np.exp(-D * q.delta**power / weights).sum())
+        assert inf.remainder_bound >= beyond
+        if beyond > 0.0:
+            assert inf.remainder_bound > 0.0

@@ -316,6 +316,62 @@ class TestTailStartIndex:
         assert (out / "trajectory_0.csv").exists()
 
 
+def polynomial_config(tmp_path):
+    """The reference instance on a polynomial schedule (d1 < d2, q = 0.05) at n0 = 1200."""
+    raw = reference_config_dict(n0=1200, horizon=1500, n_trajectories=8)
+    raw["schedule"] = {"kind": "polynomial", "d3": 0.5, "d2": 0.6, "d1": 0.05}
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestInfiniteTailExtremes:
+    @pytest.mark.parametrize("kind, D", [("reference", "1e300"), ("polynomial", "1e30")])
+    def test_huge_constant_exits_0_with_a_tail_near_0(self, tmp_path, capsys, kind, D):
+        config = reference_config(tmp_path) if kind == "reference" else polynomial_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["bound", config, "--infinite", "--D", D, "--out", str(out)]) == 0
+        res = strict_load(out / "bound.json")
+        assert 0.0 <= res["tail_sum"] <= 1e-300
+        assert res["prob_lower_bound"] == 1.0 - res["p_init"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, D", [("reference", "1e-300"), ("reference", "1e-320"), ("polynomial", "1e-20")]
+    )
+    def test_tiny_constant_exits_2_naming_the_cause(self, tmp_path, capsys, kind, D):
+        config = reference_config(tmp_path) if kind == "reference" else polynomial_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["bound", config, "--infinite", "--D", D, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the tail sum exceeds the double range")
+        assert "tail-exponent constant D is too small" in err
+        assert not (out / "bound.json").exists()
+
+
+class TestTraceSeam:
+    """The benchmark times its layers by wrapping these names on ``tdlab.cli``,
+    and skips any that is missing; each must stay bound there and be what
+    the commands call."""
+
+    NAMES = ("load_config", "run_alltime_experiment", "estimate_p_init", "evaluate_bound")
+
+    def test_commands_call_the_bound_names(self, tmp_path, monkeypatch):
+        called = []
+        for name in self.NAMES:
+            real = getattr(cli, name)
+
+            def wrapper(*args, _name=name, _real=real, **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        config = reference_config(tmp_path, D_const=1.0, n_trajectories=4, horizon=300)
+        assert cli.main(["bound", config, "--out", str(tmp_path / "bound")]) == 0
+        assert cli.main(["experiment", config, "--out", str(tmp_path / "experiment")]) == 0
+        assert sorted(set(called)) == sorted(self.NAMES)
+
+
 def read_columns(path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))

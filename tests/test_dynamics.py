@@ -11,6 +11,7 @@ from tdlab.rng import stream
 
 from conftest import random_problem
 from oracles import ProductSchedule as StepSchedule
+from oracles import noise_matrix, state_map
 
 
 def sched_half():
@@ -101,8 +102,8 @@ def assert_decomposition(problem, schedule, states, xs, tol=1e-10):
     for n, a in enumerate(steps):
         y, y_next, x = int(states[n]), int(states[n + 1]), xs[n]
         drift = a * (problem.mean_field(x) - x)
-        martingale = a * (problem.noise_matrix(y, y_next) @ x)
-        sampling = a * (problem.state_map(x, y) - problem.mean_field(x))
+        martingale = a * (noise_matrix(problem, y, y_next) @ x)
+        sampling = a * (state_map(problem, x, y) - problem.mean_field(x))
         gap = xs[n + 1] - x - drift - martingale - sampling
         assert float(np.max(np.abs(gap))) <= tol, f"step {n}"
 

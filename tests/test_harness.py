@@ -25,7 +25,7 @@ from tdlab.harness import (
 )
 
 from conftest import random_problem
-from oracles import convergence_diagnostics
+from oracles import convergence_diagnostics, linear_noise, noise_matrix, offset_noise
 
 
 def small_config(problem, analytic=None, **kw):
@@ -319,9 +319,9 @@ class TestNoiseSums:
             for n in range(n0, T):
                 y, y_next, x = int(states[i, n]), int(states[i, n + 1]), chk.x[i, n - n0]
                 xi = (
-                    problem.noise_matrix(y, y_next) @ x
-                    + poisson.linear_noise(y, y_next) @ x
-                    + poisson.offset_noise(y, y_next)
+                    noise_matrix(problem, y, y_next) @ x
+                    + linear_noise(poisson, y, y_next) @ x
+                    + offset_noise(poisson, y, y_next)
                 )
                 S = (1.0 - steps[n]) * S + steps[n] * xi
                 norms.append(np.linalg.norm(S))
