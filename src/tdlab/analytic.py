@@ -12,6 +12,8 @@ known:
 * anchored solutions of the two Poisson equations that convert the
   state-sampling noise into martingale differences, solved componentwise
   as dense linear systems;
+* the martingale increment of every transition as a table of affine
+  coefficients, for the noise sums of the tail-exponent fit;
 * the bundle of worst-case constants (solution norms, per-step update
   bounds, remainder coefficients) entering the radius and tail formulas.
 
@@ -292,6 +294,30 @@ def poisson_solve(problem: PolicyEvalProblem, anchor_state: int = 0) -> PoissonS
         offset_residual=off_res,
         linear_residual=lin_res,
     )
+
+
+def noise_table(
+    phi: np.ndarray, next_phi: np.ndarray, gamma: float, poisson: PoissonSolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """The martingale increment xi = C x + c of every transition y -> y',
+    indexed by the flat pair y*s + y': C (d, d, s^2) and c (d, s^2) with
+
+        C_yy' = gamma phi_y (phi_y' - E phi_y)^T + L_y' - E L_y
+        c_yy' = o_y' - E o_y
+
+    for the features ``phi`` (s, d), their one-step expectations ``next_phi``
+    and the Poisson solutions L, o of ``poisson``.  The table is built one row
+    of C at a time, so it is the only (s^2 d^2)-sized array.
+    """
+    s, d = phi.shape
+    gap = phi.T[:, None, :] - next_phi.T[:, :, None]  # [k, y, y'] = phi_y'[k] - E phi_y[k]
+    C = np.empty((d, d, s, s))
+    for i in range(d):
+        L_i, EL_i = poisson.linear[:, i, :].T, poisson.expected_linear[:, i, :].T  # [k, y]
+        C[i] = gamma * phi[:, i][None, :, None] * gap
+        C[i] += L_i[:, None, :] - EL_i[:, :, None]
+    c = poisson.offset.T[:, None, :] - poisson.expected_offset.T[:, :, None]
+    return C.reshape(d, d, s * s), c.reshape(d, s * s)
 
 
 def compute_constants(

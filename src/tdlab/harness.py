@@ -37,7 +37,8 @@ A collector is one quantity the pass gathers, built from its own inputs:
 radius per trajectory and epsilon, and the per-step violation counts and
 error maxima), ``ErrMatrix`` (every error from n0 on), ``Checkpoints``
 (the iterates at given steps) and ``NoiseSums`` (the weighted martingale
-noise sums from the Poisson solution, for the tail-exponent fit).  The
+noise sums for the tail-exponent fit, with each increment read from a
+table over the transitions y -> y' and the sum folded once per block).  The
 spec carries the collectors a caller lists; each batch fills an
 ``empty`` copy of each, block by block through ``update``, and the
 ensemble ``merge``s every batch into a total preallocated for all
@@ -70,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem
+from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, noise_table
 from .bounds import (
     TailSummary,
     build_query,
@@ -92,6 +93,7 @@ _BLOCK = 64  # steps per block of the TD kernel
 _DRAW = 16 * _BLOCK  # steps per sampled path segment
 _TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
 _GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
+_NOISE_TABLE_MAX_CELLS = 1 << 22  # cap on the s^2 d^2 entries of a noise table (32 MB)
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -148,6 +150,8 @@ class ExperimentConfig:
             raise ValidationError(f"epsilon: must lie in (0, 1], got {self.epsilon}")
         if not 0.0 < self.delta <= 1.0:
             raise ValidationError(f"delta: must lie in (0, 1], got {self.delta}")
+        if self.D_const is not None and not (math.isfinite(self.D_const) and self.D_const > 0.0):
+            raise ValidationError(f"D_const: must be finite and > 0, got {self.D_const}")
         policy = self.initial_state_policy
         if not isinstance(policy, str) or (
             policy not in ("stationary", "uniform") and not policy.startswith("fixed:")
@@ -212,7 +216,8 @@ class _Block(NamedTuple):
     """One kernel block over steps bs..bs+K: the states ``Y`` (K+1, B), their
     features ``F`` (d, K+1, B), the step sizes ``a`` (K,) and the iterates
     ``X`` (d, K+1, B); then ``xs`` (d, K', B), the iterates of the block's
-    steps m0.. at or after n0, and ``err`` (K', B), their distances to x*."""
+    steps m0.. at or after n0, and ``err`` (K', B), their distances to x*;
+    ``phi`` (d, s) is the feature table ``F`` is gathered from."""
 
     bs: int
     Y: np.ndarray
@@ -223,6 +228,7 @@ class _Block(NamedTuple):
     m0: int
     xs: np.ndarray
     err: np.ndarray
+    phi: np.ndarray
 
 
 class _Collector:
@@ -283,11 +289,11 @@ class Excess(_Collector):
     def update(self, blk: _Block) -> None:
         err = blk.err
         idx = slice(blk.m0 - blk.n0, blk.m0 - blk.n0 + len(err))
-        ramp = self.decay[idx, None] * self.eps_grid[None, :]  # (K', n_eps)
-        np.maximum(
-            self.max_excess, (err[:, :, None] - ramp[:, None, :]).max(axis=0), out=self.max_excess
-        )
-        excess = err - (self.eps * self.decay[idx])[:, None]
+        excess = np.empty_like(err)  # one (K', B) buffer, reused for every epsilon
+        for i, eps in enumerate(self.eps_grid):
+            np.subtract(err, (self.decay[idx] * eps)[:, None], out=excess)
+            np.maximum(self.max_excess[:, i], excess.max(axis=0), out=self.max_excess[:, i])
+        np.subtract(err, (self.eps * self.decay[idx])[:, None], out=excess)
         self.counts[idx] += np.count_nonzero(excess > self.floor, axis=1)
         np.maximum(self.err_max[idx], err.max(axis=1), out=self.err_max[idx])
 
@@ -335,9 +341,20 @@ class NoiseSums(_Collector):
     """The norm of the weighted noise sum S_n = (1 - a_n) S_{n-1} + a_n xi_n,
     from S_{n0} = a_{n0} xi_{n0}, after each sorted distinct step of ``ms``.
 
-    xi_n = gamma phi_y (phi_y' - E phi_y')·x_n + (L_y' - E L_y) x_n
-    + (o_y' - E o_y), with E phi_y' = ``next_phi`` and the Poisson
-    solutions L, o and their expectations from ``poisson``.
+    xi_n = C_{y,y'} x_n + c_{y,y'} is affine in the iterate, with the
+    per-transition coefficients of ``analytic.noise_table`` (from the
+    features, ``next_phi`` = E phi_y and the Poisson solutions ``poisson``).
+    Each batch's copy builds that table on its first block, so the pickled
+    spec does not carry it, and a block's xi then takes d + 1 gathers at the
+    flat pairs y*s + y'.  Above ``_NOISE_TABLE_MAX_CELLS`` table entries the
+    copy gathers the per-state parts of xi instead.
+
+    The recursion is folded per block.  Over the steps p <= j < q,
+    S_{q-1} = prod_j (1 - a_j) S_{p-1} + sum_j w_j a_j xi_j with
+    w_j = prod_{j < i < q} (1 - a_i), from one reverse ``cumprod``; the sum
+    over j is taken in the fixed order of ``_dsum``, so it is the same for
+    any batch size.  A block is split after each step of ``ms`` in it, where
+    the norm is taken, and the part that starts at n0 starts from S = 0.
     """
 
     ms: np.ndarray
@@ -347,12 +364,21 @@ class NoiseSums(_Collector):
     outputs = ("norms",)
 
     def empty(self, lo: int, hi: int) -> NoiseSums:
-        return self._sized(lo, hi, norms=np.empty((hi - lo, len(self.ms))), S=None, ptr=0)
+        return self._sized(lo, hi, norms=np.empty((hi - lo, len(self.ms))), S=None, table=None)
 
     def _increments(self, Y: np.ndarray, F: np.ndarray, X: np.ndarray) -> np.ndarray:
         """xi for the states ``Y`` (K+1, B), features ``F`` (d, K+1, B) and
         iterates ``X`` (d, K, B) before each step; shape (d, K, B)."""
         y, y_next = Y[:-1], Y[1:]
+        if self.table:
+            C, c = self.table
+            pair = y * len(self.next_phi) + y_next
+            xi = np.take(c, pair, axis=1)
+            for i in range(len(xi)):  # one row of C at a time to bound memory
+                G = np.take(C[i], pair, axis=1)
+                G *= X
+                xi[i] += _dsum(G)
+            return xi
         sol = self.poisson
 
         def at(table, states):  # table[states] with the feature axis first
@@ -370,19 +396,32 @@ class NoiseSums(_Collector):
         bs, K, n0 = blk.bs, len(blk.a), blk.n0
         if bs + K <= n0:
             return
+        if self.table is None:  # built on the first block; () above the cap
+            d, s = blk.phi.shape
+            self.table = ()
+            if s * s * d * d <= _NOISE_TABLE_MAX_CELLS:
+                self.table = noise_table(blk.phi.T, self.next_phi, self.gamma, self.poisson)
         j0 = max(n0 - bs, 0)
+        first = bs + j0  # the step of a[0] and xi[:, 0]
         a = blk.a[j0:]
-        a_xi = a[:, None] * self._increments(blk.Y[j0:], blk.F[:, j0:], blk.X[:, j0:K])
-        for j in range(K - j0):
-            n = bs + j0 + j
-            if n == n0:
-                self.S = a_xi[:, j].copy()
+        xi = self._increments(blk.Y[j0:], blk.F[:, j0:], blk.X[:, j0:K])
+        lo, hi = np.searchsorted(self.ms, [first, bs + K])
+        ends = (self.ms[lo:hi] + 1 - first).tolist()  # fold up to and including each step of ms
+        if not ends or ends[-1] < len(a):
+            ends.append(len(a))
+        p = 0
+        for k, q in enumerate(ends):
+            keep = np.cumprod(1.0 - a[p:q][::-1])[::-1]  # keep[j] = prod over p+j <= i < q of (1 - a_i)
+            xi[:, p:q] *= a[p:q, None] * np.append(keep[1:], 1.0)[:, None]  # w_j a_j xi_j
+            part = _dsum(xi[:, p:q].swapaxes(0, 1))
+            if first + p == n0:
+                self.S = part
             else:
-                self.S *= 1.0 - a[j]
-                self.S += a_xi[:, j]
-            if self.ptr < len(self.ms) and self.ms[self.ptr] == n:
-                self.norms[:, self.ptr] = np.sqrt(_dsum(self.S * self.S))
-                self.ptr += 1
+                self.S *= keep[0]
+                self.S += part
+            if lo + k < hi:
+                self.norms[:, lo + k] = np.sqrt(_dsum(self.S * self.S))
+            p = q
 
 
 class _Guide(NamedTuple):
@@ -513,10 +552,11 @@ def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
 
 
 def _dsum(p: np.ndarray) -> np.ndarray:
-    """Sum over the leading (feature) axis in the order numpy's pairwise sum
-    adds a contiguous row: term by term below 8 terms, else into eight
-    accumulators folded as a tree.  A (d, ...) sum is then bit-identical to
-    the ``sum(axis=-1)`` of the same numbers laid out as (..., d)."""
+    """Sum over the leading axis in the order numpy's pairwise sum adds a
+    contiguous row: term by term below 8 terms, else into eight accumulators
+    folded as a tree.  A (d, ...) sum is then bit-identical to the
+    ``sum(axis=-1)`` of the same numbers laid out as (..., d), and the order
+    never depends on the other axes' lengths, such as the batch size."""
     d = len(p)
     if d < 8:
         out = p[0] + p[1] if d > 1 else p[0].copy()
@@ -587,7 +627,8 @@ def _simulate_chunk(
                 if bs + K >= n0:  # the iterates of steps bs+j.. are new and at or after n0
                     j = max(n0 - bs, 1 if bs else 0)
                     diff = X[:, j:] - spec.x_star[:, None, None]
-                    blk = _Block(bs, Y, F, a, X, n0, bs + j, X[:, j:], np.sqrt(_dsum(diff * diff)))
+                    err = np.sqrt(_dsum(diff * diff))
+                    blk = _Block(bs, Y, F, a, X, n0, bs + j, X[:, j:], err, phi_t)
                     for part in parts:
                         part.update(blk)
             start = end
@@ -939,16 +980,7 @@ def run_alltime_experiment(
             if (eps, dlt) == (config.epsilon, config.delta):
                 primary, tail = row, t
 
-    quantiles = None
-    if ErrMatrix in out:
-        # over (cols, n) copies of 1024-column slices: the values of one
-        # whole-matrix call, without a second matrix-sized copy
-        parts = []
-        for c in range(0, span, 1024):
-            cols = np.ascontiguousarray(out[ErrMatrix].matrix[:, c : c + 1024].T)
-            parts.append(np.percentile(cols, [25, 50, 75, 90], axis=1))
-        qs = np.concatenate(parts, axis=1)
-        quantiles = {"q25": qs[0], "q50": qs[1], "q75": qs[2], "q90": qs[3]}
+    quantiles = _err_quantiles(out[ErrMatrix].matrix) if ErrMatrix in out else None
 
     return ExperimentResult(
         n_trajectories=n,
@@ -977,6 +1009,20 @@ def run_alltime_experiment(
         diagnostics=_diagnostics(checkpoints, out[Checkpoints].x, analytic.x_star, sched),
         wall_time=time.monotonic() - t0,
     )
+
+
+def _err_quantiles(matrix: np.ndarray) -> dict[str, np.ndarray]:
+    """The 25/50/75/90th percentiles of each column of the (n, span) error
+    matrix: those of one whole-matrix ``np.percentile``, taken over sorted
+    (cols, n) copies of 1024-column slices.  The percentile then selects
+    from sorted rows, and there is no second matrix-sized copy."""
+    parts = []
+    for c in range(0, matrix.shape[1], 1024):
+        cols = matrix[:, c : c + 1024].T.copy()
+        cols.sort(axis=1)
+        parts.append(np.percentile(cols, [25, 50, 75, 90], axis=1))
+    qs = np.concatenate(parts, axis=1)
+    return {"q25": qs[0], "q50": qs[1], "q75": qs[2], "q90": qs[3]}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tdlab import PolicyEvalProblem, build_chain, build_features, solve_problem
+from tdlab import PolicyEvalProblem, build_chain, build_features, harness, solve_problem
 from tdlab.instances import reference_problem, scalar_problem, whitened_features
 
 
@@ -23,6 +23,12 @@ def scalar():
 @pytest.fixture(scope="session")
 def scalar_analytic(scalar):
     return solve_problem(scalar)
+
+
+@pytest.fixture
+def no_noise_table(monkeypatch):
+    """Noise sums from per-state gathers, the path above the noise-table cap."""
+    monkeypatch.setattr(harness, "_NOISE_TABLE_MAX_CELLS", 0)
 
 
 def random_chain(rng, s):

@@ -17,10 +17,19 @@ from tdlab import (
     solve_problem,
     stationary_distribution,
 )
+from tdlab.analytic import noise_table
 from tdlab.rng import stream
 
 from conftest import random_chain, random_problem, tabular_problem
-from oracles import expected_hitting_sums, noise_matrix, project_weighted, state_map, weighted_norm
+from oracles import (
+    expected_hitting_sums,
+    linear_noise,
+    noise_matrix,
+    offset_noise,
+    project_weighted,
+    state_map,
+    weighted_norm,
+)
 
 
 def two_state_identity(gamma=0.1):
@@ -226,6 +235,28 @@ class TestConstants:
                 if P[y, y2] > 0:
                     op = np.linalg.norm(noise_matrix(ref_problem, y, y2), 2)
                     assert op <= c.noise_matrix_max + 1e-12
+
+
+class TestNoiseTable:
+    @pytest.mark.parametrize("instance", ["reference", "wide"])
+    def test_every_pair_matches_the_oracles(self, ref_problem, ref_analytic, instance):
+        if instance == "reference":
+            problem, poisson = ref_problem, ref_analytic.poisson
+        else:
+            problem = random_problem(5, s=200, d=8)
+            poisson = solve_problem(problem).poisson
+        s, d = problem.n_states, problem.n_features
+        C, c = noise_table(problem.phi, problem.next_phi, problem.gamma, poisson)
+        assert C.shape == (d, d, s * s) and c.shape == (d, s * s)
+        want_C = np.empty_like(C)
+        want_c = np.empty_like(c)
+        for y in range(s):
+            for y2 in range(s):
+                pair = y * s + y2
+                want_C[:, :, pair] = noise_matrix(problem, y, y2) + linear_noise(poisson, y, y2)
+                want_c[:, pair] = offset_noise(poisson, y, y2)
+        assert np.max(np.abs(C - want_C)) <= 1e-13 * np.max(np.abs(C))
+        assert np.max(np.abs(c - want_c)) <= 1e-13 * np.max(np.abs(c))
 
 
 class TestInvariants:

@@ -157,6 +157,20 @@ class TestBadInputs:
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("D, code", [(0.0, 1), (-1.0, 1), (0.5, 0)])
+    @pytest.mark.parametrize("command", ["validate", "experiment", "bound"])
+    def test_tail_constant_refused_before_any_ensemble(self, tmp_path, capsys, monkeypatch, command, D, code):
+        calls = []
+        run = harness._run_ensemble
+        monkeypatch.setattr(harness, "_run_ensemble", lambda *args: calls.append(args) or run(*args))
+        cfg = reference_config(tmp_path, D_const=D, n_trajectories=4, horizon=300)
+        assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert f"error: experiment.D_const: must be finite and > 0, got {D}" in capsys.readouterr().err
+            assert not calls
+        else:  # the positive control runs its ensemble, if the command has one
+            assert len(calls) == (command != "validate")
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

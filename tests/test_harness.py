@@ -327,3 +327,24 @@ class TestNoiseSums:
                 norms.append(np.linalg.norm(S))
             assert np.max(np.abs(np.array(norms) - noise.norms[i])) <= 1e-12
             assert np.max(norms) > 0.0
+
+
+@pytest.mark.usefixtures("no_noise_table")
+class TestNoiseSumsPerState(TestNoiseSums):
+    """The same sums on the per-state path above the noise-table cap."""
+
+
+class TestErrQuantiles:
+    @pytest.mark.parametrize("n, span", [(1, 7), (2, 5), (9, 2500), (40, 1024)])
+    def test_sorted_slices_equal_one_percentile(self, n, span):
+        rng = np.random.default_rng(n)
+        matrix = rng.random((n, span)).astype(np.float32)
+        matrix[:, ::3] = np.round(matrix[:, ::3], 1)  # ties within a column
+        matrix[:, 1] = 0.25  # a column of one value
+        unsorted = matrix.copy()
+        want = np.percentile(matrix, [25, 50, 75, 90], axis=0)
+        got = harness._err_quantiles(matrix)
+        assert list(got) == ["q25", "q50", "q75", "q90"]
+        for q, w in zip(got.values(), want):
+            assert q.dtype == w.dtype and np.array_equal(q, w)
+        assert np.array_equal(matrix, unsorted)

@@ -8,6 +8,7 @@ within 1e-12, everything else bit for bit.  Each collector's outputs are
 also the same whether it runs alone or alongside all the others.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,7 @@ def assert_twins(spec, lo, B):
     want = by_kind(reference_chunk(spec, lo, states))
     got = by_kind(_run_chunk((spec, lo, lo + B)))
     assert set(got) == set(want) == set(KINDS)
+    assert bool(got[NoiseSums].table) == (harness._NOISE_TABLE_MAX_CELLS > 0)
     for kind, g in got.items():
         w = want[kind]
         assert (g.lo, g.hi) == (w.lo, w.hi) == (lo, lo + B)
@@ -137,6 +139,44 @@ class TestBlockedKernelTwins:
             fit_ms=edges, diag_ms=sorted(set(edges + [horizon])),
         )
         assert_twins(spec, lo=0, B=6)
+
+    @pytest.mark.parametrize(
+        "n0, fit_ms",
+        [
+            (10, [20, 40]),  # two fit steps in one block
+            (10, [10, 100]),  # a fit step at n0, inside a block
+            (_BLOCK, [_BLOCK, 2 * _BLOCK]),  # a fit step at n0 on a block boundary
+            (10, [_BLOCK - 1, 2 * _BLOCK - 1]),  # on the last step of a block
+            (10, [3 * _BLOCK + 19]),  # at horizon - 1 only
+            (10, [70, 71, 72, 73, 3 * _BLOCK + 18, 3 * _BLOCK + 19]),  # consecutive
+        ],
+        ids=["two-in-a-block", "at-n0", "at-n0-on-a-boundary", "block-end", "horizon-1", "consecutive"],
+    )
+    def test_noise_fold_split_points(self, ref_problem, ref_analytic, n0, fit_ms):
+        spec = full_spec(ref_problem, ref_analytic, n0, 3 * _BLOCK + 20, fit_ms=fit_ms)
+        assert_twins(spec, lo=2, B=5)
+
+
+@pytest.mark.usefixtures("no_noise_table")
+class TestBlockedKernelTwinsPerState(TestBlockedKernelTwins):
+    """The same twins on the per-state path above the noise-table cap."""
+
+
+class TestExcessMemory:
+    def test_block_peak_below_three_error_blocks(self):
+        # one (K', B) buffer for all epsilons, not a (K', B, n_eps) temporary
+        err = np.random.default_rng(0).random((_BLOCK, 512))
+        decay = np.linspace(1.0, 0.5, _BLOCK)
+        ex = Excess(np.linspace(0.1, 0.5, 5), decay, 0.3, 0.1).empty(0, err.shape[1])
+        blk = harness._Block(0, None, None, None, None, 0, 0, None, err, None)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ex.update(blk)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak < 3 * err.nbytes
 
 
 class TestCollectorIndependence:
