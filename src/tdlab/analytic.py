@@ -12,8 +12,8 @@ known:
 * anchored solutions of the two Poisson equations that convert the
   state-sampling noise into martingale differences, solved componentwise
   as dense linear systems;
-* the martingale increment of every transition as a table of affine
-  coefficients, for the noise sums of the tail-exponent fit;
+* the martingale increment at any transitions, and its table over all of
+  them, for the noise sums of the tail-exponent fit;
 * the bundle of worst-case constants (solution norms, per-step update
   bounds, remainder coefficients) entering the radius and tail formulas.
 
@@ -23,6 +23,7 @@ roundoff; Monte Carlo counterparts live in the test suite as oracles.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,14 +61,14 @@ class PolicyEvalProblem:
         rewards = np.asarray(rewards, dtype=float)
         s = chain.n_states
         if rewards.shape != (s,):
-            raise ValidationError(f"rewards must have shape ({s},), got {rewards.shape}")
+            raise ValidationError(f"rewards: must have shape ({s},), got {rewards.shape}")
         if not np.all(np.isfinite(rewards)):
-            raise ValidationError("rewards must be finite")
+            raise ValidationError("rewards: must be finite")
         if not 0.0 < gamma < 1.0:
-            raise ValidationError(f"discount factor must lie in (0, 1), got {gamma}")
+            raise ValidationError(f"gamma: discount factor must lie in (0, 1), got {gamma}")
         if features.n_states != s:
             raise ValidationError(
-                f"feature matrix has {features.n_states} rows but the chain has {s} states"
+                f"features: the matrix has {features.n_states} rows but the chain has {s} states"
             )
         self.chain = chain
         self.rewards = rewards
@@ -296,27 +297,40 @@ def poisson_solve(problem: PolicyEvalProblem, anchor_state: int = 0) -> PoissonS
     )
 
 
-def noise_table(
-    phi: np.ndarray, next_phi: np.ndarray, gamma: float, poisson: PoissonSolution
-) -> tuple[np.ndarray, np.ndarray]:
-    """The martingale increment xi = C x + c of every transition y -> y',
-    indexed by the flat pair y*s + y': C (d, d, s^2) and c (d, s^2) with
+def noise_rows(
+    phi: np.ndarray, next_phi: np.ndarray, gamma: float, poisson: PoissonSolution, y, y_next
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row i of C_yy' (d, *shape) and entry i of c_yy' (*shape), one i < d at a
+    time to bound memory, at the transitions y -> y' of the state index
+    arrays ``y``, ``y_next`` (broadcast to one shape), where the martingale
+    increment xi = C x + c has
 
         C_yy' = gamma phi_y (phi_y' - E phi_y)^T + L_y' - E L_y
         c_yy' = o_y' - E o_y
 
     for the features ``phi`` (s, d), their one-step expectations ``next_phi``
-    and the Poisson solutions L, o of ``poisson``.  The table is built one row
-    of C at a time, so it is the only (s^2 d^2)-sized array.
-    """
+    and the Poisson solutions L, o of ``poisson``."""
+    gap = np.take(phi.T, y_next, axis=1) - np.take(next_phi.T, y, axis=1)  # phi_y' - E phi_y
+    scale = gamma * np.take(phi.T, y, axis=1)
+    c = np.take(poisson.offset, y_next, axis=0) - np.take(poisson.expected_offset, y, axis=0)
+    L, EL = poisson.linear, poisson.expected_linear
+    for i in range(len(gap)):
+        L_i = np.take(L[:, i], y_next, axis=0) - np.take(EL[:, i], y, axis=0)  # L_y' - E L_y, row i
+        C_i = scale[i] * gap
+        C_i += np.moveaxis(L_i, -1, 0)
+        yield C_i, c[..., i]
+
+
+def noise_table(
+    phi: np.ndarray, next_phi: np.ndarray, gamma: float, poisson: PoissonSolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`noise_rows` at every transition, indexed by the flat pair
+    y*s + y': C (d, d, s^2) and c (d, s^2)."""
     s, d = phi.shape
-    gap = phi.T[:, None, :] - next_phi.T[:, :, None]  # [k, y, y'] = phi_y'[k] - E phi_y[k]
-    C = np.empty((d, d, s, s))
-    for i in range(d):
-        L_i, EL_i = poisson.linear[:, i, :].T, poisson.expected_linear[:, i, :].T  # [k, y]
-        C[i] = gamma * phi[:, i][None, :, None] * gap
-        C[i] += L_i[:, None, :] - EL_i[:, :, None]
-    c = poisson.offset.T[:, None, :] - poisson.expected_offset.T[:, :, None]
+    y = np.arange(s)[:, None]
+    C, c = np.empty((d, d, s, s)), np.empty((d, s, s))
+    for i, (C_i, c_i) in enumerate(noise_rows(phi, next_phi, gamma, poisson, y, y.T)):
+        C[i], c[i] = C_i, c_i
     return C.reshape(d, d, s * s), c.reshape(d, s * s)
 
 

@@ -11,7 +11,7 @@ row per step or grid cell, floats as their ``repr``, so each cell reads
 back as the same double.  Reruns are byte-identical.  Timings go to
 stderr only.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime numerical failure.
+Exit codes: 0 success, 1 validation failure, 2 numerical failure or out of memory.
 The only environment override is ``OUTPUT_DIR``.
 """
 
@@ -311,6 +311,9 @@ def main(argv=None) -> int:
         return 1
     except ComputeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array for the given horizon or n0 does not fit
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -148,8 +148,10 @@ def load_config(path: str | Path) -> LoadedConfig:
 
     try:
         problem = PolicyEvalProblem(chain, rewards, gamma, features)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValidationError as exc:  # its message starts with the argument at fault
+        arg, _, msg = str(exc).partition(": ")
+        name = {"rewards": "rewards.r", "features": "features.Phi"}.get(arg, arg)
+        raise ConfigError(f"{name}: {msg}") from exc
 
     issues: list[str] = []
     analytic: AnalyticSolution | None = None

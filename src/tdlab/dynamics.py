@@ -55,8 +55,7 @@ def run_deterministic(
         raise ValidationError(f"initial point must have shape ({d},), got {z.shape}")
     out = np.empty((horizon - start + 1, d))
     out[0] = z
-    for n in range(start, horizon):
-        a = schedule.step(n)
+    for k, a in enumerate(schedule.steps(start, horizon).tolist(), 1):
         z = z + a * (problem.mean_field(z) - z)
-        out[n - start + 1] = z
+        out[k] = z
     return out

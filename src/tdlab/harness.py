@@ -38,10 +38,10 @@ radius per trajectory and epsilon, and the per-step violation counts and
 error maxima), ``ErrMatrix`` (every error from n0 on), ``Checkpoints``
 (the iterates at given steps) and ``NoiseSums`` (the weighted martingale
 noise sums for the tail-exponent fit, with each increment read from a
-table over the transitions y -> y' and the sum folded once per block).  The
-spec carries the collectors a caller lists; each batch fills an
-``empty`` copy of each, block by block through ``update``, and the
-ensemble ``merge``s every batch into a total preallocated for all
+table over the transitions y -> y' built once per run, and the sum folded
+once per block).  The spec carries the collectors a caller lists; each
+batch fills an ``empty`` copy of each, block by block through ``update``,
+and the ensemble ``merge``s every batch into a total preallocated for all
 trajectories.  One experiment is one pass with all five (the noise sums
 only when D is fitted, the matrix only under ``MAX_ERR_MATRIX_CELLS``).
 A collector reads only the block, never another collector, so which
@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, noise_table
+from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, noise_rows, noise_table
 from .bounds import (
     TailSummary,
     build_query,
@@ -213,22 +213,19 @@ class _EnsembleSpec:
 
 
 class _Block(NamedTuple):
-    """One kernel block over steps bs..bs+K: the states ``Y`` (K+1, B), their
-    features ``F`` (d, K+1, B), the step sizes ``a`` (K,) and the iterates
-    ``X`` (d, K+1, B); then ``xs`` (d, K', B), the iterates of the block's
-    steps m0.. at or after n0, and ``err`` (K', B), their distances to x*;
-    ``phi`` (d, s) is the feature table ``F`` is gathered from."""
+    """One kernel block over steps bs..bs+K: the states ``Y`` (K+1, B), the
+    step sizes ``a`` (K,) and the iterates ``X`` (d, K+1, B); then ``xs``
+    (d, K', B), the iterates of the block's steps m0.. at or after n0, and
+    ``err`` (K', B), their distances to x*."""
 
     bs: int
     Y: np.ndarray
-    F: np.ndarray
     a: np.ndarray
     X: np.ndarray
     n0: int
     m0: int
     xs: np.ndarray
     err: np.ndarray
-    phi: np.ndarray
 
 
 class _Collector:
@@ -342,12 +339,12 @@ class NoiseSums(_Collector):
     from S_{n0} = a_{n0} xi_{n0}, after each sorted distinct step of ``ms``.
 
     xi_n = C_{y,y'} x_n + c_{y,y'} is affine in the iterate, with the
-    per-transition coefficients of ``analytic.noise_table`` (from the
-    features, ``next_phi`` = E phi_y and the Poisson solutions ``poisson``).
-    Each batch's copy builds that table on its first block, so the pickled
-    spec does not carry it, and a block's xi then takes d + 1 gathers at the
-    flat pairs y*s + y'.  Above ``_NOISE_TABLE_MAX_CELLS`` table entries the
-    copy gathers the per-state parts of xi instead.
+    coefficients of ``analytic.noise_rows`` (from the features ``phi``,
+    ``next_phi`` = E phi_y and the Poisson solutions ``poisson``).  Up to
+    ``_NOISE_TABLE_MAX_CELLS`` entries, construction tabulates them once per
+    run (``analytic.noise_table``), and a block's xi takes d + 1 gathers at
+    the flat pairs y*s + y'; above it, each block takes ``noise_rows`` at its
+    own transitions.  Both ways give the same xi bit for bit.
 
     The recursion is folded per block.  Over the steps p <= j < q,
     S_{q-1} = prod_j (1 - a_j) S_{p-1} + sum_j w_j a_j xi_j with
@@ -359,52 +356,48 @@ class NoiseSums(_Collector):
 
     ms: np.ndarray
     gamma: float
+    phi: np.ndarray
     next_phi: np.ndarray
     poisson: PoissonSolution
     outputs = ("norms",)
 
+    def __post_init__(self) -> None:
+        s, d = self.phi.shape
+        self.table = None
+        if s * s * d * d <= _NOISE_TABLE_MAX_CELLS:
+            self.table = noise_table(self.phi, self.next_phi, self.gamma, self.poisson)
+
     def empty(self, lo: int, hi: int) -> NoiseSums:
-        return self._sized(lo, hi, norms=np.empty((hi - lo, len(self.ms))), S=None, table=None)
+        return self._sized(lo, hi, norms=np.empty((hi - lo, len(self.ms))), S=None)
 
-    def _increments(self, Y: np.ndarray, F: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """xi for the states ``Y`` (K+1, B), features ``F`` (d, K+1, B) and
-        iterates ``X`` (d, K, B) before each step; shape (d, K, B)."""
-        y, y_next = Y[:-1], Y[1:]
-        if self.table:
-            C, c = self.table
-            pair = y * len(self.next_phi) + y_next
-            xi = np.take(c, pair, axis=1)
-            for i in range(len(xi)):  # one row of C at a time to bound memory
-                G = np.take(C[i], pair, axis=1)
-                G *= X
-                xi[i] += _dsum(G)
-            return xi
-        sol = self.poisson
+    def _rows(self, y, y_next) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The rows of (C, c) at the transitions y -> y', as ``noise_rows``."""
+        if self.table is None:
+            return noise_rows(self.phi, self.next_phi, self.gamma, self.poisson, y, y_next)
+        pair = y * len(self.phi) + y_next
+        return ((np.take(C_i, pair, axis=1), np.take(c_i, pair)) for C_i, c_i in zip(*self.table))
 
-        def at(table, states):  # table[states] with the feature axis first
-            return np.moveaxis(np.take(table, states, axis=0), -1, 0)
-
-        mgap = _dsum((F[:, 1:] - at(self.next_phi, y)) * X)
-        xi = self.gamma * F[:, :-1] * mgap
-        for i in range(len(xi)):  # row i of L_y' - E L_y, one row at a time to bound memory
-            G = at(sol.linear[:, i], y_next) - at(sol.expected_linear[:, i], y)
-            xi[i] += _dsum(G * X)
-        xi += at(sol.offset, y_next) - at(sol.expected_offset, y)
+    def _increments(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """xi for the states ``Y`` (K+1, B) and iterates ``X`` (d, K, B) before
+        each step; shape (d, K, B).  Without a table the rows are formed on
+        tiles of ``_BLOCK`` trajectories, whose arrays stay in cache."""
+        B = X.shape[-1]
+        width = B if self.table is not None else _BLOCK
+        xi = np.empty(X.shape)
+        for cols in (slice(b, b + width) for b in range(0, B, width)):
+            for i, (G, c_i) in enumerate(self._rows(Y[:-1, cols], Y[1:, cols])):
+                G *= X[..., cols]
+                np.add(c_i, _dsum(G), out=xi[i, :, cols])
         return xi
 
     def update(self, blk: _Block) -> None:
         bs, K, n0 = blk.bs, len(blk.a), blk.n0
         if bs + K <= n0:
             return
-        if self.table is None:  # built on the first block; () above the cap
-            d, s = blk.phi.shape
-            self.table = ()
-            if s * s * d * d <= _NOISE_TABLE_MAX_CELLS:
-                self.table = noise_table(blk.phi.T, self.next_phi, self.gamma, self.poisson)
         j0 = max(n0 - bs, 0)
         first = bs + j0  # the step of a[0] and xi[:, 0]
         a = blk.a[j0:]
-        xi = self._increments(blk.Y[j0:], blk.F[:, j0:], blk.X[:, j0:K])
+        xi = self._increments(blk.Y[j0:], blk.X[:, j0:K])
         lo, hi = np.searchsorted(self.ms, [first, bs + K])
         ends = (self.ms[lo:hi] + 1 - first).tolist()  # fold up to and including each step of ms
         if not ends or ends[-1] < len(a):
@@ -628,7 +621,7 @@ def _simulate_chunk(
                     j = max(n0 - bs, 1 if bs else 0)
                     diff = X[:, j:] - spec.x_star[:, None, None]
                     err = np.sqrt(_dsum(diff * diff))
-                    blk = _Block(bs, Y, F, a, X, n0, bs + j, X[:, j:], err, phi_t)
+                    blk = _Block(bs, Y, a, X, n0, bs + j, X[:, j:], err)
                     for part in parts:
                         part.update(blk)
             start = end
@@ -921,7 +914,9 @@ def run_alltime_experiment(
         # tail indices m in [n0+1, horizon]; the sum bounded at m ends at m-1, where it is recorded
         fit_ms = np.unique(np.geomspace(n0 + 1, horizon, 16).astype(np.int64))
         fit_ms = fit_ms[fit_ms > n0]
-        collectors.append(NoiseSums(fit_ms - 1, problem.gamma, problem.next_phi, analytic.poisson))
+        collectors.append(
+            NoiseSums(fit_ms - 1, problem.gamma, problem.phi, problem.next_phi, analytic.poisson)
+        )
     if config.n_trajectories * span <= MAX_ERR_MATRIX_CELLS:
         collectors.append(ErrMatrix(span))
     spec = _base_spec(config, analytic, horizon, tuple(collectors))

@@ -4,8 +4,9 @@ A schedule is pinned inside the envelope
 
     d1 / (n+1)  <=  a(n)  <=  d3 / (n+1)^d2,      d1 > 0,  0 < d2 <= 1,
 
-must be non-increasing, and must stay strictly below one.  The derived
-quantities used by the bound evaluator are
+must be non-increasing, and must stay strictly below one.  Each kind's
+formula lives in ``StepSchedule.steps`` alone, and ``step(n)`` is its entry
+n, bit for bit.  The derived quantities used by the bound evaluator are
 
     step_sum(k, n)            sum of a(m) for m in [k, n]   (0 when n < k)
     tail_weight(k, n)         1 / (k^(d2-d1) n^d1)  if d1 <= d2, else 1 / n^d2
@@ -102,19 +103,10 @@ class StepSchedule:
     # -- evaluation ---------------------------------------------------------
 
     def step(self, n: int) -> float:
-        """Step size at index n."""
+        """Step size at index n: entry n of :meth:`steps`, bit for bit."""
         if n < 0:
             raise ValidationError(f"step index must be >= 0, got {n}")
-        if self.kind == "harmonic":
-            return self.d1 / (n + 1.0)
-        if self.kind == "polynomial":
-            return self.d3 / (n + 1.0) ** self.d2
-        assert self.values is not None
-        if n >= len(self.values):
-            raise ValidationError(
-                f"step index {n} beyond table of length {len(self.values)}"
-            )
-        return self.values[n]
+        return float(self.steps(n, n + 1)[0])
 
     def steps(self, start: int, stop: int) -> np.ndarray:
         """Vector of step sizes for indices in [start, stop)."""
@@ -146,9 +138,3 @@ class StepSchedule:
 
     def tail_weight(self, k: int, n: int) -> float:
         return tail_weight(self.d1, self.d2, k, n)
-
-    def as_dict(self) -> dict:
-        out = {"kind": self.kind, "d1": self.d1, "d2": self.d2, "d3": self.d3}
-        if self.values is not None:
-            out["values"] = list(self.values)
-        return out

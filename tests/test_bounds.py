@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -26,7 +27,11 @@ from tdlab import (
     tail_probability,
     tail_weight,
 )
+from tdlab.analytic import PolicyEvalProblem, solve_problem
 from tdlab.bounds import _TERM_BUDGET, zero_tail
+from tdlab.config import load_config
+from tdlab.instances import reference_config_dict, whitened_features
+from tdlab.markov import build_chain
 
 from oracles import corollary_rate, martingale_tail
 
@@ -463,3 +468,37 @@ class TestExtremeTailConstants:
         assert inf.remainder_bound >= beyond
         if beyond > 0.0:
             assert inf.remainder_bound > 0.0
+
+
+class TestBenchmarkLibraryCalls:
+    """The library calls the benchmark makes outside the CLI, repeated with the
+    same arguments: the finite tail sums of the cli-mix workload on the
+    reference config, and the smallest feasible start index that sets the
+    wide instance's n0 (rounded up to 600)."""
+
+    def test_finite_tail_sums_on_the_reference_config(self, tmp_path):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(reference_config_dict()))
+        cfg = load_config(path)
+        exp = cfg.require_experiment()
+        constants = cfg.require_analytic().constants
+        tails = []
+        for D in ("5", "0.05", "0.005"):
+            query = build_query(
+                constants, cfg.schedule, epsilon=exp.epsilon, delta=exp.delta, n0=exp.n0,
+                horizon=exp.horizon, D_const=float(D), p_init=0.0,
+            )
+            tails.append(tail_probability(query, cfg.problem.n_features, cfg.schedule, constants).tail_sum)
+        assert all(math.isfinite(t) and t >= 0.0 for t in tails)
+        assert tails == sorted(tails) and tails[-1] > 0.0
+
+    def test_smallest_feasible_start_indices(self, ref_analytic):
+        rng = np.random.default_rng(7)
+        s, d, gamma = 200, 8, 0.5
+        chain = build_chain(rng.dirichlet(np.ones(s), size=s))
+        features = whitened_features(chain, rng.standard_normal((s, d)), gamma, 1.0 / math.sqrt(2.0))
+        rewards = rng.uniform(-1.0, 1.0, size=s)
+        wide = solve_problem(PolicyEvalProblem(chain, rewards, gamma, features)).constants
+        schedule = StepSchedule.harmonic(0.5)
+        assert check_n0(wide, schedule, 1).smallest_feasible == 525
+        assert check_n0(ref_analytic.constants, schedule, 100).smallest_feasible == 68

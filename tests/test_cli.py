@@ -18,6 +18,7 @@ from tdlab.config import load_config
 from tdlab.errors import NonFinite
 from tdlab.harness import Checkpoints, _base_spec, _run_ensemble, _sample_paths
 from tdlab.instances import reference_config_dict
+from tdlab.schedule import StepSchedule
 
 
 def _reject_constant(token):
@@ -202,6 +203,28 @@ class TestBadInputs:
         argv = [command, str(path), "--horizon", "3000", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert "error: --horizon:" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    # a horizon or n0 too large for memory, e.g. bound at n0 = 10**12; the callee is
+    # made to raise, so that no test allocates for real
+    @pytest.mark.parametrize(
+        "command, owner, name",
+        [
+            ("bound", StepSchedule, "steps"),
+            ("simulate", cli, "simulate_trajectory"),
+            ("experiment", harness, "decay_curve"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, command, owner, name):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+        monkeypatch.setattr(owner, name, no_memory)
+        cfg = reference_config(tmp_path, D_const=1.0)
+        assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 7.28 TiB for an array with shape (10**12,)\n"
 
 
 class TestEnsembleTwins:

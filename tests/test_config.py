@@ -85,6 +85,21 @@ class TestLoadConfig:
                 load_config(write_config(tmp_path, raw))
 
     @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("features.Phi", "the matrix has 4 rows but the chain has 5 states"),
+            ("rewards.r", "must have shape (5,), got (4,)"),
+        ],
+    )
+    def test_problem_field_that_misses_a_state_is_named(self, tmp_path, path, message):
+        raw = with_experiment()
+        section, key = path.split(".")
+        raw[section][key] = raw[section][key][:4]
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, raw))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
         "schedule, field, words",
         [
             ({"kind": "polynomial", "d2": 0.8}, "d3", "missing required field"),

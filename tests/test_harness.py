@@ -306,7 +306,7 @@ class TestNoiseSums:
         poisson = analytic.poisson
         spec = _base_spec(cfg, analytic, T, (
             # S_n after every step n in [n0, T)
-            NoiseSums(np.arange(n0, T), problem.gamma, problem.next_phi, poisson),
+            NoiseSums(np.arange(n0, T), problem.gamma, problem.phi, problem.next_phi, poisson),
             # the iterate x_n at every step from n0
             Checkpoints(np.arange(n0, T + 1), problem.n_features),
         ))

@@ -8,6 +8,7 @@ within 1e-12, everything else bit for bit.  Each collector's outputs are
 also the same whether it runs alone or alongside all the others.
 """
 
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ import pytest
 
 from tdlab import NonFinite, StepSchedule, solve_problem
 from tdlab import harness
+from tdlab.analytic import noise_table
 from tdlab.bounds import decay_curve
 from tdlab.harness import (
     Checkpoints,
@@ -63,7 +65,10 @@ def full_spec(problem, analytic, n0, horizon, fit_ms=None, diag_ms=None, policy=
         Excess(np.array([0.05, 0.2, 0.6]), decay, 0.2, np.inf),
         ErrMatrix(horizon - n0 + 1),
         Checkpoints(np.asarray(diag_ms, dtype=np.int64), problem.n_features),
-        NoiseSums(np.asarray(fit_ms, dtype=np.int64), problem.gamma, problem.next_phi, analytic.poisson),
+        NoiseSums(
+            np.asarray(fit_ms, dtype=np.int64), problem.gamma, problem.phi, problem.next_phi,
+            analytic.poisson,
+        ),
     )
     assert {type(c) for c in collectors} == set(KINDS)
     return _base_spec(config, analytic, horizon, collectors)
@@ -97,6 +102,14 @@ def assert_twins(spec, lo, B):
             else:  # integers, and the iterates and errors bit for bit
                 assert np.array_equal(a, b), name
     assert 0 < want[Excess].counts.sum() < want[ErrMatrix].matrix.size
+    # the other side of the noise-table cap gives the same sums, bit for bit
+    (noise,) = [c for c in spec.collectors if isinstance(c, NoiseSums)]
+    twin = copy.copy(noise)
+    twin.table = None
+    if noise.table is None:
+        twin.table = noise_table(noise.phi, noise.next_phi, noise.gamma, noise.poisson)
+    (other,) = _run_chunk((replace(spec, collectors=(twin,)), lo, lo + B))
+    assert np.array_equal(other.norms, got[NoiseSums].norms)
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +181,7 @@ class TestExcessMemory:
         err = np.random.default_rng(0).random((_BLOCK, 512))
         decay = np.linspace(1.0, 0.5, _BLOCK)
         ex = Excess(np.linspace(0.1, 0.5, 5), decay, 0.3, 0.1).empty(0, err.shape[1])
-        blk = harness._Block(0, None, None, None, None, 0, 0, None, err, None)
+        blk = harness._Block(0, None, None, None, 0, 0, None, err)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

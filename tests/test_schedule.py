@@ -51,6 +51,28 @@ class TestConstruction:
             StepSchedule.polynomial(d3=0.5, d2=1.5)
 
 
+class TestStepTwins:
+    N = 100_000
+
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            StepSchedule.harmonic(0.5),
+            StepSchedule.polynomial(0.5, 0.6, 0.05),
+            StepSchedule.table(0.5 / np.arange(1.0, N + 1.0), d1=0.5, d2=1.0, d3=0.5),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_step_is_the_entry_of_steps(self, sched):
+        # one formula per kind: a scalar step and any range read the same doubles
+        full = sched.steps(0, self.N)
+        assert np.array_equal([sched.step(n) for n in range(self.N)], full)
+        for k in [*range(17), 1000, 65_537, self.N - 1]:
+            assert np.array_equal(sched.steps(k, self.N), full[k:])
+        with pytest.raises(ValidationError, match="step index must be >= 0"):
+            sched.step(-1)
+
+
 class TestStepSums:
     def test_empty_sum_is_zero(self):
         sched = StepSchedule.harmonic(0.5)
