@@ -39,13 +39,24 @@ error maxima), ``ErrMatrix`` (every error from n0 on), ``Checkpoints``
 (the iterates at given steps) and ``NoiseSums`` (the weighted martingale
 noise sums for the tail-exponent fit, with each increment read from a
 table over the transitions y -> y' built once per run, and the sum folded
-once per block).  The spec carries the collectors a caller lists; each
-batch fills an ``empty`` copy of each, block by block through ``update``,
-and the ensemble ``merge``s every batch into a total preallocated for all
-trajectories.  One experiment is one pass with all five (the noise sums
-only when D is fitted, the matrix only under ``MAX_ERR_MATRIX_CELLS``).
-A collector reads only the block, never another collector, so which
-others ride along never changes its values.
+once per block).  The spec carries the collectors a caller lists; the
+ensemble allocates each one's total for all trajectories once, through
+``empty``.  A batch feeds, block by block through ``update``, the ``part``
+of each total for its rows: the per-trajectory outputs are views of the
+total's rows, so the batch writes them in place, and only the per-step
+outputs it folds (``Excess``'s counts and maxima) are its own, which the
+ensemble ``merge``s into the total.  Integer sums and maxima do not depend
+on the order they are taken in, so every output is the same for any batch
+split.  One experiment is one pass with all five (the noise sums only when
+D is fitted, the matrix only under ``MAX_ERR_MATRIX_CELLS``).  A collector
+reads only the block, never another collector, so which others ride along
+never changes its values.
+
+With more than one worker, the totals' per-trajectory outputs live in
+anonymous shared mappings made before the pool, and the pool forks: each
+worker inherits the spec and the totals once, is handed only the rows of a
+batch, writes them into the parent's memory and sends back only the folded
+outputs.
 
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
@@ -62,11 +73,14 @@ from __future__ import annotations
 
 import copy
 import math
+import mmap
+import multiprocessing
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -140,6 +154,8 @@ class ExperimentConfig:
         """Every message starts with the name of the field at fault."""
         if self.n_trajectories < 1:
             raise ValidationError("n_trajectories: need at least one trajectory")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.n0 < 0:
             raise ValidationError(f"n0: must be >= 0, got {self.n0}")
         if self.horizon <= self.n0:
@@ -194,7 +210,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _EnsembleSpec:
-    """Picklable bundle of the dynamics one worker runs, and its collectors."""
+    """The dynamics a batch runs, and its collectors; a pool worker inherits
+    it once, at fork."""
 
     cum_rows: np.ndarray
     cum_pi: np.ndarray
@@ -231,12 +248,17 @@ class _Block(NamedTuple):
 class _Collector:
     """One quantity an ensemble pass gathers (see the module docstring).
 
-    ``empty(lo, hi)`` is a copy with the arrays named in ``outputs`` sized
-    for trajectories [lo, hi), ``update(blk)`` reads one ``_Block``, and
-    ``merge(part)`` copies a batch's rows into a total over a wider range.
+    ``empty(lo, hi, alloc)`` is a copy with the arrays named in ``outputs``
+    sized for trajectories [lo, hi), the per-trajectory ones from
+    ``alloc(shape, dtype)``; ``part(lo, hi)`` is the part of such a total
+    for a batch's rows [lo, hi), whose per-trajectory outputs are views of
+    the total's rows and whose ``folded`` outputs (per step) are new;
+    ``update(blk)`` reads one ``_Block``, and ``merge(*folded)`` folds a
+    part's ``folded`` outputs, in that order, into the total.
     """
 
     outputs: tuple[str, ...]
+    folded: tuple[str, ...] = ()
 
     def _sized(self, lo: int, hi: int, **arrays: np.ndarray) -> _Collector:
         part = copy.copy(self)
@@ -244,10 +266,16 @@ class _Collector:
         vars(part).update(arrays)
         return part
 
-    def merge(self, part: _Collector) -> None:
-        rows = slice(part.lo - self.lo, part.hi - self.lo)
-        for name in self.outputs:
-            getattr(self, name)[rows] = getattr(part, name)
+    def _new_folded(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def part(self, lo: int, hi: int) -> _Collector:
+        rows = slice(lo - self.lo, hi - self.lo)
+        views = {name: getattr(self, name)[rows] for name in self.outputs if name not in self.folded}
+        return self._sized(lo, hi, **views, **self._new_folded())
+
+    def merge(self) -> None:
+        """Nothing to fold: every output is per trajectory."""
 
 
 @dataclass(eq=False)
@@ -256,8 +284,8 @@ class StartError(_Collector):
 
     outputs = ("err",)
 
-    def empty(self, lo: int, hi: int) -> StartError:
-        return self._sized(lo, hi, err=np.empty(hi - lo))
+    def empty(self, lo: int, hi: int, alloc=np.empty) -> StartError:
+        return self._sized(lo, hi, err=alloc((hi - lo,), float))
 
     def update(self, blk: _Block) -> None:
         if blk.m0 == blk.n0:
@@ -276,12 +304,16 @@ class Excess(_Collector):
     eps: float
     floor: float
     outputs = ("max_excess", "counts", "err_max")
+    folded = ("counts", "err_max")
 
-    def empty(self, lo: int, hi: int) -> Excess:
+    def empty(self, lo: int, hi: int, alloc=np.empty) -> Excess:
+        max_excess = alloc((hi - lo, len(self.eps_grid)), float)
+        max_excess[...] = -np.inf
+        return self._sized(lo, hi, max_excess=max_excess, **self._new_folded())
+
+    def _new_folded(self) -> dict[str, np.ndarray]:
         span = len(self.decay)
-        max_excess = np.full((hi - lo, len(self.eps_grid)), -np.inf)
-        counts, err_max = np.zeros(span, dtype=np.int64), np.zeros(span)
-        return self._sized(lo, hi, max_excess=max_excess, counts=counts, err_max=err_max)
+        return {"counts": np.zeros(span, dtype=np.int64), "err_max": np.zeros(span)}
 
     def update(self, blk: _Block) -> None:
         err = blk.err
@@ -294,10 +326,9 @@ class Excess(_Collector):
         self.counts[idx] += np.count_nonzero(excess > self.floor, axis=1)
         np.maximum(self.err_max[idx], err.max(axis=1), out=self.err_max[idx])
 
-    def merge(self, part: Excess) -> None:  # the per-step outputs fold
-        self.max_excess[part.lo - self.lo : part.hi - self.lo] = part.max_excess
-        self.counts += part.counts
-        np.maximum(self.err_max, part.err_max, out=self.err_max)
+    def merge(self, counts: np.ndarray, err_max: np.ndarray) -> None:
+        self.counts += counts
+        np.maximum(self.err_max, err_max, out=self.err_max)
 
 
 @dataclass(eq=False)
@@ -307,8 +338,8 @@ class ErrMatrix(_Collector):
     span: int
     outputs = ("matrix",)
 
-    def empty(self, lo: int, hi: int) -> ErrMatrix:
-        return self._sized(lo, hi, matrix=np.empty((hi - lo, self.span), dtype=np.float32))
+    def empty(self, lo: int, hi: int, alloc=np.empty) -> ErrMatrix:
+        return self._sized(lo, hi, matrix=alloc((hi - lo, self.span), np.float32))
 
     def update(self, blk: _Block) -> None:
         i0 = blk.m0 - blk.n0
@@ -324,8 +355,8 @@ class Checkpoints(_Collector):
     dim: int
     outputs = ("x",)
 
-    def empty(self, lo: int, hi: int) -> Checkpoints:
-        return self._sized(lo, hi, x=np.empty((hi - lo, len(self.ms), self.dim)))
+    def empty(self, lo: int, hi: int, alloc=np.empty) -> Checkpoints:
+        return self._sized(lo, hi, x=alloc((hi - lo, len(self.ms), self.dim), float))
 
     def update(self, blk: _Block) -> None:
         ms, m0 = self.ms, blk.m0
@@ -367,8 +398,8 @@ class NoiseSums(_Collector):
         if s * s * d * d <= _NOISE_TABLE_MAX_CELLS:
             self.table = noise_table(self.phi, self.next_phi, self.gamma, self.poisson)
 
-    def empty(self, lo: int, hi: int) -> NoiseSums:
-        return self._sized(lo, hi, norms=np.empty((hi - lo, len(self.ms))), S=None)
+    def empty(self, lo: int, hi: int, alloc=np.empty) -> NoiseSums:
+        return self._sized(lo, hi, norms=alloc((hi - lo, len(self.ms)), float), S=None)
 
     def _rows(self, y, y_next) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The rows of (C, c) at the transitions y -> y', as ``noise_rows``."""
@@ -571,17 +602,23 @@ def _dsum(p: np.ndarray) -> np.ndarray:
 
 
 def _simulate_chunk(
-    spec: _EnsembleSpec, lo: int, hi: int, segments: Iterable[np.ndarray]
+    spec: _EnsembleSpec,
+    lo: int,
+    hi: int,
+    segments: Iterable[np.ndarray],
+    parts: tuple[_Collector, ...] | None = None,
 ) -> tuple[_Collector, ...]:
     """The online TD(0) update of trajectories [lo, hi) along their sampled
-    states, feeding an empty copy of each of the spec's collectors; time-blocked
-    over a (d, B) layout as the module docstring describes.  ``segments`` are
-    the states in order as (L+1, B) arrays, each starting at the state the
-    one before ended at (``_path_segments``); any L will do."""
+    states, feeding ``parts`` (by default an empty copy of each of the spec's
+    collectors); time-blocked over a (d, B) layout as the module docstring
+    describes.  ``segments`` are the states in order as (L+1, B) arrays, each
+    starting at the state the one before ended at (``_path_segments``); any
+    L will do."""
     n0 = spec.n0
     B = hi - lo
     d = spec.phi.shape[1]
-    parts = tuple(c.empty(lo, hi) for c in spec.collectors)
+    if parts is None:
+        parts = tuple(c.empty(lo, hi) for c in spec.collectors)
     phi_t = np.ascontiguousarray(spec.phi.T)
     gamma = spec.gamma
     x = np.repeat(spec.initial_x[:, None], B, axis=1)
@@ -628,26 +665,68 @@ def _simulate_chunk(
     return parts
 
 
-def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> tuple[_Collector, ...]:
-    spec, lo, hi = args
-    return _simulate_chunk(spec, lo, hi, _path_segments(spec, lo, hi))
+def _fill_rows(
+    spec: _EnsembleSpec, totals: tuple[_Collector, ...], rows: tuple[int, int]
+) -> list[list[np.ndarray]]:
+    """Run the batch of trajectories [lo, hi) = ``rows``, writing its rows of
+    ``totals`` in place; the folded outputs of each part, to ``merge``."""
+    lo, hi = rows
+    parts = tuple(total.part(lo, hi) for total in totals)
+    _simulate_chunk(spec, lo, hi, _path_segments(spec, lo, hi), parts)
+    return [[getattr(part, name) for name in part.folded] for part in parts]
+
+
+_inherited: tuple[_EnsembleSpec, tuple[_Collector, ...]] | None = None  # a pool worker's spec and totals
+
+
+def _inherit(spec: _EnsembleSpec, totals: tuple[_Collector, ...]) -> None:
+    """A pool worker's initializer: the arguments come through fork, unpickled."""
+    global _inherited
+    _inherited = spec, totals
+
+
+def _fill_inherited_rows(rows: tuple[int, int]) -> list[list[np.ndarray]]:
+    return _fill_rows(*_inherited, rows)
+
+
+def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array in a new anonymous shared mapping: a forked child writes the
+    same memory the parent reads, and a page is resident only once touched."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
 def _run_ensemble(
     spec: _EnsembleSpec, n: int, batch_size: int, jobs: int
 ) -> tuple[_Collector, ...]:
     """The spec's collectors over trajectories [0, n), in batches on at most
-    ``jobs`` worker processes and never more workers than batches; each
-    batch is merged into the preallocated total as it arrives."""
+    ``jobs`` worker processes and never more workers than batches.  Each
+    batch writes its rows of the totals in place; its folded outputs are
+    merged into them as it arrives.  With workers, the totals' rows are
+    shared mappings and the pool forks, so the spec and the totals reach a
+    worker once and a task is only its rows."""
     if jobs < 1:
         raise ValidationError(f"jobs: must be >= 1, got {jobs}")
-    chunks = [(spec, lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-    totals = tuple(c.empty(0, n) for c in spec.collectors)
-    workers = min(jobs, len(chunks))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for parts in (pool.map if pool else map)(_run_chunk, chunks):
-            for total, part in zip(totals, parts):
-                total.merge(part)
+    batches = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+    workers = min(jobs, len(batches))
+    totals = tuple(c.empty(0, n, _shared_empty if workers > 1 else np.empty) for c in spec.collectors)
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit,
+            initargs=(spec, totals),
+        )
+        fill = partial(pool.map, _fill_inherited_rows)
+    else:
+        pool = nullcontext()
+        fill = partial(map, partial(_fill_rows, spec, totals))
+    with pool:
+        for outs in fill(batches):
+            for total, out in zip(totals, outs):
+                total.merge(*out)
     return totals
 
 

@@ -27,6 +27,10 @@ then each collector's output filled for that step by its own rule, written
 out here and never through the collector's block-wise ``update``.  The
 blocked kernel and its collectors are checked against it.
 
+``_run_chunk`` samples and runs one batch on its own, into new parts of
+the spec's collectors sized for its rows.  The ensemble no longer runs a
+batch that way: its batches write their rows into the run's totals.
+
 ``convergence_diagnostics`` is a pass with only the checkpoint collector,
 at the experiment's default checkpoints or any others in [n0, horizon]:
 the twin of the checkpoint diagnostics the experiment gathers in its own
@@ -64,7 +68,9 @@ from tdlab.harness import (
     _base_spec,
     _diagnostics,
     _EnsembleSpec,
+    _path_segments,
     _run_ensemble,
+    _simulate_chunk,
 )
 from tdlab.markov import MarkovChain, StationaryDistribution
 from tdlab.rng import stream
@@ -182,6 +188,13 @@ def reference_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
         rows = spec.cum_rows[states[:, n]]
         states[:, n + 1] = np.minimum((rows <= us[:, n + 1, None]).sum(axis=1), s - 1)
     return states
+
+
+def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> tuple:
+    """The spec's collectors over trajectories [lo, hi) alone, from
+    ``args`` = (spec, lo, hi)."""
+    spec, lo, hi = args
+    return _simulate_chunk(spec, lo, hi, _path_segments(spec, lo, hi))
 
 
 def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:

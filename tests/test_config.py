@@ -163,3 +163,12 @@ class TestExperimentConfig:
         ):
             with pytest.raises(ValidationError, match=f"^{field}:"):
                 ExperimentConfig(**dict(base, **{field: value}))
+
+    @pytest.mark.parametrize("batch_size", [-5, 0])
+    def test_batch_size_below_one_refused(self, ref_problem, batch_size):
+        # -5 used to simulate nothing and report rows of np.empty; 0 ended in range()'s ValueError
+        with pytest.raises(ValidationError, match=f"^batch_size: must be >= 1, got {batch_size}$"):
+            ExperimentConfig(
+                problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=100, horizon=300,
+                n_trajectories=10, master_seed=0, epsilon=0.5, delta=0.5, batch_size=batch_size,
+            )

@@ -30,13 +30,12 @@ from tdlab.harness import (
     _DRAW,
     _base_spec,
     _Collector,
-    _run_chunk,
     _run_ensemble,
     _sample_paths,
 )
 
 from conftest import random_problem
-from oracles import reference_chunk
+from oracles import _run_chunk, reference_chunk
 
 KINDS = _Collector.__subclasses__()
 
@@ -268,8 +267,9 @@ class TestWorkerPool:
         opened = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 opened.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self

@@ -33,12 +33,11 @@ from tdlab.harness import (
     _base_spec,
     _guide_table,
     _path_segments,
-    _run_chunk,
     _sample_paths,
 )
 
 from conftest import random_problem
-from oracles import reference_paths
+from oracles import _run_chunk, reference_paths
 
 HORIZONS = (0, 1, 63, 64, _DRAW - 1, _DRAW, _DRAW + 1, 2 * _DRAW + 1)
 
