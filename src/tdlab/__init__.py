@@ -39,6 +39,7 @@ from .errors import (
     SolverFailure,
     TDLabError,
     ValidationError,
+    WorkerDied,
 )
 from .features import (
     AssumptionReport,

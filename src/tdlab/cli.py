@@ -32,7 +32,6 @@ from pathlib import Path
 from .bounds import build_query, check_n0, evaluate_bound
 from .config import LoadedConfig, load_config
 from .errors import ComputeError, NonFinite, ValidationError
-from . import harness
 from .harness import estimate_p_init, run_alltime_experiment, simulate_trajectory
 
 
@@ -196,13 +195,6 @@ def cmd_experiment(args) -> int:
     if "csv" in cfg.formats:
         _write_per_m_csv(out / "per_m.csv", result)
         _write_summary_csv(out / "summary.csv", result)
-        if result.err_quantiles is None:
-            cells = result.n_trajectories * len(result.radius)
-            print(
-                f"note: per_m.csv error quantiles left blank: the error matrix would hold "
-                f"{cells} cells, over MAX_ERR_MATRIX_CELLS = {harness.MAX_ERR_MATRIX_CELLS}",
-                file=sys.stderr,
-            )
     print(
         f"alltime {result.empirical_alltime_prob:.6f} "
         f">= bound {result.theoretical_lower_bound:.6f}"
@@ -225,8 +217,7 @@ def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
 
 def _write_per_m_csv(path: Path, result) -> None:
     keys = ("q25", "q50", "q75", "q90")
-    q = result.err_quantiles  # None when the error matrix is over its cap: blank cells
-    quantiles = [[""] * len(result.radius) if q is None else q[k].tolist() for k in keys]
+    quantiles = [result.err_quantiles[k].tolist() for k in keys]
     header = ["m", "radius", "err_max", *(f"err_{k}" for k in keys), "violations"]
     columns = [range(result.n0, result.horizon + 1), result.radius.tolist(),
                result.per_m_err_max.tolist(), *quantiles, result.per_m_violation_counts.tolist()]

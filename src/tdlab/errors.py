@@ -51,6 +51,10 @@ class NonFinite(ComputeError):
     """An iterate overflowed or became NaN; carries the step index in the message."""
 
 
+class WorkerDied(ComputeError):
+    """A worker process of an ensemble ended abruptly; the message names its exit code."""
+
+
 class SeriesDivergence(ComputeError):
     """An infinite tail sum has non-decaying terms and cannot be truncated."""
 

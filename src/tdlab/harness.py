@@ -2,8 +2,8 @@
 
 One engine serves ``experiment``, ``bound`` and ``simulate``:
 ``_path_segments`` draws a batch's states by inverse CDF, one segment of
-``_DRAW`` steps at a time, and ``_simulate_chunk`` runs the online TD(0)
-update along each segment before the next is drawn.  The
+at most ``_DRAW`` steps at a time, and ``_simulate_chunk`` runs the online
+TD(0) update along each segment before the next is drawn.  The
 experiment simulates many independent trajectories, estimates the
 initial-condition term, fits the tail-exponent constant from simulated
 weighted noise sums when none is supplied, and compares the empirical
@@ -35,28 +35,46 @@ bit for bit.
 A collector is one quantity the pass gathers, built from its own inputs:
 ``StartError`` (the error at n0), ``Excess`` (the largest excess over the
 radius per trajectory and epsilon, and the per-step violation counts and
-error maxima), ``ErrMatrix`` (every error from n0 on), ``Checkpoints``
-(the iterates at given steps) and ``NoiseSums`` (the weighted martingale
-noise sums for the tail-exponent fit, with each increment read from a
-table over the transitions y -> y' built once per run, and the sum folded
-once per block).  The spec carries the collectors a caller lists; the
-ensemble allocates each one's total for all trajectories once, through
-``empty``.  A batch feeds, block by block through ``update``, the ``part``
-of each total for its rows: the per-trajectory outputs are views of the
-total's rows, so the batch writes them in place, and only the per-step
-outputs it folds (``Excess``'s counts and maxima) are its own, which the
-ensemble ``merge``s into the total.  Integer sums and maxima do not depend
-on the order they are taken in, so every output is the same for any batch
-split.  One experiment is one pass with all five (the noise sums only when
-D is fitted, the matrix only under ``MAX_ERR_MATRIX_CELLS``).  A collector
-reads only the block, never another collector, so which others ride along
-never changes its values.
+error maxima), ``Checkpoints`` (the iterates at given steps) and
+``NoiseSums`` (the weighted martingale noise sums for the tail-exponent
+fit, with each increment read from a table over the transitions y -> y'
+built once per run, and the sum folded once per block).  The spec carries
+the collectors a caller lists; the ensemble allocates each one's total for
+all trajectories once, through ``empty``.  A batch feeds, block by block
+through ``update``, the ``part`` of each total for its rows: the
+per-trajectory outputs are views of the total's rows, so the batch writes
+them in place, and only the per-step outputs it folds (``Excess``'s counts
+and maxima) are its own, which the ensemble ``merge``s into the total.
+Integer sums and maxima do not depend on the order they are taken in, so
+every output is the same for any batch split.  One experiment is one pass
+with all four (the noise sums only when D is fitted).  A collector reads
+only the block, never another collector, so which others ride along never
+changes its values.
 
-With more than one worker, the totals' per-trajectory outputs live in
+The batches run in lockstep, one window of L steps at a time (``_window``:
+L*n stays under ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple
+of ``_BLOCK``, so every block starts where it would on a whole path).  A
+batch is a ``_Lane``: its iterates, its parts and its stream of path
+segments, one segment per window.  Every lane runs window k before any
+runs window k+1, so a non-finite iterate is reported at the earliest step
+of the run, and at that step the lowest trajectory, for any batch split.
+The per-step error quantiles (``ErrQuantiles``) need every trajectory at
+once: each lane writes its errors of the window into its columns of a ring
+of (L+1, n) float32 rows, and after the window the ensemble sorts each row
+in place and takes its percentiles.  No process holds more than the ring
+of errors, whatever the horizon.
+
+With more than one worker, each worker process owns a contiguous run of
+batches.  The totals' per-trajectory outputs and the ring live in
 anonymous shared mappings made before the pool, and the pool forks: each
-worker inherits the spec and the totals once, is handed only the rows of a
-batch, writes them into the parent's memory and sends back only the folded
-outputs.
+worker inherits the spec, the totals and the ``_Lockstep`` handshake once,
+writes its rows into the parent's memory and sends back only the folded
+outputs.  The parent starts each window once every worker has run the one
+before; the ring has two slots, so the parent reduces window k while the
+workers run window k+1.  A task that ends early wakes the parent, which
+stops the others, so nobody is left waiting: the run raises the earliest
+non-finite step of any worker, else names the exit code of a worker that
+died, else re-raises the worker's error.
 
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
@@ -72,15 +90,12 @@ statistically, monotone across the grids.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
-import mmap
-import multiprocessing
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -97,14 +112,14 @@ from .bounds import (
     tail_probability,
 )
 from .dynamics import TrajectoryRecord, run_deterministic
-from .errors import InsufficientTailData, NonFinite, ValidationError
+from .errors import InsufficientTailData, NonFinite, ValidationError, WorkerDied
 from .rng import stream
 from .schedule import StepSchedule
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
-MAX_ERR_MATRIX_CELLS = 40_000_000  # float32 error matrix cap (~160 MB)
 _BLOCK = 64  # steps per block of the TD kernel
-_DRAW = 16 * _BLOCK  # steps per sampled path segment
+_DRAW = 16 * _BLOCK  # most steps per sampled path segment
+_RING_MAX_CELLS = 1 << 19  # cap on the steps x trajectories of one lockstep window (2 MB of float32)
 _TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
 _GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
 _NOISE_TABLE_MAX_CELLS = 1 << 22  # cap on the s^2 d^2 entries of a noise table (32 MB)
@@ -227,6 +242,14 @@ class _EnsembleSpec:
     n0: int
     horizon: int
     collectors: tuple[_Collector, ...] = ()
+    window: int = _DRAW  # steps per path segment: one lockstep window (``_windows``)
+
+    @cached_property
+    def guide(self) -> _Guide:
+        """The guide table of the CDF rows (``_guide_table``), built once per
+        spec: every batch of a run reads the same one, which stays in cache
+        as the batches take turns."""
+        return _guide_table(self.cum_rows[:, : self.phi.shape[0] - 1])
 
 
 class _Block(NamedTuple):
@@ -332,21 +355,6 @@ class Excess(_Collector):
 
 
 @dataclass(eq=False)
-class ErrMatrix(_Collector):
-    """The error at every step from n0, in float32; ``span`` steps."""
-
-    span: int
-    outputs = ("matrix",)
-
-    def empty(self, lo: int, hi: int, alloc=np.empty) -> ErrMatrix:
-        return self._sized(lo, hi, matrix=alloc((hi - lo, self.span), np.float32))
-
-    def update(self, blk: _Block) -> None:
-        i0 = blk.m0 - blk.n0
-        self.matrix[:, i0 : i0 + len(blk.err)] = blk.err.T
-
-
-@dataclass(eq=False)
 class Checkpoints(_Collector):
     """The iterates at the sorted distinct steps ``ms`` >= n0, in ``dim``
     features."""
@@ -448,6 +456,66 @@ class NoiseSums(_Collector):
             p = q
 
 
+_PERCENTILES = (25, 50, 75, 90)
+
+
+def _err_quantiles(window: np.ndarray) -> dict[str, np.ndarray]:
+    """The 25/50/75/90th percentiles of each row of a (steps, n) window of
+    errors.  The rows are sorted in place first, so the percentile selects
+    from sorted rows."""
+    window.sort(axis=1)
+    qs = np.percentile(window, _PERCENTILES, axis=1)
+    return {f"q{p}": q for p, q in zip(_PERCENTILES, qs)}
+
+
+@dataclass(eq=False)
+class ErrQuantiles:
+    """The 25/50/75/90th percentiles over all trajectories of the error at
+    each step n0..horizon (``q``), taken one lockstep window at a time.
+
+    It is not a collector: its values depend on every trajectory at once,
+    so no batch alone can give them.  ``ring(n, W, slots, alloc)`` gives it
+    a ring of (slots, W+1, n) float32 errors for windows of W steps: window
+    k (steps kW+1..(k+1)W, and step 0 as well in window 0) writes step
+    kW + r to row r of slot k % slots.  A batch's ``part`` is a view of its
+    columns, which ``update`` fills block by block.  After every batch has
+    run window k, ``reduce(k)`` takes the percentiles of the window's rows
+    (``_err_quantiles``).  Each row holds the numbers of one step's column
+    of the whole (n, span) error matrix, so the values are those of one
+    whole-matrix ``np.percentile``.
+    """
+
+    n0: int
+    horizon: int
+    folded = ()
+
+    def ring(self, n: int, W: int, slots: int, alloc=np.empty) -> None:
+        self.W = W
+        self.rows = alloc((slots, W + 1, n), np.float32)
+        self.q = {f"q{p}": np.empty(self.horizon - self.n0 + 1) for p in _PERCENTILES}
+
+    def part(self, lo: int, hi: int) -> ErrQuantiles:
+        part = copy.copy(self)
+        part.rows = self.rows[..., lo:hi]
+        return part
+
+    def update(self, blk: _Block) -> None:
+        k = blk.bs // self.W
+        r = blk.m0 - k * self.W
+        self.rows[k % len(self.rows), r : r + len(blk.err)] = blk.err
+
+    def merge(self) -> None:
+        """Nothing to fold: ``reduce`` takes the values."""
+
+    def reduce(self, k: int) -> None:
+        W = self.W
+        first, last = max(self.n0, k * W + (k > 0)), min((k + 1) * W, self.horizon)
+        if first <= last:
+            window = self.rows[k % len(self.rows), first - k * W : last - k * W + 1]
+            for key, q in _err_quantiles(window).items():
+                self.q[key][first - self.n0 : last - self.n0 + 1] = q
+
+
 class _Guide(NamedTuple):
     """The guide table (indexed search) of an inverse-CDF lookup over the
     first s-1 CDF columns ``cdf`` (s, s-1), in ``G`` buckets of width 1/G.
@@ -487,16 +555,31 @@ def _guide_table(cdf: np.ndarray) -> _Guide:
     return _Guide(G, w, first, rows)
 
 
+def _windows(spec: _EnsembleSpec) -> range:
+    """The first steps of a run's path segments, one lockstep window each:
+    every ``spec.window`` steps, or one segment when the horizon is shorter
+    (one segment of no steps at horizon 0)."""
+    return range(0, max(spec.horizon, 1), max(min(spec.window, spec.horizon), 1))
+
+
+def _window(n: int) -> int:
+    """The window length L for n trajectories: the largest multiple of
+    ``_BLOCK`` with L*n <= ``_RING_MAX_CELLS``, clamped to [``_BLOCK``,
+    ``_DRAW``]."""
+    return min(max(_RING_MAX_CELLS // n // _BLOCK * _BLOCK, _BLOCK), _DRAW)
+
+
 def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The states of trajectories [lo, hi) at steps 0..horizon, by inverse
     CDF on each trajectory's own stream, one segment at a time.
 
     A segment holds the states at steps start..start+L as an (L+1, B) array,
-    L <= ``_DRAW``; the next one starts at the state this one ends at.  The
-    buffer is reused, so a segment is valid only until the next is asked
-    for.  Segment 0 draws 1 + L uniforms per trajectory (the first picks the
-    start state, drawn even when it is fixed), the others L; chunked draws
-    continue the stream exactly as one long draw would.
+    one per start of ``_windows``, so L is at most ``spec.window`` and the
+    horizon; the next one starts at the state this one ends at.  The buffers
+    are that wide, and reused, so a segment is valid only until the next is
+    asked for.  Segment 0 draws 1 + L uniforms per trajectory (the first
+    picks the start state, drawn even when it is fixed), the others L;
+    chunked draws continue the stream exactly as one long draw would.
 
     The next state is the number of CDF entries of the current row at or
     below the uniform u.  Rows are nondecreasing, so counting only the first
@@ -511,32 +594,34 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     B = hi - lo
     T = spec.horizon
     s = spec.phi.shape[0]
+    starts = _windows(spec)
+    W = starts.step
     gens = [stream(spec.master_seed, i) for i in range(lo, hi)]
-    u = np.empty((B, 1 + _DRAW))  # column 0 is the start-state draw
-    ut = np.empty((_DRAW, B))
+    u = np.empty((B, 1 + W))  # column 0 is the start-state draw
+    ut = np.empty((W, B))
     columns = s <= _TAKE_COLUMNS_MAX_S
     if columns:  # the CDF row of state y is column y
         table = np.ascontiguousarray(spec.cum_rows[:, : s - 1].T)
         cdf = np.empty((s - 1, B))
         hits = np.empty(cdf.shape, dtype=bool)
     else:
-        guide = _guide_table(spec.cum_rows[:, : s - 1])
+        guide = spec.guide
         first, rows = guide.first.ravel(), guide.rows.ravel()
         stride = guide.rows.shape[1]
         window = np.arange(guide.w)[:, None]
-        bucket = np.empty((_DRAW, B), dtype=np.intp)  # b*s of each step's uniform
+        bucket = np.empty((W, B), dtype=np.intp)  # b*s of each step's uniform
         at = np.empty(B, dtype=np.intp)
         below = np.empty(B, dtype=np.intp)
         idx = np.empty((guide.w, B), dtype=np.intp)
         cdf = np.empty((guide.w, B))
         hits = np.empty(cdf.shape, dtype=bool)
-    Y = np.empty((_DRAW + 1, B), dtype=np.intp)
-    for start in range(0, max(T, 1), _DRAW):
-        L = min(_DRAW, T - start)
+    Y = np.empty((W + 1, B), dtype=np.intp)
+    for start in starts:
+        L = min(W, T - start)
         for g, row in zip(gens, u):
             g.random(out=row[0 if start == 0 else 1 : 1 + L])
         if start > 0:
-            Y[0] = Y[_DRAW]
+            Y[0] = Y[W]
         elif spec.init_policy == "fixed":
             Y[0] = spec.init_state
         elif spec.init_policy == "uniform":
@@ -601,32 +686,63 @@ def _dsum(p: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Lane:
+    """Trajectories [lo, hi) of a lockstep run: the ``parts`` they feed,
+    their iterates ``x`` (d, B) at step ``at`` and their path segments still
+    to come.  Iterating a lane yields only its next segment, so
+    ``_simulate_chunk`` given a lane as its segments runs one window and
+    leaves the lane where the window ends."""
+
+    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, parts=(), segments=None):
+        self.lo, self.hi, self.parts = lo, hi, parts
+        self.x = np.repeat(spec.initial_x[:, None], hi - lo, axis=1)
+        self.at = 0
+        self.segments = iter(_path_segments(spec, lo, hi) if segments is None else segments)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return itertools.islice(self.segments, 1)
+
+    def folded(self) -> list[list[np.ndarray]]:
+        """The folded outputs of each part, to ``merge``."""
+        return [[getattr(part, name) for name in part.folded] for part in self.parts]
+
+
+def _non_finite(trajectory: int, step: int) -> NonFinite:
+    """The error for the first non-finite iterate; ``at`` orders such errors
+    by step, then trajectory."""
+    exc = NonFinite(f"trajectory {trajectory} became non-finite at step {step}")
+    exc.at = (step, trajectory)
+    return exc
+
+
 def _simulate_chunk(
     spec: _EnsembleSpec,
     lo: int,
     hi: int,
     segments: Iterable[np.ndarray],
-    parts: tuple[_Collector, ...] | None = None,
-) -> tuple[_Collector, ...]:
+    parts: tuple | None = None,
+) -> tuple:
     """The online TD(0) update of trajectories [lo, hi) along their sampled
     states, feeding ``parts`` (by default an empty copy of each of the spec's
     collectors); time-blocked over a (d, B) layout as the module docstring
     describes.  ``segments`` are the states in order as (L+1, B) arrays, each
     starting at the state the one before ended at (``_path_segments``); any
-    L will do."""
+    L will do.  They start at step 0 from the spec's initial iterate, unless
+    ``segments`` is a ``_Lane``: then its next window runs from where the
+    last one ended."""
     n0 = spec.n0
     B = hi - lo
     d = spec.phi.shape[1]
     if parts is None:
         parts = tuple(c.empty(lo, hi) for c in spec.collectors)
+    lane = segments if isinstance(segments, _Lane) else _Lane(spec, lo, hi, segments=())
     phi_t = np.ascontiguousarray(spec.phi.T)
     gamma = spec.gamma
-    x = np.repeat(spec.initial_x[:, None], B, axis=1)
+    x, start = lane.x, lane.at
     P = np.empty((d, 2, B))
     t = np.empty(B)
     u = np.empty((d, B))
     with np.errstate(over="ignore", invalid="ignore"):
-        start = 0
         for seg in segments:
             end = start + len(seg) - 1
             for bs in range(start, max(end, 1), _BLOCK):  # at horizon 0, one block of no steps
@@ -652,7 +768,7 @@ def _simulate_chunk(
                 finite = np.isfinite(X[:, 1:]).all(axis=0)
                 if not finite.all():
                     j, b = np.argwhere(~finite)[0]
-                    raise NonFinite(f"trajectory {lo + b} became non-finite at step {bs + j + 1}")
+                    raise _non_finite(lo + int(b), bs + int(j) + 1)
 
                 if bs + K >= n0:  # the iterates of steps bs+j.. are new and at or after n0
                     j = max(n0 - bs, 1 if bs else 0)
@@ -662,71 +778,208 @@ def _simulate_chunk(
                     for part in parts:
                         part.update(blk)
             start = end
+    lane.x, lane.at = x, start
     return parts
 
 
-def _fill_rows(
-    spec: _EnsembleSpec, totals: tuple[_Collector, ...], rows: tuple[int, int]
-) -> list[list[np.ndarray]]:
-    """Run the batch of trajectories [lo, hi) = ``rows``, writing its rows of
-    ``totals`` in place; the folded outputs of each part, to ``merge``."""
-    lo, hi = rows
-    parts = tuple(total.part(lo, hi) for total in totals)
-    _simulate_chunk(spec, lo, hi, _path_segments(spec, lo, hi), parts)
-    return [[getattr(part, name) for name in part.folded] for part in parts]
+def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
+    """Run the next window of the batch ``lane``, writing its rows of the
+    totals in place."""
+    _simulate_chunk(spec, lane.lo, lane.hi, lane, lane.parts)
 
 
-_inherited: tuple[_EnsembleSpec, tuple[_Collector, ...]] | None = None  # a pool worker's spec and totals
+def _run_window(spec: _EnsembleSpec, lanes: list[_Lane]) -> None:
+    """Run the next window of every lane; then, if any lane's iterates became
+    non-finite, raise the error of the earliest step, and at that step of
+    the lowest trajectory."""
+    failures = []
+    for lane in lanes:
+        try:
+            _fill_rows(spec, lane)
+        except NonFinite as exc:
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.at)
 
 
-def _inherit(spec: _EnsembleSpec, totals: tuple[_Collector, ...]) -> None:
+def _lanes(spec: _EnsembleSpec, feeds: tuple, batches) -> list[_Lane]:
+    return [_Lane(spec, lo, hi, tuple(f.part(lo, hi) for f in feeds)) for lo, hi in batches]
+
+
+_inherited = None  # a pool worker's spec, feeds and lockstep handshake
+
+
+def _inherit(spec: _EnsembleSpec, feeds: tuple, step: _Lockstep) -> None:
     """A pool worker's initializer: the arguments come through fork, unpickled."""
     global _inherited
-    _inherited = spec, totals
+    _inherited = spec, feeds, step
 
 
-def _fill_inherited_rows(rows: tuple[int, int]) -> list[list[np.ndarray]]:
-    return _fill_rows(*_inherited, rows)
+def _fill_inherited_rows(batches: list[tuple[int, int]]) -> list[list[list[np.ndarray]]]:
+    """A pool worker's one task: run ``batches`` in lockstep with the other
+    workers, each window once the parent says go; the folded outputs of each
+    batch, or nothing if the parent stopped the run."""
+    spec, feeds, step = _inherited
+    lanes = _lanes(spec, feeds, batches)
+    for _ in _windows(spec):
+        if not step.go():
+            return []
+        _run_window(spec, lanes)
+        step.done.release()
+    return [lane.folded() for lane in lanes]
 
 
 def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     """An array in a new anonymous shared mapping: a forked child writes the
     same memory the parent reads, and a page is resident only once touched."""
+    import mmap
+
     dtype = np.dtype(dtype)
     count = math.prod(shape)
     buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
+class _Lockstep:
+    """The window-by-window handshake of a pool run.  The parent ``start``s a
+    window by releasing ``_go`` once per worker; a worker that took its
+    ``go`` runs the window and releases ``done``; the parent ``wait``s for
+    every ``done``.  It holds no lock, only two semaphores and a shared stop
+    flag, so a process that dies at any point leaves nothing held that
+    another waits on (a ``multiprocessing.Barrier`` is a condition
+    variable, whose notify waits for every sleeper, a dead one too).
+    ``task_ended``, each future's done-callback, wakes the parent when a
+    task ends early, and the parent ``halt``s the workers still running."""
+
+    def __init__(self, ctx, workers: int):
+        self.workers = workers
+        self._go = ctx.Semaphore(0)
+        self.done = ctx.Semaphore(0)
+        self._stop = _shared_empty((1,), np.int8)
+        self.failed = False  # set in the parent, by a done-callback
+
+    def go(self) -> bool:
+        """A worker's wait for the next window: False if the run stopped."""
+        self._go.acquire()
+        return not self._stop[0]
+
+    def start(self) -> None:
+        for _ in range(self.workers):
+            self._go.release()
+
+    def wait(self) -> bool:
+        """Every worker's ``done`` for the window: False if a task ended early."""
+        for _ in range(self.workers):
+            self.done.acquire()
+            if self.failed:
+                return False
+        return True
+
+    def halt(self) -> None:
+        self._stop[0] = 1
+        self.start()
+
+    def task_ended(self, future) -> None:
+        if future.cancelled() or future.exception() is not None:
+            self.failed = True
+            self.done.release()
+
+
+def _pool_failure(futures, procs) -> BaseException:
+    """The error a pool run that ended early raises: the earliest non-finite
+    iterate any worker met, else a ``WorkerDied`` naming the exit code of a
+    worker that died, else the first worker error."""
+    import signal
+    from concurrent.futures.process import BrokenProcessPool
+
+    errors = [f.exception() for f in futures if not f.cancelled()]
+    non_finite = [e for e in errors if isinstance(e, NonFinite)]
+    if non_finite:
+        return min(non_finite, key=lambda exc: exc.at)
+    if any(isinstance(e, BrokenProcessPool) for e in errors):
+        # the pool SIGTERMs the survivors of a dead worker: name another code first
+        codes = sorted((p.exitcode for p in procs if p.exitcode), key=lambda c: c == -signal.SIGTERM)
+        return WorkerDied(
+            f"a worker process ended abruptly with exit code {codes[0] if codes else 'unknown'}"
+        )
+    return next(e for e in errors if e is not None)
+
+
+def _run_pool(spec, feeds, batches, workers, quantiles) -> list:
+    """The lockstep run on ``workers`` forked processes, each with a
+    contiguous run of ``batches``; the parent reduces ``quantiles`` of window
+    k while the workers run window k+1.  The folded outputs of every batch."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork")
+    step = _Lockstep(ctx, workers)
+    runs = [batches[w * len(batches) // workers : (w + 1) * len(batches) // workers] for w in range(workers)]
+    windows = len(_windows(spec))
+    before = set(multiprocessing.active_children())
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=ctx, initializer=_inherit, initargs=(spec, feeds, step)
+    ) as pool:
+        futures = [pool.submit(_fill_inherited_rows, run) for run in runs]
+        procs = set(multiprocessing.active_children()) - before  # none has ended: each waits to go
+        for future in futures:
+            future.add_done_callback(step.task_ended)
+        try:
+            for k in range(windows):
+                step.start()
+                if k and quantiles is not None:
+                    quantiles.reduce(k - 1)
+                if not step.wait():
+                    step.halt()
+                    break
+            else:
+                if quantiles is not None:
+                    quantiles.reduce(windows - 1)
+        except BaseException:
+            step.halt()
+            raise
+    if step.failed:  # the pool is shut down: every worker has ended
+        raise _pool_failure(futures, procs)
+    return [out for future in futures for out in future.result()]
+
+
 def _run_ensemble(
-    spec: _EnsembleSpec, n: int, batch_size: int, jobs: int
+    spec: _EnsembleSpec,
+    n: int,
+    batch_size: int,
+    jobs: int,
+    quantiles: ErrQuantiles | None = None,
 ) -> tuple[_Collector, ...]:
-    """The spec's collectors over trajectories [0, n), in batches on at most
-    ``jobs`` worker processes and never more workers than batches.  Each
-    batch writes its rows of the totals in place; its folded outputs are
-    merged into them as it arrives.  With workers, the totals' rows are
-    shared mappings and the pool forks, so the spec and the totals reach a
-    worker once and a task is only its rows."""
+    """The spec's collectors over trajectories [0, n), in batches run in
+    lockstep windows on at most ``jobs`` worker processes and never more
+    workers than batches; with ``quantiles``, also the per-step error
+    quantiles, into it.  Each batch writes its rows of the totals in place;
+    its folded outputs are merged into them at the end.  With workers, the
+    totals' rows and the ring are shared mappings and the pool forks, so the
+    spec and the totals reach a worker once and a task is only its batches."""
     if jobs < 1:
         raise ValidationError(f"jobs: must be >= 1, got {jobs}")
     batches = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
     workers = min(jobs, len(batches))
-    totals = tuple(c.empty(0, n, _shared_empty if workers > 1 else np.empty) for c in spec.collectors)
+    spec = replace(spec, window=_window(n))
+    alloc = _shared_empty if workers > 1 else np.empty
+    totals = tuple(c.empty(0, n, alloc) for c in spec.collectors)
+    feeds = totals
+    if quantiles is not None:
+        quantiles.ring(n, _windows(spec).step, min(workers, 2), alloc)
+        feeds += (quantiles,)
     if workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_inherit,
-            initargs=(spec, totals),
-        )
-        fill = partial(pool.map, _fill_inherited_rows)
+        folded = _run_pool(spec, feeds, batches, workers, quantiles)
     else:
-        pool = nullcontext()
-        fill = partial(map, partial(_fill_rows, spec, totals))
-    with pool:
-        for outs in fill(batches):
-            for total, out in zip(totals, outs):
-                total.merge(*out)
+        lanes = _lanes(spec, feeds, batches)
+        for k in range(len(_windows(spec))):
+            _run_window(spec, lanes)
+            if quantiles is not None:
+                quantiles.reduce(k)
+        folded = [lane.folded() for lane in lanes]
+    for outs in folded:
+        for feed, out in zip(feeds, outs):
+            feed.merge(*out)
     return totals
 
 
@@ -909,7 +1162,7 @@ class ExperimentResult:
     per_m_err_max: np.ndarray
     radius: np.ndarray
     grid: list[GridRow]
-    err_quantiles: dict[str, np.ndarray] | None
+    err_quantiles: dict[str, np.ndarray]
     diagnostics: Diagnostics
     wall_time: float = field(default=0.0, compare=False)
 
@@ -955,7 +1208,8 @@ def run_alltime_experiment(
     0, so every martingale increment is identically 0) skips the noise
     sums and the fit: every tail is 0 and every bound is 1 - p_init.
     The same pass collects the errors at the default convergence
-    checkpoints, reduced into ``diagnostics``.  A tail constant, given or
+    checkpoints, reduced into ``diagnostics``, and the per-step error
+    quantiles, window by window (``ErrQuantiles``).  A tail constant, given or
     fitted, needs n0 >= 1, and n0 must be feasible; both are checked before
     the ensemble runs.  Every grid cell's tail is the primary query with
     that cell's epsilon, delta and p_init.
@@ -981,7 +1235,6 @@ def run_alltime_experiment(
     decay = decay_curve(constants, sched, n0, horizon)
     primary_floor = floor_term(constants, sched, n0, config.epsilon, config.delta)
     need_fit = d_source == "fitted"
-    span = horizon - n0 + 1
     checkpoints = np.unique(np.geomspace(max(n0, 1), horizon, 8).astype(np.int64))
 
     collectors = [
@@ -996,10 +1249,10 @@ def run_alltime_experiment(
         collectors.append(
             NoiseSums(fit_ms - 1, problem.gamma, problem.phi, problem.next_phi, analytic.poisson)
         )
-    if config.n_trajectories * span <= MAX_ERR_MATRIX_CELLS:
-        collectors.append(ErrMatrix(span))
+    quantiles = ErrQuantiles(n0, horizon)
     spec = _base_spec(config, analytic, horizon, tuple(collectors))
-    out = {type(c): c for c in _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)}
+    totals = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs, quantiles)
+    out = {type(c): c for c in totals}
     err_n0, max_excess = out[StartError].err, out[Excess].max_excess
 
     n = config.n_trajectories
@@ -1054,8 +1307,6 @@ def run_alltime_experiment(
             if (eps, dlt) == (config.epsilon, config.delta):
                 primary, tail = row, t
 
-    quantiles = _err_quantiles(out[ErrMatrix].matrix) if ErrMatrix in out else None
-
     return ExperimentResult(
         n_trajectories=n,
         n0=n0,
@@ -1079,24 +1330,10 @@ def run_alltime_experiment(
         per_m_err_max=out[Excess].err_max,
         radius=decay * config.epsilon + primary_floor,
         grid=grid_rows,
-        err_quantiles=quantiles,
+        err_quantiles=quantiles.q,
         diagnostics=_diagnostics(checkpoints, out[Checkpoints].x, analytic.x_star, sched),
         wall_time=time.monotonic() - t0,
     )
-
-
-def _err_quantiles(matrix: np.ndarray) -> dict[str, np.ndarray]:
-    """The 25/50/75/90th percentiles of each column of the (n, span) error
-    matrix: those of one whole-matrix ``np.percentile``, taken over sorted
-    (cols, n) copies of 1024-column slices.  The percentile then selects
-    from sorted rows, and there is no second matrix-sized copy."""
-    parts = []
-    for c in range(0, matrix.shape[1], 1024):
-        cols = matrix[:, c : c + 1024].T.copy()
-        cols.sort(axis=1)
-        parts.append(np.percentile(cols, [25, 50, 75, 90], axis=1))
-    qs = np.concatenate(parts, axis=1)
-    return {"q25": qs[0], "q50": qs[1], "q75": qs[2], "q90": qs[3]}
 
 
 @dataclass(frozen=True)

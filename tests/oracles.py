@@ -27,6 +27,12 @@ then each collector's output filled for that step by its own rule, written
 out here and never through the collector's block-wise ``update``.  The
 blocked kernel and its collectors are checked against it.
 
+``ErrMatrix`` is a collector of every error from n0 on, as an (n, span)
+float32 matrix.  The ensemble no longer holds one: it takes the per-step
+quantiles one window at a time.  The kernel twins check every error
+against the reference kernel's, and the quantiles against one percentile
+of the whole matrix.
+
 ``_run_chunk`` samples and runs one batch on its own, into new parts of
 the spec's collectors sized for its rows.  The ensemble no longer runs a
 batch that way: its batches write their rows into the run's totals.
@@ -60,12 +66,13 @@ from tdlab.analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem,
 from tdlab.harness import (
     Checkpoints,
     Diagnostics,
-    ErrMatrix,
     Excess,
     ExperimentConfig,
     NoiseSums,
     StartError,
     _base_spec,
+    _Block,
+    _Collector,
     _diagnostics,
     _EnsembleSpec,
     _path_segments,
@@ -188,6 +195,21 @@ def reference_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
         rows = spec.cum_rows[states[:, n]]
         states[:, n + 1] = np.minimum((rows <= us[:, n + 1, None]).sum(axis=1), s - 1)
     return states
+
+
+@dataclass(eq=False)
+class ErrMatrix(_Collector):
+    """The error at every step from n0, in float32; ``span`` steps."""
+
+    span: int
+    outputs = ("matrix",)
+
+    def empty(self, lo: int, hi: int, alloc=np.empty) -> "ErrMatrix":
+        return self._sized(lo, hi, matrix=alloc((hi - lo, self.span), np.float32))
+
+    def update(self, blk: _Block) -> None:
+        i0 = blk.m0 - blk.n0
+        self.matrix[:, i0 : i0 + len(blk.err)] = blk.err.T
 
 
 def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> tuple:

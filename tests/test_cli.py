@@ -273,29 +273,20 @@ class TestSimulate:
         assert [int(r["n"]) for r in rows] == list(range(51))
 
 
-class TestQuantileCap:
-    def test_blank_quantiles_are_reported(self, tmp_path, monkeypatch, capsys):
-        cfg = reference_config(tmp_path, n_trajectories=4, horizon=300)
-        monkeypatch.setattr(harness, "MAX_ERR_MATRIX_CELLS", 803)  # 4 x 201 cells needed
-        out = tmp_path / "capped"
-        assert cli.main(["experiment", cfg, "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert "804 cells, over MAX_ERR_MATRIX_CELLS = 803" in err
-        with open(out / "per_m.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 201 and all(row["err_q50"] == "" for row in rows)
-
-        monkeypatch.setattr(harness, "MAX_ERR_MATRIX_CELLS", 804)
-        full = tmp_path / "full"
-        assert cli.main(["experiment", cfg, "--out", str(full)]) == 0
-        assert "MAX_ERR_MATRIX_CELLS" not in capsys.readouterr().err
-        assert (full / "result.json").read_bytes() == (out / "result.json").read_bytes()
-
-
 class TestStartUp:
     def test_import_loads_no_scipy(self):
         # scipy serves only the infinite tail's remainder; every command's start-up skips it
         code = "import sys, tdlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"
+
+    def test_import_loads_no_pool(self):
+        # only an ensemble at jobs >= 2 makes a pool; every other start-up skips its modules
+        names = ("multiprocessing", "concurrent.futures", "mmap")
+        code = f"import sys, tdlab.cli; print([m for m in {names!r} if m in sys.modules])"
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,19 +1,26 @@
-"""Batches write their rows of the run's totals in place.
+"""Batches write their rows of the run's totals in place, in lockstep windows.
 
 ``harness._run_ensemble`` allocates each collector's total once.  A batch's
 part holds views of the total's rows, so at jobs = 1 no rows are copied; at
 jobs = 2 the rows live in anonymous shared mappings that forked workers
-write, and a worker sends back only the per-step outputs it folds.  An
-error raised in a worker names the same trajectory and step as at jobs = 1,
-and no worker process outlives a run, whether it ends normally or not.
+write, and a worker sends back only the per-step outputs it folds.  Every
+batch runs window k before any runs window k+1, so a non-finite iterate is
+reported at the earliest step, and at that step the lowest trajectory, for
+any batch split and worker count.  The per-step error quantiles, reduced
+one window at a time from a ring, equal one percentile of the whole error
+matrix, and the memory of a run does not grow with its horizon.  No worker
+process outlives a run, whether it ends normally, fails or dies.
 """
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -21,19 +28,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdlab import NonFinite, StepSchedule
+from tdlab import NonFinite, StepSchedule, solve_problem
 from tdlab import harness
 from tdlab.harness import (
     _BLOCK,
-    ErrMatrix,
+    ErrQuantiles,
     Excess,
     ExperimentConfig,
     StartError,
     _base_spec,
     _run_ensemble,
+    _window,
+    run_alltime_experiment,
 )
 from tdlab.instances import reference_config_dict
 
+from conftest import random_problem
+from oracles import ErrMatrix
 from test_kernel import KINDS, by_kind, divergent_paths, full_spec
 
 
@@ -69,24 +80,24 @@ class TestInPlace:
 
     def test_tasks_and_returns_carry_no_rows(self, ref_problem, ref_analytic, monkeypatch):
         # at horizon 4000 one batch's error rows take 512 * 3991 * 4 bytes, about 8 MB
-        sizes, sent = [], []
+        # one task per worker, here of one batch each
+        futures, sent = [], []
 
         class Recording(ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                sent.extend(len(pickle.dumps((fn, task))) for task in zip(*iterables))
-                for out in super().map(fn, *iterables, **kwargs):
-                    sizes.append(len(pickle.dumps(out)))
-                    yield out
+            def submit(self, fn, *args, **kwargs):
+                sent.append(len(pickle.dumps((fn, args, kwargs))))
+                futures.append(super().submit(fn, *args, **kwargs))
+                return futures[-1]
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
 
         def returned(horizon, kinds):
             spec = full_spec(ref_problem, ref_analytic, 10, horizon)
             spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) in kinds))
-            sizes.clear()
+            futures.clear()
             _run_ensemble(spec, 1024, 512, 2)
-            assert len(sizes) == 2
-            return max(sizes)
+            assert len(futures) == 2
+            return max(len(pickle.dumps(f.result())) for f in futures)
 
         rows_only = set(KINDS) - {Excess}
         assert returned(1000, rows_only) == returned(4000, rows_only) < 1024
@@ -158,3 +169,177 @@ class TestFreshInterpreter:
             assert run.returncode == 0, run.stderr
             assert [line for line in run.stderr.splitlines() if not line.startswith("elapsed ")] == []
         assert (outs[2] / "result.json").read_bytes() == (outs[1] / "result.json").read_bytes()
+
+
+def ring_config(problem, n, n0, horizon, batch_size):
+    return ExperimentConfig(
+        problem=problem, schedule=StepSchedule.harmonic(0.5), n0=n0, horizon=horizon,
+        n_trajectories=n, master_seed=5, epsilon=0.5, delta=0.25, D_const=1.0,
+        batch_size=batch_size,
+    )
+
+
+def matrix_quantiles(spec, n, batch_size):
+    """np.percentile over the whole (n, span) error matrix of the oracle collector."""
+    matrix = ErrMatrix(spec.horizon - spec.n0 + 1)
+    (full,) = _run_ensemble(replace(spec, collectors=(matrix,)), n, batch_size, 1)
+    return np.percentile(full.matrix, [25, 50, 75, 90], axis=0)
+
+
+class TestErrRing:
+    @pytest.mark.parametrize(
+        "n, n0, horizon, batch_size",
+        [
+            (600, 70, 2000, 256),  # L = 832 < _DRAW; 600 = 2 * 256 + 88; n0 and the horizon off windows
+            (600, 832, 1665, 256),  # n0 on a window boundary, the horizon one step into a third window
+            (40, 70, 700, 16),  # the horizon shorter than one window (L = 1024)
+        ],
+    )
+    def test_experiment_quantiles_equal_one_percentile(
+        self, ref_problem, ref_analytic, n, n0, horizon, batch_size
+    ):
+        cfg = ring_config(ref_problem, n, n0, horizon, batch_size)
+        assert _window(n) == (832 if n == 600 else 1024)
+        want = matrix_quantiles(_base_spec(cfg, ref_analytic, horizon), n, batch_size)
+        for jobs in (1, 2):
+            got = run_alltime_experiment(cfg, jobs=jobs, analytic=ref_analytic).err_quantiles
+            assert list(got) == ["q25", "q50", "q75", "q90"]
+            for q, w in zip(got.values(), want):
+                assert np.array_equal(q, w)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_from_step_0(self, ref_problem, ref_analytic, jobs):
+        # the experiment refuses n0 = 0 on a noisy instance, so the ensemble is run directly
+        n, horizon = 600, 1700
+        spec = full_spec(ref_problem, ref_analytic, 0, horizon)
+        want = matrix_quantiles(spec, n, 256)
+        quantiles = ErrQuantiles(0, horizon)
+        _run_ensemble(spec, n, 256, jobs, quantiles)
+        for q, w in zip(quantiles.q.values(), want):
+            assert np.array_equal(q, w)
+
+    def test_peak_does_not_grow_with_the_horizon(self, ref_problem, ref_analytic):
+        # an (n, span) float32 matrix would add 256 * 6000 * 4 bytes, about 6 MB
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                cfg = ring_config(ref_problem, 256, 100, horizon, 512)
+                run_alltime_experiment(cfg, analytic=ref_analytic)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8000) - peak(2000) < 2**20
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("batch_size", [4, 8, 20])
+    @pytest.mark.parametrize("late", [5, 15], ids=["same-worker", "other-worker"])
+    def test_non_finite_does_not_depend_on_the_batch_split(
+        self, ref_problem, ref_analytic, monkeypatch, batch_size, late
+    ):
+        # trajectory 1 goes at step 201 and the later one at step 101: with batches of 4,
+        # a batch-by-batch run would meet trajectory 1 first; at jobs 2 the first worker
+        # holds trajectories 0-7
+        spec = failing_spec(ref_problem, ref_analytic)
+        monkeypatch.setattr(harness, "_path_segments", divergent_paths(spec, {1: 200, late: 100}))
+        for jobs in (1, 2):
+            with pytest.raises(NonFinite, match=f"^trajectory {late} became non-finite at step 101$"):
+                _run_ensemble(spec, 20, batch_size, jobs)
+            assert multiprocessing.active_children() == []
+
+    def test_batches_share_one_guide_table(self, monkeypatch):
+        # s = 40 samples through a guide table; the lanes take turns, so one table stays in cache
+        problem = random_problem(5, s=40, d=2)
+        spec = _base_spec(ring_config(problem, 40, 10, 300, 8), solve_problem(problem), 300, (StartError(),))
+        built = []
+        real = harness._guide_table
+        monkeypatch.setattr(harness, "_guide_table", lambda cdf: built.append(len(cdf)) or real(cdf))
+        _run_ensemble(spec, 40, 8, 1)
+        assert built == [40]
+
+    def test_worker_error_is_raised_without_a_hang(self, ref_problem, ref_analytic, monkeypatch):
+        fill = harness._fill_rows
+
+        def failing(spec, lane):
+            if lane.lo > 0 and lane.at > 0:  # in the second window of a worker's batch
+                raise MemoryError("no room for the window")
+            fill(spec, lane)
+
+        monkeypatch.setattr(harness, "_fill_rows", failing)
+        cfg = ring_config(ref_problem, 600, 70, 2000, 256)
+        with pytest.raises(MemoryError, match="no room for the window"):
+            run_alltime_experiment(cfg, jobs=2, analytic=ref_analytic)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_error_is_raised_without_a_hang(self, ref_problem, ref_analytic, monkeypatch):
+        def failing(self, k):
+            if k == 1:
+                raise MemoryError("no room for the quantiles")
+
+        monkeypatch.setattr(ErrQuantiles, "reduce", failing)
+        cfg = ring_config(ref_problem, 600, 70, 2000, 256)
+        with pytest.raises(MemoryError, match="no room for the quantiles"):
+            run_alltime_experiment(cfg, jobs=2, analytic=ref_analytic)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_2_with_one_line(self, tmp_path):
+        run = run_with_fill(tmp_path, 300, (
+            "def fill(spec, lane):\n"
+            "    if lane.lo > 0:\n"
+            "        os._exit(9)\n"
+            "    real(spec, lane)\n"
+        ))
+        assert run.returncode == 2
+        assert run.stderr == "numerical failure: a worker process ended abruptly with exit code 9\n"
+        assert run.stdout == "0\n"  # no worker left
+
+    def test_worker_killed_while_it_waits(self, tmp_path):
+        # the second worker runs its first window and waits for the next; the first kills it then
+        pid = tmp_path / "pid"
+        run = run_with_fill(tmp_path, 2000, (
+            "def fill(spec, lane):\n"
+            "    if lane.lo > 0 and lane.at == 0:\n"
+            f"        open({str(pid)!r}, 'w').write(str(os.getpid()))\n"
+            "    elif lane.lo == 0 and lane.at == 0:\n"
+            f"        while not os.path.exists({str(pid)!r}) or not open({str(pid)!r}).read():\n"
+            "            time.sleep(0.01)\n"
+            "        time.sleep(0.5)\n"
+            f"        os.kill(int(open({str(pid)!r}).read()), signal.SIGKILL)\n"
+            "    real(spec, lane)\n"
+        ))
+        assert run.returncode == 2
+        assert run.stderr == "numerical failure: a worker process ended abruptly with exit code -9\n"
+        assert run.stdout == "0\n"
+
+
+def run_with_fill(tmp_path, horizon, fill):
+    """``experiment --jobs 2`` on 600 reference trajectories (two batches, so two
+    workers) in a fresh interpreter, with ``harness._fill_rows`` replaced by
+    ``fill``, which may call the original as ``real``; prints the number of
+    child processes left after the run, and exits with its code."""
+    cfg = tmp_path / "ref.json"
+    cfg.write_text(json.dumps(reference_config_dict(horizon=horizon, n_trajectories=600)))
+    script = (
+        "import multiprocessing, os, signal, sys, time\n"
+        "from tdlab import cli, harness\n"
+        "real = harness._fill_rows\n"
+        f"{fill}"
+        "harness._fill_rows = fill\n"
+        f"code = cli.main(['experiment', {str(cfg)!r}, '--jobs', '2', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(len(multiprocessing.active_children()))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the hung run and its workers
+            proc.communicate()
+            pytest.fail("the run hung")
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)

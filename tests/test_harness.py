@@ -337,14 +337,15 @@ class TestNoiseSumsPerState(TestNoiseSums):
 class TestErrQuantiles:
     @pytest.mark.parametrize("n, span", [(1, 7), (2, 5), (9, 2500), (40, 1024)])
     def test_sorted_slices_equal_one_percentile(self, n, span):
+        # a window of the ring is (steps, n): each row is one step's column of the (n, span) matrix
         rng = np.random.default_rng(n)
         matrix = rng.random((n, span)).astype(np.float32)
         matrix[:, ::3] = np.round(matrix[:, ::3], 1)  # ties within a column
         matrix[:, 1] = 0.25  # a column of one value
-        unsorted = matrix.copy()
+        window = matrix.T.copy()
         want = np.percentile(matrix, [25, 50, 75, 90], axis=0)
-        got = harness._err_quantiles(matrix)
+        got = harness._err_quantiles(window)
         assert list(got) == ["q25", "q50", "q75", "q90"]
         for q, w in zip(got.values(), want):
             assert q.dtype == w.dtype and np.array_equal(q, w)
-        assert np.array_equal(matrix, unsorted)
+        assert np.array_equal(window, np.sort(matrix.T, axis=1))  # sorted in place, each row its own numbers

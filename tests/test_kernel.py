@@ -8,8 +8,10 @@ within 1e-12, everything else bit for bit.  Each collector's outputs are
 also the same whether it runs alone or alongside all the others.
 """
 
+import concurrent.futures
 import copy
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +23,6 @@ from tdlab.analytic import noise_table
 from tdlab.bounds import decay_curve
 from tdlab.harness import (
     Checkpoints,
-    ErrMatrix,
     Excess,
     ExperimentConfig,
     NoiseSums,
@@ -35,7 +36,7 @@ from tdlab.harness import (
 )
 
 from conftest import random_problem
-from oracles import _run_chunk, reference_chunk
+from oracles import ErrMatrix, _run_chunk, reference_chunk
 
 KINDS = _Collector.__subclasses__()
 
@@ -266,21 +267,12 @@ class TestWorkerPool:
     def test_pool_capped_at_batch_count(self, ref_problem, ref_analytic, monkeypatch, jobs, batches, workers):
         opened = []
 
-        class SerialPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
                 opened.append(max_workers)
-                initializer(*initargs)
+                super().__init__(max_workers, **kwargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         cfg = ExperimentConfig(
             problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=10, horizon=30,
             n_trajectories=8 * batches, master_seed=0, epsilon=0.5, delta=0.25,
