@@ -15,12 +15,12 @@ The sampler draws the next state as the count of CDF entries of the
 current row at or below the step's uniform u.  Small chains (up to
 ``_TAKE_COLUMNS_MAX_S`` states) compare u with the whole row.  Larger ones
 use a guide table, the indexed search of Chen & Asau (1974; Devroye 1986,
-section III.2.4), built once per batch (``_guide_table``): for each state
-and each of G buckets [b/G, (b+1)/G) it holds the count at or below b/G,
-so a step compares u only with the w entries that follow, where w is the
-most any row puts strictly inside one bucket.  G is a power of two, so
-the bucket floor(u*G) is exact, and both ways give the same state for
-every u.
+section III.2.4), built once per run and process (``_guide_table``): for
+each state and each of G buckets [b/G, (b+1)/G) it holds the count at or
+below b/G, so a step compares u only with the w entries that follow,
+where w is the most any row puts strictly inside one bucket.  G is a
+power of two, so the bucket floor(u*G) is exact, and both ways give the
+same state for every u.
 
 The kernel keeps the batch's iterates in a (d, B) layout and runs each
 segment's steps in blocks of ``_BLOCK``.  Per block it gathers the
@@ -55,9 +55,11 @@ The batches run in lockstep, one window of L steps at a time (``_window``:
 L*n stays under ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple
 of ``_BLOCK``, so every block starts where it would on a whole path).  A
 batch is a ``_Lane``: its iterates, its parts and its stream of path
-segments, one segment per window.  Every lane runs window k before any
-runs window k+1, so a non-finite iterate is reported at the earliest step
-of the run, and at that step the lowest trajectory, for any batch split.
+segments, one segment per window.  The lanes of a process take turns, so
+they share one set of sampler buffers (``_buffer``).  Every lane runs
+window k before any runs window k+1, so a non-finite iterate is reported
+at the earliest step of the run, and at that step the lowest trajectory,
+for any batch split.
 The per-step error quantiles (``ErrQuantiles``) need every trajectory at
 once: each lane writes its errors of the window into its columns of a ring
 of (L+1, n) float32 rows, and after the window the ensemble sorts each row
@@ -66,15 +68,16 @@ of errors, whatever the horizon.
 
 With more than one worker, each worker process owns a contiguous run of
 batches.  The totals' per-trajectory outputs and the ring live in
-anonymous shared mappings made before the pool, and the pool forks: each
-worker inherits the spec, the totals and the ``_Lockstep`` handshake once,
-writes its rows into the parent's memory and sends back only the folded
-outputs.  The parent starts each window once every worker has run the one
-before; the ring has two slots, so the parent reduces window k while the
-workers run window k+1.  A task that ends early wakes the parent, which
-stops the others, so nobody is left waiting: the run raises the earliest
-non-finite step of any worker, else names the exit code of a worker that
-died, else re-raises the worker's error.
+anonymous shared mappings made before the workers fork, so a worker
+inherits the spec, the totals and its batches once, writes its rows into
+the parent's memory and sends back only the folded outputs.  Each worker
+has a pipe of its own: the parent sends it each window's index and waits
+for its answer, so no worker runs window k+1 before every worker has run
+window k; the ring has two slots, so the parent reduces window k while the
+workers run window k+1.  A worker that fails answers with its error, and
+one that dies ends its pipe, so the parent is never left waiting: the run
+raises the earliest non-finite step of any worker, else names the exit
+code of a worker that died, else re-raises the worker's error.
 
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
@@ -89,6 +92,7 @@ statistically, monotone across the grids.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import math
@@ -119,7 +123,7 @@ from .schedule import StepSchedule
 WILSON_Z = 1.959963984540054  # two-sided 95%
 _BLOCK = 64  # steps per block of the TD kernel
 _DRAW = 16 * _BLOCK  # most steps per sampled path segment
-_RING_MAX_CELLS = 1 << 19  # cap on the steps x trajectories of one lockstep window (2 MB of float32)
+_RING_MAX_CELLS = 1 << 20  # cap on the steps x trajectories of one lockstep window (4 MB of float32)
 _TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
 _GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
 _NOISE_TABLE_MAX_CELLS = 1 << 22  # cap on the s^2 d^2 entries of a noise table (32 MB)
@@ -243,6 +247,12 @@ class _EnsembleSpec:
     horizon: int
     collectors: tuple[_Collector, ...] = ()
     window: int = _DRAW  # steps per path segment: one lockstep window (``_windows``)
+
+    @cached_property
+    def buffers(self) -> dict[str, np.ndarray]:
+        """The sampler's working buffers by name (``_buffer``), one set per
+        spec in each process."""
+        return {}
 
     @cached_property
     def guide(self) -> _Guide:
@@ -474,20 +484,19 @@ class ErrQuantiles:
     each step n0..horizon (``q``), taken one lockstep window at a time.
 
     It is not a collector: its values depend on every trajectory at once,
-    so no batch alone can give them.  ``ring(n, W, slots, alloc)`` gives it
-    a ring of (slots, W+1, n) float32 errors for windows of W steps: window
-    k (steps kW+1..(k+1)W, and step 0 as well in window 0) writes step
-    kW + r to row r of slot k % slots.  A batch's ``part`` is a view of its
-    columns, which ``update`` fills block by block.  After every batch has
-    run window k, ``reduce(k)`` takes the percentiles of the window's rows
-    (``_err_quantiles``).  Each row holds the numbers of one step's column
-    of the whole (n, span) error matrix, so the values are those of one
-    whole-matrix ``np.percentile``.
+    so no batch alone can give them, and there is nothing to merge.
+    ``ring(n, W, slots, alloc)`` gives it a ring of (slots, W+1, n) float32
+    errors for windows of W steps: window k (steps kW+1..(k+1)W, and step 0
+    as well in window 0) writes step kW + r to row r of slot k % slots.  A
+    batch's ``part`` is a view of its columns, which ``update`` fills block
+    by block.  After every batch has run window k, ``reduce(k)`` takes the
+    percentiles of the window's rows (``_err_quantiles``).  Each row holds
+    the numbers of one step's column of the whole (n, span) error matrix,
+    so the values are those of one whole-matrix ``np.percentile``.
     """
 
     n0: int
     horizon: int
-    folded = ()
 
     def ring(self, n: int, W: int, slots: int, alloc=np.empty) -> None:
         self.W = W
@@ -503,9 +512,6 @@ class ErrQuantiles:
         k = blk.bs // self.W
         r = blk.m0 - k * self.W
         self.rows[k % len(self.rows), r : r + len(blk.err)] = blk.err
-
-    def merge(self) -> None:
-        """Nothing to fold: ``reduce`` takes the values."""
 
     def reduce(self, k: int) -> None:
         W = self.W
@@ -576,10 +582,12 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     A segment holds the states at steps start..start+L as an (L+1, B) array,
     one per start of ``_windows``, so L is at most ``spec.window`` and the
     horizon; the next one starts at the state this one ends at.  The buffers
-    are that wide, and reused, so a segment is valid only until the next is
-    asked for.  Segment 0 draws 1 + L uniforms per trajectory (the first
-    picks the start state, drawn even when it is fixed), the others L;
-    chunked draws continue the stream exactly as one long draw would.
+    are that wide and belong to the spec (``_buffer``): every batch of a
+    run in one process reuses them, so a segment is valid only until this
+    batch or another asks for its next.  Segment 0 draws 1 + L uniforms per
+    trajectory (the first picks the start state, drawn even when it is
+    fixed), the others L; chunked draws continue the stream exactly as one
+    long draw would.
 
     The next state is the number of CDF entries of the current row at or
     below the uniform u.  Rows are nondecreasing, so counting only the first
@@ -597,8 +605,8 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     starts = _windows(spec)
     W = starts.step
     gens = [stream(spec.master_seed, i) for i in range(lo, hi)]
-    u = np.empty((B, 1 + W))  # column 0 is the start-state draw
-    ut = np.empty((W, B))
+    u = _buffer(spec, "u", (B, 1 + W), float)  # column 0 is the start-state draw
+    ut = _buffer(spec, "ut", (W, B), float)
     columns = s <= _TAKE_COLUMNS_MAX_S
     if columns:  # the CDF row of state y is column y
         table = np.ascontiguousarray(spec.cum_rows[:, : s - 1].T)
@@ -609,19 +617,20 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
         first, rows = guide.first.ravel(), guide.rows.ravel()
         stride = guide.rows.shape[1]
         window = np.arange(guide.w)[:, None]
-        bucket = np.empty((W, B), dtype=np.intp)  # b*s of each step's uniform
+        bucket = _buffer(spec, "bucket", (W, B), np.intp)  # b*s of each step's uniform
         at = np.empty(B, dtype=np.intp)
         below = np.empty(B, dtype=np.intp)
         idx = np.empty((guide.w, B), dtype=np.intp)
         cdf = np.empty((guide.w, B))
         hits = np.empty(cdf.shape, dtype=bool)
-    Y = np.empty((W + 1, B), dtype=np.intp)
+    Y = _buffer(spec, "Y", (W + 1, B), np.intp)
+    end = np.empty(B, dtype=np.intp)  # the states the last segment ended at
     for start in starts:
         L = min(W, T - start)
         for g, row in zip(gens, u):
             g.random(out=row[0 if start == 0 else 1 : 1 + L])
         if start > 0:
-            Y[0] = Y[W]
+            Y[0] = end
         elif spec.init_policy == "fixed":
             Y[0] = spec.init_state
         elif spec.init_policy == "uniform":
@@ -647,7 +656,19 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
                 np.less_equal(cdf, ut[n], out=hits)
                 np.add.reduce(hits, axis=0, dtype=np.intp, out=Y[n + 1])
                 Y[n + 1] += below
+        end[:] = Y[L]
         yield Y[: L + 1]
+
+
+def _buffer(spec: _EnsembleSpec, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array of ``shape`` over the spec's working buffer ``name``, which
+    grows to the largest size asked for.  The batches of a run take turns,
+    so one set of buffers per process serves them all."""
+    size = math.prod(shape)
+    buf = spec.buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = spec.buffers[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
@@ -687,14 +708,16 @@ def _dsum(p: np.ndarray) -> np.ndarray:
 
 
 class _Lane:
-    """Trajectories [lo, hi) of a lockstep run: the ``parts`` they feed,
-    their iterates ``x`` (d, B) at step ``at`` and their path segments still
-    to come.  Iterating a lane yields only its next segment, so
-    ``_simulate_chunk`` given a lane as its segments runs one window and
-    leaves the lane where the window ends."""
+    """Trajectories [lo, hi) of a lockstep run: the collector ``parts`` they
+    fill and, with the per-step quantiles, the ring's ``part`` as well
+    (together, the ``feeds``); their iterates ``x`` (d, B) at step ``at``;
+    and their path segments still to come.  Iterating a lane yields only its
+    next segment, so ``_simulate_chunk`` given a lane as its segments runs
+    one window and leaves the lane where the window ends."""
 
-    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, parts=(), segments=None):
+    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, parts=(), ring=None, segments=None):
         self.lo, self.hi, self.parts = lo, hi, parts
+        self.feeds = parts if ring is None else (*parts, ring)
         self.x = np.repeat(spec.initial_x[:, None], hi - lo, axis=1)
         self.at = 0
         self.segments = iter(_path_segments(spec, lo, hi) if segments is None else segments)
@@ -703,7 +726,7 @@ class _Lane:
         return itertools.islice(self.segments, 1)
 
     def folded(self) -> list[list[np.ndarray]]:
-        """The folded outputs of each part, to ``merge``."""
+        """The folded outputs of each collector part, to ``merge``."""
         return [[getattr(part, name) for name in part.folded] for part in self.parts]
 
 
@@ -784,8 +807,8 @@ def _simulate_chunk(
 
 def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
     """Run the next window of the batch ``lane``, writing its rows of the
-    totals in place."""
-    _simulate_chunk(spec, lane.lo, lane.hi, lane, lane.parts)
+    totals and of the ring in place."""
+    _simulate_chunk(spec, lane.lo, lane.hi, lane, lane.feeds)
 
 
 def _run_window(spec: _EnsembleSpec, lanes: list[_Lane]) -> None:
@@ -802,31 +825,16 @@ def _run_window(spec: _EnsembleSpec, lanes: list[_Lane]) -> None:
         raise min(failures, key=lambda exc: exc.at)
 
 
-def _lanes(spec: _EnsembleSpec, feeds: tuple, batches) -> list[_Lane]:
-    return [_Lane(spec, lo, hi, tuple(f.part(lo, hi) for f in feeds)) for lo, hi in batches]
-
-
-_inherited = None  # a pool worker's spec, feeds and lockstep handshake
-
-
-def _inherit(spec: _EnsembleSpec, feeds: tuple, step: _Lockstep) -> None:
-    """A pool worker's initializer: the arguments come through fork, unpickled."""
-    global _inherited
-    _inherited = spec, feeds, step
-
-
-def _fill_inherited_rows(batches: list[tuple[int, int]]) -> list[list[list[np.ndarray]]]:
-    """A pool worker's one task: run ``batches`` in lockstep with the other
-    workers, each window once the parent says go; the folded outputs of each
-    batch, or nothing if the parent stopped the run."""
-    spec, feeds, step = _inherited
-    lanes = _lanes(spec, feeds, batches)
-    for _ in _windows(spec):
-        if not step.go():
-            return []
-        _run_window(spec, lanes)
-        step.done.release()
-    return [lane.folded() for lane in lanes]
+def _lanes(spec: _EnsembleSpec, totals: tuple, quantiles: ErrQuantiles | None, batches) -> list[_Lane]:
+    """One lane per batch, filling its rows of ``totals`` and, with
+    ``quantiles``, its columns of the ring."""
+    return [
+        _Lane(
+            spec, lo, hi, tuple(t.part(lo, hi) for t in totals),
+            None if quantiles is None else quantiles.part(lo, hi),
+        )
+        for lo, hi in batches
+    ]
 
 
 def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -840,107 +848,81 @@ def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-class _Lockstep:
-    """The window-by-window handshake of a pool run.  The parent ``start``s a
-    window by releasing ``_go`` once per worker; a worker that took its
-    ``go`` runs the window and releases ``done``; the parent ``wait``s for
-    every ``done``.  It holds no lock, only two semaphores and a shared stop
-    flag, so a process that dies at any point leaves nothing held that
-    another waits on (a ``multiprocessing.Barrier`` is a condition
-    variable, whose notify waits for every sleeper, a dead one too).
-    ``task_ended``, each future's done-callback, wakes the parent when a
-    task ends early, and the parent ``halt``s the workers still running."""
-
-    def __init__(self, ctx, workers: int):
-        self.workers = workers
-        self._go = ctx.Semaphore(0)
-        self.done = ctx.Semaphore(0)
-        self._stop = _shared_empty((1,), np.int8)
-        self.failed = False  # set in the parent, by a done-callback
-
-    def go(self) -> bool:
-        """A worker's wait for the next window: False if the run stopped."""
-        self._go.acquire()
-        return not self._stop[0]
-
-    def start(self) -> None:
-        for _ in range(self.workers):
-            self._go.release()
-
-    def wait(self) -> bool:
-        """Every worker's ``done`` for the window: False if a task ended early."""
-        for _ in range(self.workers):
-            self.done.acquire()
-            if self.failed:
-                return False
-        return True
-
-    def halt(self) -> None:
-        self._stop[0] = 1
-        self.start()
-
-    def task_ended(self, future) -> None:
-        if future.cancelled() or future.exception() is not None:
-            self.failed = True
-            self.done.release()
+def _work(spec: _EnsembleSpec, lanes: list[_Lane], conn, parent_ends: list) -> None:
+    """A worker process: run ``lanes`` one window each time the parent sends
+    on ``conn``, and answer None, after the last window the folded outputs
+    of each lane, or the error that stopped it.  It first closes the
+    parent's ends of the pipes it inherited, so it ends if the parent does."""
+    for end in parent_ends:
+        end.close()
+    windows = len(_windows(spec))
+    try:
+        for k in range(windows):
+            conn.recv()
+            _run_window(spec, lanes)
+            conn.send(None if k < windows - 1 else [lane.folded() for lane in lanes])
+    except (EOFError, BrokenPipeError):  # the parent is gone
+        pass
+    except Exception as exc:  # the parent raises it
+        conn.send(exc)
 
 
-def _pool_failure(futures, procs) -> BaseException:
-    """The error a pool run that ended early raises: the earliest non-finite
-    iterate any worker met, else a ``WorkerDied`` naming the exit code of a
-    worker that died, else the first worker error."""
-    import signal
-    from concurrent.futures.process import BrokenProcessPool
+def _run_pool(spec: _EnsembleSpec, lanes: list[_Lane], workers: int, quantiles: ErrQuantiles | None) -> list:
+    """Run ``lanes`` in lockstep on ``workers`` forked processes, each with a
+    contiguous run of them and a pipe of its own; the folded outputs of
+    every lane.  The parent sends window k to every worker, reduces
+    ``quantiles`` of window k-1 and then waits for each one's answer.
 
-    errors = [f.exception() for f in futures if not f.cancelled()]
-    non_finite = [e for e in errors if isinstance(e, NonFinite)]
-    if non_finite:
-        return min(non_finite, key=lambda exc: exc.at)
-    if any(isinstance(e, BrokenProcessPool) for e in errors):
-        # the pool SIGTERMs the survivors of a dead worker: name another code first
-        codes = sorted((p.exitcode for p in procs if p.exitcode), key=lambda c: c == -signal.SIGTERM)
-        return WorkerDied(
-            f"a worker process ended abruptly with exit code {codes[0] if codes else 'unknown'}"
-        )
-    return next(e for e in errors if e is not None)
-
-
-def _run_pool(spec, feeds, batches, workers, quantiles) -> list:
-    """The lockstep run on ``workers`` forked processes, each with a
-    contiguous run of ``batches``; the parent reduces ``quantiles`` of window
-    k while the workers run window k+1.  The folded outputs of every batch."""
+    If a window fails, the run raises the earliest non-finite iterate of any
+    worker, else a ``WorkerDied`` naming the exit code of the first worker
+    that died (its pipe ends early), else the first worker's error.  The
+    workers still alive then are idle, and are stopped."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     ctx = multiprocessing.get_context("fork")
-    step = _Lockstep(ctx, workers)
-    runs = [batches[w * len(batches) // workers : (w + 1) * len(batches) // workers] for w in range(workers)]
-    windows = len(_windows(spec))
-    before = set(multiprocessing.active_children())
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=_inherit, initargs=(spec, feeds, step)
-    ) as pool:
-        futures = [pool.submit(_fill_inherited_rows, run) for run in runs]
-        procs = set(multiprocessing.active_children()) - before  # none has ended: each waits to go
-        for future in futures:
-            future.add_done_callback(step.task_ended)
-        try:
-            for k in range(windows):
-                step.start()
-                if k and quantiles is not None:
-                    quantiles.reduce(k - 1)
-                if not step.wait():
-                    step.halt()
-                    break
-            else:
-                if quantiles is not None:
-                    quantiles.reduce(windows - 1)
-        except BaseException:
-            step.halt()
-            raise
-    if step.failed:  # the pool is shut down: every worker has ended
-        raise _pool_failure(futures, procs)
-    return [out for future in futures for out in future.result()]
+    conns, procs = [], []
+    ended = False
+    try:
+        for w in range(workers):
+            conn, child = ctx.Pipe()
+            conns.append(conn)
+            run = lanes[w * len(lanes) // workers : (w + 1) * len(lanes) // workers]
+            procs.append(ctx.Process(target=_work, args=(spec, run, child, conns)))
+            procs[-1].start()
+            child.close()
+        windows = len(_windows(spec))
+        for k in range(windows):
+            for conn in conns:
+                with contextlib.suppress(BrokenPipeError):  # a dead worker shows at recv
+                    conn.send(k)
+            if k and quantiles is not None:
+                quantiles.reduce(k - 1)
+            replies = [_reply(conn, proc) for conn, proc in zip(conns, procs)]
+            errors = [r for r in replies if isinstance(r, BaseException)]
+            if errors:
+                non_finite = [e for e in errors if isinstance(e, NonFinite)]
+                dead = [e for e in errors if isinstance(e, WorkerDied)]
+                raise min(non_finite, key=lambda exc: exc.at) if non_finite else (dead or errors)[0]
+        if quantiles is not None:
+            quantiles.reduce(windows - 1)
+        ended = True
+        return [out for reply in replies for out in reply]
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            if not ended:
+                proc.terminate()
+            proc.join()
+
+
+def _reply(conn, proc):
+    """A worker's answer for the window, or ``WorkerDied`` if it died."""
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        return WorkerDied(f"a worker process ended abruptly with exit code {proc.exitcode}")
 
 
 def _run_ensemble(
@@ -955,8 +937,8 @@ def _run_ensemble(
     workers than batches; with ``quantiles``, also the per-step error
     quantiles, into it.  Each batch writes its rows of the totals in place;
     its folded outputs are merged into them at the end.  With workers, the
-    totals' rows and the ring are shared mappings and the pool forks, so the
-    spec and the totals reach a worker once and a task is only its batches."""
+    totals' rows and the ring are shared mappings and the workers fork, so
+    the spec, the totals and the batches reach a worker once."""
     if jobs < 1:
         raise ValidationError(f"jobs: must be >= 1, got {jobs}")
     batches = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
@@ -964,22 +946,20 @@ def _run_ensemble(
     spec = replace(spec, window=_window(n))
     alloc = _shared_empty if workers > 1 else np.empty
     totals = tuple(c.empty(0, n, alloc) for c in spec.collectors)
-    feeds = totals
     if quantiles is not None:
         quantiles.ring(n, _windows(spec).step, min(workers, 2), alloc)
-        feeds += (quantiles,)
+    lanes = _lanes(spec, totals, quantiles, batches)
     if workers > 1:
-        folded = _run_pool(spec, feeds, batches, workers, quantiles)
+        folded = _run_pool(spec, lanes, workers, quantiles)
     else:
-        lanes = _lanes(spec, feeds, batches)
         for k in range(len(_windows(spec))):
             _run_window(spec, lanes)
             if quantiles is not None:
                 quantiles.reduce(k)
         folded = [lane.folded() for lane in lanes]
     for outs in folded:
-        for feed, out in zip(feeds, outs):
-            feed.merge(*out)
+        for total, out in zip(totals, outs):
+            total.merge(*out)
     return totals
 
 

@@ -12,7 +12,6 @@ matrix, and the memory of a run does not grow with its horizon.  No worker
 process outlives a run, whether it ends normally, fails or dies.
 """
 
-import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -21,8 +20,8 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -79,32 +78,42 @@ class TestInPlace:
                     assert not np.shares_memory(getattr(part, name), getattr(total, name)), name
 
     def test_tasks_and_returns_carry_no_rows(self, ref_problem, ref_analytic, monkeypatch):
-        # at horizon 4000 one batch's error rows take 512 * 3991 * 4 bytes, about 8 MB
-        # one task per worker, here of one batch each
-        futures, sent = [], []
+        # at horizon 4000 one batch's error rows take 512 * 3991 * 4 bytes, about 8 MB;
+        # the workers inherit the spec and their batches at fork, and the parent sends
+        # each of them only the index of each window
+        sent, replies = [], []
+        send, recv = Connection.send, Connection.recv
 
-        class Recording(ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                sent.append(len(pickle.dumps((fn, args, kwargs))))
-                futures.append(super().submit(fn, *args, **kwargs))
-                return futures[-1]
+        def recording_send(self, obj):
+            sent.append(len(pickle.dumps(obj)))
+            send(self, obj)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        def recording_recv(self):
+            obj = recv(self)
+            replies.append(len(pickle.dumps(obj)))
+            return obj
+
+        monkeypatch.setattr(Connection, "send", recording_send)
+        monkeypatch.setattr(Connection, "recv", recording_recv)
 
         def returned(horizon, kinds):
             spec = full_spec(ref_problem, ref_analytic, 10, horizon)
             spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) in kinds))
-            futures.clear()
+            replies.clear()
             _run_ensemble(spec, 1024, 512, 2)
-            assert len(futures) == 2
-            return max(len(pickle.dumps(f.result())) for f in futures)
+            assert len(replies) == 2 * windows(horizon)  # one answer per worker and window
+            return max(replies)
+
+        def windows(horizon):
+            return -(-horizon // _window(1024))
 
         rows_only = set(KINDS) - {Excess}
         assert returned(1000, rows_only) == returned(4000, rows_only) < 1024
         span = 4000 - 10 + 1
         folded = pickle.dumps((np.zeros(span, dtype=np.int64), np.zeros(span)))
         assert returned(4000, set(KINDS)) < len(folded) + 1024 < 512 * span * 4 // 100
-        assert len(sent) == 6 and max(sent) < 256  # a task is its rows, never the spec
+        assert len(sent) == 2 * (windows(1000) + 2 * windows(4000))
+        assert max(sent) < 256  # a message is a window index
 
 
 def failing_spec(ref_problem, ref_analytic):
@@ -190,8 +199,8 @@ class TestErrRing:
     @pytest.mark.parametrize(
         "n, n0, horizon, batch_size",
         [
-            (600, 70, 2000, 256),  # L = 832 < _DRAW; 600 = 2 * 256 + 88; n0 and the horizon off windows
-            (600, 832, 1665, 256),  # n0 on a window boundary, the horizon one step into a third window
+            (1200, 70, 2000, 256),  # L = 832 < _DRAW; 1200 = 4 * 256 + 176; n0 and the horizon off windows
+            (1200, 832, 1665, 256),  # n0 on a window boundary, the horizon one step into a third window
             (40, 70, 700, 16),  # the horizon shorter than one window (L = 1024)
         ],
     )
@@ -199,7 +208,7 @@ class TestErrRing:
         self, ref_problem, ref_analytic, n, n0, horizon, batch_size
     ):
         cfg = ring_config(ref_problem, n, n0, horizon, batch_size)
-        assert _window(n) == (832 if n == 600 else 1024)
+        assert _window(n) == (832 if n == 1200 else 1024)
         want = matrix_quantiles(_base_spec(cfg, ref_analytic, horizon), n, batch_size)
         for jobs in (1, 2):
             got = run_alltime_experiment(cfg, jobs=jobs, analytic=ref_analytic).err_quantiles
@@ -259,6 +268,22 @@ class TestLockstep:
         _run_ensemble(spec, 40, 8, 1)
         assert built == [40]
 
+    def test_batches_share_the_sampler_buffers(self, ref_problem, ref_analytic):
+        # the batches take turns, so four batches of 512 need the sampler buffers of one;
+        # at windows of 512 steps, a 2048-wide batch's buffers take about 25 MB
+        spec = _base_spec(ring_config(ref_problem, 2048, 10, 600, 512), ref_analytic, 600, (StartError(),))
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                _run_ensemble(spec, 2048, batch_size, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _window(2048) == 512
+        assert 2 * peak(512) < peak(2048)
+
     def test_worker_error_is_raised_without_a_hang(self, ref_problem, ref_analytic, monkeypatch):
         fill = harness._fill_rows
 
@@ -279,17 +304,18 @@ class TestLockstep:
                 raise MemoryError("no room for the quantiles")
 
         monkeypatch.setattr(ErrQuantiles, "reduce", failing)
-        cfg = ring_config(ref_problem, 600, 70, 2000, 256)
+        cfg = ring_config(ref_problem, 1200, 70, 2000, 256)  # three windows: the workers run the third
         with pytest.raises(MemoryError, match="no room for the quantiles"):
             run_alltime_experiment(cfg, jobs=2, analytic=ref_analytic)
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_exits_2_with_one_line(self, tmp_path):
-        run = run_with_fill(tmp_path, 300, (
+        run = run_with_patch(tmp_path / "out", 300, (
             "def fill(spec, lane):\n"
             "    if lane.lo > 0:\n"
             "        os._exit(9)\n"
-            "    real(spec, lane)\n"
+            "    real_fill(spec, lane)\n"
+            "harness._fill_rows = fill\n"
         ))
         assert run.returncode == 2
         assert run.stderr == "numerical failure: a worker process ended abruptly with exit code 9\n"
@@ -298,7 +324,7 @@ class TestLockstep:
     def test_worker_killed_while_it_waits(self, tmp_path):
         # the second worker runs its first window and waits for the next; the first kills it then
         pid = tmp_path / "pid"
-        run = run_with_fill(tmp_path, 2000, (
+        run = run_with_patch(tmp_path / "out", 2000, (
             "def fill(spec, lane):\n"
             "    if lane.lo > 0 and lane.at == 0:\n"
             f"        open({str(pid)!r}, 'w').write(str(os.getpid()))\n"
@@ -307,27 +333,51 @@ class TestLockstep:
             "            time.sleep(0.01)\n"
             "        time.sleep(0.5)\n"
             f"        os.kill(int(open({str(pid)!r}).read()), signal.SIGKILL)\n"
-            "    real(spec, lane)\n"
+            "    real_fill(spec, lane)\n"
+            "harness._fill_rows = fill\n"
         ))
         assert run.returncode == 2
         assert run.stderr == "numerical failure: a worker process ended abruptly with exit code -9\n"
         assert run.stdout == "0\n"
 
+    def test_late_and_slow_worker_stays_in_step(self, tmp_path):
+        # the second worker starts 0.5 s late and takes 50 ms longer for every window; had
+        # the first one run ahead, it would write window k+1 into the ring slot the parent
+        # is reducing, or the parent would reduce window k before the second wrote its part
+        serial = run_with_patch(tmp_path / "serial", 3000, "", jobs=1)
+        pooled = run_with_patch(tmp_path / "pooled", 3000, (
+            "def work(spec, lanes, conn, parent_ends):\n"
+            "    if lanes[0].lo > 0:\n"
+            "        time.sleep(0.5)\n"
+            "    real_work(spec, lanes, conn, parent_ends)\n"
+            "def fill(spec, lane):\n"
+            "    if lane.lo > 0:\n"
+            "        time.sleep(0.05)\n"
+            "    real_fill(spec, lane)\n"
+            "harness._work, harness._fill_rows = work, fill\n"
+        ))
+        for run in (serial, pooled):
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.endswith("\n0\n")  # no worker left
+        for name in ("per_m.csv", "result.json"):
+            assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
-def run_with_fill(tmp_path, horizon, fill):
-    """``experiment --jobs 2`` on 600 reference trajectories (two batches, so two
-    workers) in a fresh interpreter, with ``harness._fill_rows`` replaced by
-    ``fill``, which may call the original as ``real``; prints the number of
-    child processes left after the run, and exits with its code."""
-    cfg = tmp_path / "ref.json"
+
+def run_with_patch(out, horizon, patch, jobs=2):
+    """``experiment --jobs {jobs}`` on 600 reference trajectories (two batches, so
+    two workers at jobs 2) in a fresh interpreter, writing to ``out``, after
+    running ``patch``, which may replace functions of ``harness`` and call the
+    originals as ``real_fill`` and ``real_work``; prints the number of child
+    processes left after the run, and exits with its code."""
+    out.mkdir()
+    cfg = out / "ref.json"
     cfg.write_text(json.dumps(reference_config_dict(horizon=horizon, n_trajectories=600)))
     script = (
         "import multiprocessing, os, signal, sys, time\n"
         "from tdlab import cli, harness\n"
-        "real = harness._fill_rows\n"
-        f"{fill}"
-        "harness._fill_rows = fill\n"
-        f"code = cli.main(['experiment', {str(cfg)!r}, '--jobs', '2', '--out', {str(tmp_path / 'out')!r}])\n"
+        "real_fill, real_work = harness._fill_rows, harness._work\n"
+        f"{patch}"
+        f"code = cli.main(['experiment', {str(cfg)!r}, '--jobs', '{jobs}', '--out', {str(out)!r}])\n"
         "print(len(multiprocessing.active_children()))\n"
         "sys.exit(code)\n"
     )
@@ -337,9 +387,9 @@ def run_with_fill(tmp_path, horizon, fill):
         text=True, start_new_session=True,
     ) as proc:
         try:
-            out, err = proc.communicate(timeout=120)
+            stdout, stderr = proc.communicate(timeout=120)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)  # the hung run and its workers
             proc.communicate()
             pytest.fail("the run hung")
-    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)

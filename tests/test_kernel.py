@@ -8,11 +8,10 @@ within 1e-12, everything else bit for bit.  Each collector's outputs are
 also the same whether it runs alone or alongside all the others.
 """
 
-import concurrent.futures
 import copy
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
@@ -265,14 +264,14 @@ class TestNonFinite:
 class TestWorkerPool:
     @pytest.mark.parametrize("jobs, batches, workers", [(6, 3, 3), (2, 3, 2), (4, 4, 4)])
     def test_pool_capped_at_batch_count(self, ref_problem, ref_analytic, monkeypatch, jobs, batches, workers):
-        opened = []
+        started = []
+        start = ForkProcess.start
 
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                opened.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def recording(self):
+            started.append(self)
+            start(self)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(ForkProcess, "start", recording)
         cfg = ExperimentConfig(
             problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=10, horizon=30,
             n_trajectories=8 * batches, master_seed=0, epsilon=0.5, delta=0.25,
@@ -280,7 +279,7 @@ class TestWorkerPool:
         spec = _base_spec(cfg, ref_analytic, 30, (StartError(),))
         (pooled,) = _run_ensemble(spec, cfg.n_trajectories, 8, jobs)
         (serial,) = _run_ensemble(spec, cfg.n_trajectories, 8, 1)
-        assert opened == [workers]
+        assert len(started) == workers
         assert np.array_equal(pooled.err, serial.err)
 
     def test_jobs_below_one_refused(self, ref_problem, ref_analytic):
