@@ -25,9 +25,11 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .bounds import build_query, check_n0, evaluate_bound
 from .config import LoadedConfig, load_config
@@ -215,13 +217,21 @@ def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
         writer.writerows(rows)
 
 
+def _column_rows(*columns) -> Iterator[tuple]:
+    """The rows of numpy ``columns``, as ``zip`` of their ``tolist()`` would
+    give them, converted at most 4096 rows at a time: no column is ever a
+    whole Python list."""
+    n = min(map(len, columns))
+    for lo in range(0, n, 4096):
+        yield from zip(*(c[lo : lo + 4096].tolist() for c in columns))
+
+
 def _write_per_m_csv(path: Path, result) -> None:
     keys = ("q25", "q50", "q75", "q90")
-    quantiles = [result.err_quantiles[k].tolist() for k in keys]
     header = ["m", "radius", "err_max", *(f"err_{k}" for k in keys), "violations"]
-    columns = [range(result.n0, result.horizon + 1), result.radius.tolist(),
-               result.per_m_err_max.tolist(), *quantiles, result.per_m_violation_counts.tolist()]
-    _write_csv(path, header, zip(*columns))
+    columns = [np.arange(result.n0, result.horizon + 1), result.radius, result.per_m_err_max,
+               *(result.err_quantiles[k] for k in keys), result.per_m_violation_counts]
+    _write_csv(path, header, _column_rows(*columns))
 
 
 def _write_summary_csv(path: Path, result) -> None:
@@ -245,7 +255,7 @@ def _write_trajectory_csv(path: Path, record, include_components: bool) -> None:
     if include_components:
         header += [f"x{j}" for j in range(record.x.shape[1])]
         columns += list(record.x.T)
-    _write_csv(path, header, zip(range(len(record.states)), *(c.tolist() for c in columns)))
+    _write_csv(path, header, _column_rows(np.arange(len(record.states)), *columns))
 
 
 def build_parser() -> argparse.ArgumentParser:

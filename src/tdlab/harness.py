@@ -1,9 +1,9 @@
 """Monte Carlo verification of the all-time bound.
 
 One engine serves ``experiment``, ``bound`` and ``simulate``:
-``_path_segments`` draws a batch's states by inverse CDF, one segment of
-at most ``_DRAW`` steps at a time, and ``_simulate_chunk`` runs the online
-TD(0) update along each segment before the next is drawn.  The
+``_path_segments`` draws a batch's states by inverse CDF, one block of
+``_BLOCK`` steps at a time, and ``_simulate_chunk`` runs the online TD(0)
+update along each block before the next is drawn.  The
 experiment simulates many independent trajectories, estimates the
 initial-condition term, fits the tail-exponent constant from simulated
 weighted noise sums when none is supplied, and compares the empirical
@@ -30,7 +30,11 @@ checks the new iterates for non-finite values, takes the distances to x*
 of those at steps from n0 on, and hands the block (a ``_Block``) to every
 collector.  Feature-axis sums follow numpy's pairwise order (``_dsum``),
 so the iterates equal those of a per-step update in the (B, d) layout
-bit for bit.
+bit for bit.  The block's arrays, like the sampler's, are the spec's
+working buffers (``_buffer``), and each collector's are its total's,
+shared by the total's parts: besides the run's outputs, only each
+trajectory's uniforms for a window and the quantile ring are wider than
+one block.
 
 A collector is one quantity the pass gathers, built from its own inputs:
 ``StartError`` (the error at n0), ``Excess`` (the largest excess over the
@@ -55,8 +59,8 @@ The batches run in lockstep, one window of L steps at a time (``_window``:
 L*n stays under ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple
 of ``_BLOCK``, so every block starts where it would on a whole path).  A
 batch is a ``_Lane``: its iterates, its parts and its stream of path
-segments, one segment per window.  The lanes of a process take turns, so
-they share one set of sampler buffers (``_buffer``).  Every lane runs
+segments, run one window at a time.  The lanes of a process take turns,
+so they share one set of sampler and kernel buffers.  Every lane runs
 window k before any runs window k+1, so a non-finite iterate is reported
 at the earliest step of the run, and at that step the lowest trajectory,
 for any batch split.
@@ -94,7 +98,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import itertools
 import math
 import time
 from collections.abc import Iterable, Iterator
@@ -122,7 +125,7 @@ from .schedule import StepSchedule
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 _BLOCK = 64  # steps per block of the TD kernel
-_DRAW = 16 * _BLOCK  # most steps per sampled path segment
+_DRAW = 16 * _BLOCK  # most steps per lockstep window, and per draw of uniforms
 _RING_MAX_CELLS = 1 << 20  # cap on the steps x trajectories of one lockstep window (4 MB of float32)
 _TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
 _GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
@@ -246,12 +249,12 @@ class _EnsembleSpec:
     n0: int
     horizon: int
     collectors: tuple[_Collector, ...] = ()
-    window: int = _DRAW  # steps per path segment: one lockstep window (``_windows``)
+    window: int = _DRAW  # steps per lockstep window (``_windows``)
 
     @cached_property
-    def buffers(self) -> dict[str, np.ndarray]:
-        """The sampler's working buffers by name (``_buffer``), one set per
-        spec in each process."""
+    def buffers(self) -> dict[tuple[str, np.dtype], np.ndarray]:
+        """The working buffers of the sampler and the kernel (``_buffer``),
+        one set per spec in each process."""
         return {}
 
     @cached_property
@@ -287,7 +290,10 @@ class _Collector:
     for a batch's rows [lo, hi), whose per-trajectory outputs are views of
     the total's rows and whose ``folded`` outputs (per step) are new;
     ``update(blk)`` reads one ``_Block``, and ``merge(*folded)`` folds a
-    part's ``folded`` outputs, in that order, into the total.
+    part's ``folded`` outputs, in that order, into the total.  A total's
+    working ``buffers`` (``_buffer``) are made at the first block any of
+    its parts runs; its parts take turns, so in each process they share
+    one set.
     """
 
     outputs: tuple[str, ...]
@@ -296,6 +302,7 @@ class _Collector:
     def _sized(self, lo: int, hi: int, **arrays: np.ndarray) -> _Collector:
         part = copy.copy(self)
         part.lo, part.hi = lo, hi
+        part.buffers = {}
         vars(part).update(arrays)
         return part
 
@@ -305,7 +312,9 @@ class _Collector:
     def part(self, lo: int, hi: int) -> _Collector:
         rows = slice(lo - self.lo, hi - self.lo)
         views = {name: getattr(self, name)[rows] for name in self.outputs if name not in self.folded}
-        return self._sized(lo, hi, **views, **self._new_folded())
+        part = self._sized(lo, hi, **views, **self._new_folded())
+        part.buffers = self.buffers
+        return part
 
     def merge(self) -> None:
         """Nothing to fold: every output is per trajectory."""
@@ -351,7 +360,7 @@ class Excess(_Collector):
     def update(self, blk: _Block) -> None:
         err = blk.err
         idx = slice(blk.m0 - blk.n0, blk.m0 - blk.n0 + len(err))
-        excess = np.empty_like(err)  # one (K', B) buffer, reused for every epsilon
+        excess = _buffer(self.buffers, "excess", err.shape, float)  # reused for every epsilon
         for i, eps in enumerate(self.eps_grid):
             np.subtract(err, (self.decay[idx] * eps)[:, None], out=excess)
             np.maximum(self.max_excess[:, i], excess.max(axis=0), out=self.max_excess[:, i])
@@ -420,19 +429,28 @@ class NoiseSums(_Collector):
         return self._sized(lo, hi, norms=alloc((hi - lo, len(self.ms)), float), S=None)
 
     def _rows(self, y, y_next) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The rows of (C, c) at the transitions y -> y', as ``noise_rows``."""
+        """The rows of (C, c) at the transitions y -> y', as ``noise_rows``.
+        From the table, every row is gathered into the same two buffers, so
+        a row is valid until the next one is asked for."""
         if self.table is None:
             return noise_rows(self.phi, self.next_phi, self.gamma, self.poisson, y, y_next)
-        pair = y * len(self.phi) + y_next
-        return ((np.take(C_i, pair, axis=1), np.take(c_i, pair)) for C_i, c_i in zip(*self.table))
+        pair = np.multiply(y, len(self.phi), out=_buffer(self.buffers, "pair", y.shape, np.intp))
+        pair += y_next
+        C = _buffer(self.buffers, "C", (self.phi.shape[1], *y.shape), float)
+        c = _buffer(self.buffers, "c", y.shape, float)
+        return (
+            (np.take(C_i, pair, axis=1, out=C, mode="clip"), np.take(c_i, pair, out=c, mode="clip"))
+            for C_i, c_i in zip(*self.table)
+        )
 
     def _increments(self, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
         """xi for the states ``Y`` (K+1, B) and iterates ``X`` (d, K, B) before
         each step; shape (d, K, B).  Without a table the rows are formed on
-        tiles of ``_BLOCK`` trajectories, whose arrays stay in cache."""
+        tiles of ``_BLOCK`` trajectories, whose arrays stay in cache.  The
+        result is the part's buffer ``xi``."""
         B = X.shape[-1]
         width = B if self.table is not None else _BLOCK
-        xi = np.empty(X.shape)
+        xi = _buffer(self.buffers, "xi", X.shape, float)
         for cols in (slice(b, b + width) for b in range(0, B, width)):
             for i, (G, c_i) in enumerate(self._rows(Y[:-1, cols], Y[1:, cols])):
                 G *= X[..., cols]
@@ -562,9 +580,9 @@ def _guide_table(cdf: np.ndarray) -> _Guide:
 
 
 def _windows(spec: _EnsembleSpec) -> range:
-    """The first steps of a run's path segments, one lockstep window each:
-    every ``spec.window`` steps, or one segment when the horizon is shorter
-    (one segment of no steps at horizon 0)."""
+    """The first steps of a run's lockstep windows, each one draw of
+    uniforms: every ``spec.window`` steps, or one window when the horizon is
+    shorter (one window of no steps at horizon 0)."""
     return range(0, max(spec.horizon, 1), max(min(spec.window, spec.horizon), 1))
 
 
@@ -577,24 +595,27 @@ def _window(n: int) -> int:
 
 def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The states of trajectories [lo, hi) at steps 0..horizon, by inverse
-    CDF on each trajectory's own stream, one segment at a time.
+    CDF on each trajectory's own stream, one block at a time.
 
-    A segment holds the states at steps start..start+L as an (L+1, B) array,
-    one per start of ``_windows``, so L is at most ``spec.window`` and the
-    horizon; the next one starts at the state this one ends at.  The buffers
-    are that wide and belong to the spec (``_buffer``): every batch of a
-    run in one process reuses them, so a segment is valid only until this
-    batch or another asks for its next.  Segment 0 draws 1 + L uniforms per
-    trajectory (the first picks the start state, drawn even when it is
-    fixed), the others L; chunked draws continue the stream exactly as one
-    long draw would.
+    The uniforms are drawn one window at a time, for each start of
+    ``_windows``: window 0 draws 1 + L per trajectory (the first picks the
+    start state, drawn even when it is fixed), the others L, and chunked
+    draws continue the stream exactly as one long draw would.  The states
+    are sampled one block of ``_BLOCK`` steps at a time: a segment holds
+    the states at steps bs..bs+K of a block as a (K+1, B) array, with bs a
+    multiple of ``_BLOCK`` and K at most ``_BLOCK`` (no steps at horizon 0),
+    and the next one starts at the state this one ends at.  The buffers are
+    one window of uniforms and one block of everything else, and belong to
+    the spec (``_buffer``): every batch of a run in one process reuses them,
+    so a segment is valid only until this batch or another asks for its
+    next.
 
     The next state is the number of CDF entries of the current row at or
     below the uniform u.  Rows are nondecreasing, so counting only the first
     s-1 columns equals the count capped at s-1.  Up to ``_TAKE_COLUMNS_MAX_S``
     states each step compares u with the whole row, read from an (s-1, B)
     table of CDF columns.  Above it each step reads the guide table
-    (``_Guide``): the bucket b = floor(u*G) of every step of a segment is
+    (``_Guide``): the bucket b = floor(u*G) of every step of a block is
     taken at once, and the step adds to first[b, y] the count of the w
     entries after it at or below u, from one (w, B) take of the padded rows.
     Both give the same count for every u.
@@ -605,8 +626,8 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     starts = _windows(spec)
     W = starts.step
     gens = [stream(spec.master_seed, i) for i in range(lo, hi)]
-    u = _buffer(spec, "u", (B, 1 + W), float)  # column 0 is the start-state draw
-    ut = _buffer(spec, "ut", (W, B), float)
+    u = _buffer(spec.buffers, "u", (B, 1 + W), float)  # column 0 is the start-state draw
+    ut = _buffer(spec.buffers, "ut", (_BLOCK, B), float)
     columns = s <= _TAKE_COLUMNS_MAX_S
     if columns:  # the CDF row of state y is column y
         table = np.ascontiguousarray(spec.cum_rows[:, : s - 1].T)
@@ -617,57 +638,63 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
         first, rows = guide.first.ravel(), guide.rows.ravel()
         stride = guide.rows.shape[1]
         window = np.arange(guide.w)[:, None]
-        bucket = _buffer(spec, "bucket", (W, B), np.intp)  # b*s of each step's uniform
+        bucket = _buffer(spec.buffers, "bucket", (_BLOCK, B), np.intp)  # b*s of each step's uniform
         at = np.empty(B, dtype=np.intp)
         below = np.empty(B, dtype=np.intp)
         idx = np.empty((guide.w, B), dtype=np.intp)
         cdf = np.empty((guide.w, B))
         hits = np.empty(cdf.shape, dtype=bool)
-    Y = _buffer(spec, "Y", (W + 1, B), np.intp)
-    end = np.empty(B, dtype=np.intp)  # the states the last segment ended at
+    Y = _buffer(spec.buffers, "Y", (_BLOCK + 1, B), np.intp)
+    end = np.empty(B, dtype=np.intp)  # the state the last block ended at
     for start in starts:
         L = min(W, T - start)
         for g, row in zip(gens, u):
             g.random(out=row[0 if start == 0 else 1 : 1 + L])
-        if start > 0:
-            Y[0] = end
-        elif spec.init_policy == "fixed":
-            Y[0] = spec.init_state
-        elif spec.init_policy == "uniform":
-            Y[0] = np.minimum((u[:, 0] * s).astype(np.intp), s - 1)
-        else:
-            Y[0] = np.minimum(np.searchsorted(spec.cum_pi, u[:, 0], side="right"), s - 1)
-        ut[:L] = u[:, 1 : 1 + L].T
-        if columns:
-            for n in range(L):
-                table.take(Y[n], axis=1, out=cdf, mode="clip")
-                np.less_equal(cdf, ut[n], out=hits)
-                np.add.reduce(hits, axis=0, dtype=np.intp, out=Y[n + 1])
-        else:
-            np.multiply(ut[:L], guide.G, out=bucket[:L], casting="unsafe")  # floor: u >= 0
-            bucket[:L] *= s
-            for n in range(L):
-                np.add(bucket[n], Y[n], out=at)
-                first.take(at, out=below, mode="clip")  # first[b, y]
-                np.multiply(Y[n], stride, out=at)
-                at += below  # the flat index of rows[y, first[b, y]]
-                np.add(at, window, out=idx)
-                rows.take(idx, out=cdf, mode="clip")
-                np.less_equal(cdf, ut[n], out=hits)
-                np.add.reduce(hits, axis=0, dtype=np.intp, out=Y[n + 1])
-                Y[n + 1] += below
-        end[:] = Y[L]
-        yield Y[: L + 1]
+        for b in range(0, max(L, 1), _BLOCK):  # at horizon 0, one block of no steps
+            K = min(_BLOCK, L - b)
+            if start + b > 0:
+                Y[0] = end
+            elif spec.init_policy == "fixed":
+                Y[0] = spec.init_state
+            elif spec.init_policy == "uniform":
+                Y[0] = np.minimum((u[:, 0] * s).astype(np.intp), s - 1)
+            else:
+                Y[0] = np.minimum(np.searchsorted(spec.cum_pi, u[:, 0], side="right"), s - 1)
+            ut[:K] = u[:, 1 + b : 1 + b + K].T
+            if columns:
+                for n in range(K):
+                    table.take(Y[n], axis=1, out=cdf, mode="clip")
+                    np.less_equal(cdf, ut[n], out=hits)
+                    np.add.reduce(hits, axis=0, dtype=np.intp, out=Y[n + 1])
+            else:
+                np.multiply(ut[:K], guide.G, out=bucket[:K], casting="unsafe")  # floor: u >= 0
+                bucket[:K] *= s
+                for n in range(K):
+                    np.add(bucket[n], Y[n], out=at)
+                    first.take(at, out=below, mode="clip")  # first[b, y]
+                    np.multiply(Y[n], stride, out=at)
+                    at += below  # the flat index of rows[y, first[b, y]]
+                    np.add(at, window, out=idx)
+                    rows.take(idx, out=cdf, mode="clip")
+                    np.less_equal(cdf, ut[n], out=hits)
+                    np.add.reduce(hits, axis=0, dtype=np.intp, out=Y[n + 1])
+                    Y[n + 1] += below
+            end[:] = Y[K]
+            yield Y[: K + 1]
 
 
-def _buffer(spec: _EnsembleSpec, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An array of ``shape`` over the spec's working buffer ``name``, which
-    grows to the largest size asked for.  The batches of a run take turns,
-    so one set of buffers per process serves them all."""
+def _buffer(buffers: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array of ``shape`` over the working buffer ``name`` of ``dtype`` in
+    ``buffers``, which grows to the largest size asked for.  Buffers are
+    kept by name and dtype, so a name asked for in two dtypes is two
+    buffers.  The batches of a run take turns, so one set per process
+    serves them all: the spec's (``_EnsembleSpec.buffers``) for the sampler
+    and the kernel, and each collector total's for its parts."""
+    dtype = np.dtype(dtype)
     size = math.prod(shape)
-    buf = spec.buffers.get(name)
+    buf = buffers.get((name, dtype))
     if buf is None or buf.size < size:
-        buf = spec.buffers[name] = np.empty(size, dtype)
+        buf = buffers[name, dtype] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
@@ -711,19 +738,26 @@ class _Lane:
     """Trajectories [lo, hi) of a lockstep run: the collector ``parts`` they
     fill and, with the per-step quantiles, the ring's ``part`` as well
     (together, the ``feeds``); their iterates ``x`` (d, B) at step ``at``;
-    and their path segments still to come.  Iterating a lane yields only its
-    next segment, so ``_simulate_chunk`` given a lane as its segments runs
-    one window and leaves the lane where the window ends."""
+    and their path segments still to come.  Iterating a lane yields its
+    segments until they reach the end of the window that starts at ``at``,
+    so ``_simulate_chunk`` given a lane as its segments runs one window,
+    whatever the segments' lengths, and leaves the lane where it ends."""
 
     def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, parts=(), ring=None, segments=None):
         self.lo, self.hi, self.parts = lo, hi, parts
         self.feeds = parts if ring is None else (*parts, ring)
         self.x = np.repeat(spec.initial_x[:, None], hi - lo, axis=1)
         self.at = 0
+        self.window, self.horizon = _windows(spec).step, spec.horizon
         self.segments = iter(_path_segments(spec, lo, hi) if segments is None else segments)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return itertools.islice(self.segments, 1)
+        at, stop = self.at, min(self.at + self.window, self.horizon)
+        for seg in self.segments:
+            yield seg
+            at += len(seg) - 1
+            if at >= stop:
+                return
 
     def folded(self) -> list[list[np.ndarray]]:
         """The folded outputs of each collector part, to ``merge``."""
@@ -750,15 +784,19 @@ def _simulate_chunk(
     collectors); time-blocked over a (d, B) layout as the module docstring
     describes.  ``segments`` are the states in order as (L+1, B) arrays, each
     starting at the state the one before ended at (``_path_segments``); any
-    L will do.  They start at step 0 from the spec's initial iterate, unless
-    ``segments`` is a ``_Lane``: then its next window runs from where the
-    last one ended."""
+    L will do, and blocks start at multiples of ``_BLOCK`` as long as each
+    segment does.  They start at step 0 from the spec's initial iterate,
+    unless ``segments`` is a ``_Lane``: then its next window runs from where
+    the last one ended.  A block's arrays are the spec's buffers
+    (``_buffer``), so the iterates after the last block are copied into the
+    lane's own ``x``."""
     n0 = spec.n0
     B = hi - lo
     d = spec.phi.shape[1]
     if parts is None:
         parts = tuple(c.empty(lo, hi) for c in spec.collectors)
     lane = segments if isinstance(segments, _Lane) else _Lane(spec, lo, hi, segments=())
+    buffers = spec.buffers
     phi_t = np.ascontiguousarray(spec.phi.T)
     gamma = spec.gamma
     x, start = lane.x, lane.at
@@ -771,11 +809,14 @@ def _simulate_chunk(
             for bs in range(start, max(end, 1), _BLOCK):  # at horizon 0, one block of no steps
                 K = min(_BLOCK, end - bs)
                 Y = seg[bs - start : bs - start + K + 1]
-                F = np.take(phi_t, Y, axis=1)  # phi at the states of steps bs .. bs+K
-                R = np.take(spec.rewards, Y[:-1])
+                F = _buffer(buffers, "F", (d, K + 1, B), float)
+                np.take(phi_t, Y, axis=1, out=F, mode="clip")  # phi at the states of steps bs .. bs+K
+                R = _buffer(buffers, "R", (K, B), float)
+                np.take(spec.rewards, Y[:-1], out=R, mode="clip")
                 a = spec.steps[bs : bs + K]
-                AF = F[:, :-1] * a[:, None]
-                X = np.empty((d, K + 1, B))
+                AF = _buffer(buffers, "AF", (d, K, B), float)
+                np.multiply(F[:, :-1], a[:, None], out=AF)
+                X = _buffer(buffers, "X", (d, K + 1, B), float)
                 X[:, 0] = x
                 for j in range(K):
                     # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
@@ -786,22 +827,26 @@ def _simulate_chunk(
                     t -= dots[0]
                     np.multiply(AF[:, j], t, out=u)
                     np.add(X[:, j], u, out=X[:, j + 1])
-                x = X[:, K]
+                x[...] = X[:, K]
 
-                finite = np.isfinite(X[:, 1:]).all(axis=0)
+                finite = _buffer(buffers, "finite", (d, K, B), bool)
+                finite = np.isfinite(X[:, 1:], out=finite).all(axis=0)
                 if not finite.all():
                     j, b = np.argwhere(~finite)[0]
                     raise _non_finite(lo + int(b), bs + int(j) + 1)
 
                 if bs + K >= n0:  # the iterates of steps bs+j.. are new and at or after n0
                     j = max(n0 - bs, 1 if bs else 0)
-                    diff = X[:, j:] - spec.x_star[:, None, None]
-                    err = np.sqrt(_dsum(diff * diff))
+                    diff = _buffer(buffers, "diff", (d, K + 1 - j, B), float)
+                    np.subtract(X[:, j:], spec.x_star[:, None, None], out=diff)
+                    diff *= diff
+                    err = _dsum(diff)
+                    np.sqrt(err, out=err)
                     blk = _Block(bs, Y, a, X, n0, bs + j, X[:, j:], err)
                     for part in parts:
                         part.update(blk)
             start = end
-    lane.x, lane.at = x, start
+    lane.at = start
     return parts
 
 

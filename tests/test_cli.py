@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import tdlab.cli as cli
 from tdlab import harness
 from tdlab.bounds import build_query, evaluate_bound
 from tdlab.config import load_config
+from tdlab.dynamics import TrajectoryRecord
 from tdlab.errors import NonFinite
 from tdlab.harness import Checkpoints, _base_spec, _run_ensemble, _sample_paths
 from tdlab.instances import reference_config_dict
@@ -520,3 +523,43 @@ class TestCsvWriters:
                 **{f"x{j}": rec.x[:, j] for j in range(rec.x.shape[1])},
             },
         )
+
+    @pytest.mark.parametrize("writer", ["trajectory", "per_m"])
+    def test_long_columns_are_written_without_whole_lists(self, tmp_path, writer):
+        # one 10^5-row float column as a Python list takes 8 + 24 bytes a row, about 3.2 MB
+        T = 100_000
+        rng = np.random.default_rng(0)
+
+        def floats(*shape):  # eighths, whose short reprs keep the writing fast
+            return rng.integers(0, 1024, (T + 1, *shape)) / 8
+
+        if writer == "trajectory":
+            rec = TrajectoryRecord(
+                states=rng.integers(0, 5, T + 1), x=floats(2), z=floats(2), dist_to_target=floats(),
+                dist_to_comparison=floats(), peak_deviation=floats(),
+            )
+            write = lambda path: cli._write_trajectory_csv(path, rec, True)  # noqa: E731
+            columns = [np.arange(T + 1), rec.states, rec.dist_to_target, rec.dist_to_comparison,
+                       rec.peak_deviation, *rec.x.T]
+        else:
+            keys = ("q25", "q50", "q75", "q90")
+            res = SimpleNamespace(
+                n0=7, horizon=T + 7, radius=floats(), per_m_err_max=floats(),
+                err_quantiles={k: floats() for k in keys}, per_m_violation_counts=rng.integers(0, 9, T + 1),
+            )
+            write = lambda path: cli._write_per_m_csv(path, res)  # noqa: E731
+            columns = [np.arange(7, T + 8), res.radius, res.per_m_err_max,
+                       *(res.err_quantiles[k] for k in keys), res.per_m_violation_counts]
+        path = tmp_path / "chunked.csv"
+        tracemalloc.start()
+        try:
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (T + 1) * 32
+        # the same bytes as rows zipped from whole-column lists
+        lists = tmp_path / "lists.csv"
+        header = path.read_text().splitlines()[0].split(",")
+        cli._write_csv(lists, header, zip(*(c.tolist() for c in columns)))
+        assert path.read_bytes() == lists.read_bytes()

@@ -31,13 +31,16 @@ from tdlab import NonFinite, StepSchedule, solve_problem
 from tdlab import harness
 from tdlab.harness import (
     _BLOCK,
+    Checkpoints,
     ErrQuantiles,
     Excess,
     ExperimentConfig,
     StartError,
     _base_spec,
+    _buffer,
     _run_ensemble,
     _window,
+    _windows,
     run_alltime_experiment,
 )
 from tdlab.instances import reference_config_dict
@@ -361,6 +364,83 @@ class TestLockstep:
             assert run.stdout.endswith("\n0\n")  # no worker left
         for name in ("per_m.csv", "result.json"):
             assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+class TestBlockBuffers:
+    def test_buffers_are_kept_by_name_and_dtype(self):
+        buffers = {}
+        ints = _buffer(buffers, "Y", (4, 3), np.intp)
+        floats = _buffer(buffers, "Y", (4, 3), float)
+        assert (ints.dtype, floats.dtype) == (np.intp, np.float64)
+        assert not np.shares_memory(ints, floats)
+        fewer = _buffer(buffers, "Y", (2, 5), np.intp)  # a view of the same buffer
+        assert fewer.shape == (2, 5) and np.shares_memory(fewer, ints)
+        more = _buffer(buffers, "Y", (5, 5), np.intp)  # the buffer grows
+        assert more.shape == (5, 5) and more.dtype == np.intp
+        assert _buffer(buffers, "Y", (4, 3), np.intp).base is more.base
+        assert len(buffers) == 2
+
+    def test_peak_is_one_window_of_uniforms_and_one_block(self, ref_problem, ref_analytic):
+        # one batch of 512 in windows of 1024 steps, over three windows, with D given (no
+        # noise sums); window-wide (W, B) arrays of the states or the transposed uniforms
+        # would add 4.2 MB each
+        n, n0, horizon = 512, 100, 2200
+        spec = full_spec(ref_problem, ref_analytic, n0, horizon)
+        spec = replace(spec, collectors=tuple(
+            c for c in spec.collectors if type(c) in (StartError, Excess, Checkpoints)
+        ))
+        quantiles = ErrQuantiles(n0, horizon)
+        tracemalloc.start()
+        try:
+            totals = _run_ensemble(spec, n, n, 1, quantiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        W = _window(n)
+        assert W == 1024 and horizon > 2 * W
+        u = n * (1 + W) * 8
+        ring = quantiles.rows.nbytes + sum(q.nbytes for q in quantiles.q.values())
+        outputs = sum(getattr(t, name).nbytes for t in totals for name in t.outputs)
+        d = ref_problem.n_features
+        block = (4 * d + 5) * (_BLOCK + 1) * n * 8  # F, X, AF, distances (d each); R, ut, Y, err, excess
+        # the percentile's copy of one window's rows, the 512 streams and smaller temporaries
+        allowance = quantiles.rows.nbytes + 2 * 2**20
+        assert peak < u + ring + outputs + block + allowance
+
+    @pytest.mark.parametrize("segments", ["blocks", "whole windows"])
+    def test_one_window_per_call(self, ref_problem, ref_analytic, monkeypatch, segments):
+        n, horizon = 512, 2500
+        spec = full_spec(ref_problem, ref_analytic, 100, horizon)
+        spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) is not ErrMatrix))
+        want = by_kind(_run_ensemble(spec, n, 256, 1))
+        real = harness._path_segments
+
+        def whole_windows(spec, lo, hi):
+            # the sampler's states, one segment per window
+            blocks = [seg.copy() for seg in real(spec, lo, hi)]
+            states = np.concatenate([blocks[0], *(seg[1:] for seg in blocks[1:])])
+            W = _windows(spec).step
+            for start in _windows(spec):
+                yield states[start : min(start + W, horizon) + 1]
+
+        if segments == "whole windows":
+            monkeypatch.setattr(harness, "_path_segments", whole_windows)
+        calls = []
+        fill = harness._fill_rows
+
+        def recorded(spec, lane):
+            at = lane.at
+            fill(spec, lane)
+            calls.append((lane.lo, at, lane.at))
+
+        monkeypatch.setattr(harness, "_fill_rows", recorded)
+        got = by_kind(_run_ensemble(spec, n, 256, 1))
+        W = _window(n)
+        steps = [(0, W), (W, 2 * W), (2 * W, horizon)]
+        assert calls == [(lo, at, end) for at, end in steps for lo in (0, 256)]
+        for kind, total in want.items():
+            for name in kind.outputs:
+                assert np.array_equal(getattr(got[kind], name), getattr(total, name)), name
 
 
 def run_with_patch(out, horizon, patch, jobs=2):

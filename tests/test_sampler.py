@@ -1,7 +1,8 @@
 """The segment-wise path sampler against the whole-path reference sampler.
 
-``harness._path_segments`` draws each trajectory's uniforms one segment of
-``_DRAW`` steps at a time.  The next state is the count of the first s-1
+``harness._path_segments`` draws each trajectory's uniforms one window of
+at most ``_DRAW`` steps at a time and yields the states one block of
+``_BLOCK`` steps at a time.  The next state is the count of the first s-1
 CDF entries of the current row at or below the uniform u.  Up to
 ``_TAKE_COLUMNS_MAX_S`` states each step compares u with the whole row,
 read as (s-1, B) CDF columns.  Above it each step reads a guide table
@@ -25,6 +26,7 @@ import pytest
 from tdlab import StepSchedule, solve_problem
 import tdlab.harness as harness
 from tdlab.harness import (
+    _BLOCK,
     _DRAW,
     _GUIDE_MAX_CELLS,
     _TAKE_COLUMNS_MAX_S,
@@ -239,7 +241,7 @@ class TestSegments:
             assert np.array_equal(seg, full[:, start : start + len(seg)].T)
             lengths.append(len(seg) - 1)
             start += len(seg) - 1
-        assert lengths == [_DRAW, _DRAW, 1]
+        assert lengths == [_BLOCK] * (2 * _DRAW // _BLOCK) + [1]  # one block per segment
 
 
 class TestMemory:
