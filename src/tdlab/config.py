@@ -61,6 +61,14 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _known(mapping: dict, path: str, fields: tuple[str, ...]) -> None:
+    """Refuse any key of ``mapping`` outside ``fields``, so that a misspelt
+    optional field is not silently left at its default."""
+    for key in mapping:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
@@ -97,6 +105,7 @@ def _vector(value, path: str) -> np.ndarray:
 
 def _build_schedule(block: dict) -> StepSchedule:
     kind = _require(block, "kind", "schedule")
+    _known(block, "schedule", ("kind", "d1", "d2", "d3", "values"))
 
     def number(key: str) -> float:
         return _number(_require(block, key, "schedule"), f"schedule.{key}")
@@ -129,17 +138,24 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _known(raw, "$", ("chain", "rewards", "gamma", "features", "schedule", "experiment", "output"))
 
-    P = _matrix(_require(_require(raw, "chain", "$"), "P", "chain"), "chain.P")
+    block = _require(raw, "chain", "$")
+    P = _matrix(_require(block, "P", "chain"), "chain.P")
+    _known(block, "chain", ("P",))
     try:
         chain = build_chain(P)
     except ValidationError as exc:
         raise ConfigError(f"chain.P: {exc}") from exc
-    rewards = _vector(_require(_require(raw, "rewards", "$"), "r", "rewards"), "rewards.r")
+    block = _require(raw, "rewards", "$")
+    rewards = _vector(_require(block, "r", "rewards"), "rewards.r")
+    _known(block, "rewards", ("r",))
     gamma = _number(_require(raw, "gamma", "$"), "gamma")
     if not 0.0 < gamma < 1.0:
         raise ConfigError(f"gamma: must lie in (0, 1), got {gamma}")
-    Phi = _matrix(_require(_require(raw, "features", "$"), "Phi", "features"), "features.Phi")
+    block = _require(raw, "features", "$")
+    Phi = _matrix(_require(block, "Phi", "features"), "features.Phi")
+    _known(block, "features", ("Phi",))
     try:
         features = build_features(Phi)
     except ValidationError as exc:
@@ -171,6 +187,10 @@ def load_config(path: str | Path) -> LoadedConfig:
         exp = raw["experiment"]
         if not isinstance(exp, dict):
             raise ConfigError("experiment: expected an object")
+        _known(exp, "experiment", (
+            "n0", "horizon", "n_trajectories", "master_seed", "epsilon", "delta", "D_const",
+            "initial_state_policy", "initial_x", "epsilon_grid", "delta_grid", "p_init",
+        ))
         fields = dict(
             n0=_integer(_require(exp, "n0", "experiment"), "experiment.n0"),
             horizon=_integer(_require(exp, "horizon", "experiment"), "experiment.horizon"),
@@ -221,7 +241,10 @@ def load_config(path: str | Path) -> LoadedConfig:
         out = raw["output"]
         if not isinstance(out, dict):
             raise ConfigError("output: expected an object")
-        output_dir = str(out.get("dir", "."))
+        _known(out, "output", ("dir", "formats"))
+        output_dir = out.get("dir", ".")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output.dir: expected a string, got {type(output_dir).__name__}")
         fmts = out.get("formats", ["json", "csv"])
         if not isinstance(fmts, list) or not all(f in ("json", "csv") for f in fmts):
             raise ConfigError("output.formats: entries must be 'json' or 'csv'")

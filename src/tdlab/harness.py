@@ -2,7 +2,7 @@
 
 One engine serves ``experiment``, ``bound`` and ``simulate``:
 ``_path_segments`` draws a batch's states by inverse CDF, one block of
-``_BLOCK`` steps at a time, and ``_simulate_chunk`` runs the online TD(0)
+``_BLOCK`` steps at a time, and ``_fill_rows`` runs the online TD(0)
 update along each block before the next is drawn.  The
 experiment simulates many independent trajectories, estimates the
 initial-condition term, fits the tail-exponent constant from simulated
@@ -22,10 +22,10 @@ where w is the most any row puts strictly inside one bucket.  G is a
 power of two, so the bucket floor(u*G) is exact, and both ways give the
 same state for every u.
 
-The kernel keeps the batch's iterates in a (d, B) layout and runs each
-segment's steps in blocks of ``_BLOCK``.  Per block it gathers the
-features, rewards and scaled features of that block's (K+1, B) slice of
-the segment once and runs only the update per step; after the block it
+The kernel keeps the batch's iterates in a (d, B) layout and takes the
+path one block of ``_BLOCK`` steps at a time.  Per block it gathers the
+features, rewards and scaled features of the block's (K+1, B) states
+once and runs only the update per step; after the block it
 checks the new iterates for non-finite values, takes the distances to x*
 of those at steps from n0 on, and hands the block (a ``_Block``) to every
 collector.  Feature-axis sums follow numpy's pairwise order (``_dsum``),
@@ -39,7 +39,7 @@ one block.
 A collector is one quantity the pass gathers, built from its own inputs:
 ``StartError`` (the error at n0), ``Excess`` (the largest excess over the
 radius per trajectory and epsilon, and the per-step violation counts and
-error maxima), ``Checkpoints`` (the iterates at given steps) and
+error maxima), ``Checkpoints`` (the iterates and states at given steps) and
 ``NoiseSums`` (the weighted martingale noise sums for the tail-exponent
 fit, with each increment read from a table over the transitions y -> y'
 built once per run, and the sum folded once per block).  The spec carries
@@ -47,10 +47,10 @@ the collectors a caller lists; the ensemble allocates each one's total for
 all trajectories once, through ``empty``.  A batch feeds, block by block
 through ``update``, the ``part`` of each total for its rows: the
 per-trajectory outputs are views of the total's rows, so the batch writes
-them in place, and only the per-step outputs it folds (``Excess``'s counts
-and maxima) are its own, which the ensemble ``merge``s into the total.
-Integer sums and maxima do not depend on the order they are taken in, so
-every output is the same for any batch split.  One experiment is one pass
+them in place, and the per-step outputs it folds (``Excess``'s counts and
+maxima) are the total's own arrays, shared by all its parts.  Integer sums
+and maxima do not depend on the order they are taken in, so every output
+is the same for any batch split.  One experiment is one pass
 with all four (the noise sums only when D is fitted).  A collector reads
 only the block, never another collector, so which others ride along never
 changes its values.
@@ -58,9 +58,11 @@ changes its values.
 The batches run in lockstep, one window of L steps at a time (``_window``:
 L*n stays under ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple
 of ``_BLOCK``, so every block starts where it would on a whole path).  A
-batch is a ``_Lane``: its iterates, its parts and its stream of path
-segments, run one window at a time.  The lanes of a process take turns,
-so they share one set of sampler and kernel buffers.  Every lane runs
+batch is a ``_Lane``: its iterates, its parts and its stream of blocks of
+states, which ``_fill_rows`` runs one window at a time; ``simulate`` runs
+one lane of one trajectory the same way.  The lanes of a process take
+turns, so they share one set of sampler and kernel buffers and their
+parts share the totals' folded outputs.  Every lane runs
 window k before any runs window k+1, so a non-finite iterate is reported
 at the earliest step of the run, and at that step the lowest trajectory,
 for any batch split.
@@ -74,7 +76,8 @@ With more than one worker, each worker process owns a contiguous run of
 batches.  The totals' per-trajectory outputs and the ring live in
 anonymous shared mappings made before the workers fork, so a worker
 inherits the spec, the totals and its batches once, writes its rows into
-the parent's memory and sends back only the folded outputs.  Each worker
+the parent's memory and sends back only its copy of the folded outputs,
+which the parent merges into the totals.  Each worker
 has a pipe of its own: the parent sends it each window's index and waits
 for its answer, so no worker runs window k+1 before every worker has run
 window k; the ring has two slots, so the parent reduces window k while the
@@ -100,7 +103,7 @@ import contextlib
 import copy
 import math
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -286,14 +289,15 @@ class _Collector:
 
     ``empty(lo, hi, alloc)`` is a copy with the arrays named in ``outputs``
     sized for trajectories [lo, hi), the per-trajectory ones from
-    ``alloc(shape, dtype)``; ``part(lo, hi)`` is the part of such a total
-    for a batch's rows [lo, hi), whose per-trajectory outputs are views of
-    the total's rows and whose ``folded`` outputs (per step) are new;
-    ``update(blk)`` reads one ``_Block``, and ``merge(*folded)`` folds a
-    part's ``folded`` outputs, in that order, into the total.  A total's
-    working ``buffers`` (``_buffer``) are made at the first block any of
-    its parts runs; its parts take turns, so in each process they share
-    one set.
+    ``alloc(shape, dtype)`` and the ``folded`` ones (per step) private to
+    the process; ``part(lo, hi)`` is the part of such a total for a batch's
+    rows [lo, hi), whose per-trajectory outputs are views of the total's
+    rows; ``update(blk)`` reads one ``_Block``.  The parts of a total take
+    turns, so in each process they share its ``folded`` outputs, and its
+    working ``buffers`` (``_buffer``), made at the first block any of them
+    runs.  With workers, each worker folds into its own copy of the
+    ``folded`` outputs, and ``merge(*folded)`` folds each worker's copy,
+    in that order, into the parent's total once.
     """
 
     outputs: tuple[str, ...]
@@ -306,13 +310,10 @@ class _Collector:
         vars(part).update(arrays)
         return part
 
-    def _new_folded(self) -> dict[str, np.ndarray]:
-        return {}
-
     def part(self, lo: int, hi: int) -> _Collector:
         rows = slice(lo - self.lo, hi - self.lo)
         views = {name: getattr(self, name)[rows] for name in self.outputs if name not in self.folded}
-        part = self._sized(lo, hi, **views, **self._new_folded())
+        part = self._sized(lo, hi, **views)
         part.buffers = self.buffers
         return part
 
@@ -351,11 +352,10 @@ class Excess(_Collector):
     def empty(self, lo: int, hi: int, alloc=np.empty) -> Excess:
         max_excess = alloc((hi - lo, len(self.eps_grid)), float)
         max_excess[...] = -np.inf
-        return self._sized(lo, hi, max_excess=max_excess, **self._new_folded())
-
-    def _new_folded(self) -> dict[str, np.ndarray]:
         span = len(self.decay)
-        return {"counts": np.zeros(span, dtype=np.int64), "err_max": np.zeros(span)}
+        # not from alloc: each worker folds into its own copy, so no two write the same memory
+        counts, err_max = np.zeros(span, dtype=np.int64), np.zeros(span)
+        return self._sized(lo, hi, max_excess=max_excess, counts=counts, err_max=err_max)
 
     def update(self, blk: _Block) -> None:
         err = blk.err
@@ -375,20 +375,22 @@ class Excess(_Collector):
 
 @dataclass(eq=False)
 class Checkpoints(_Collector):
-    """The iterates at the sorted distinct steps ``ms`` >= n0, in ``dim``
-    features."""
+    """The iterates ``x`` and the states ``y`` at the sorted distinct steps
+    ``ms`` >= n0, in ``dim`` features."""
 
     ms: np.ndarray
     dim: int
-    outputs = ("x",)
+    outputs = ("x", "y")
 
     def empty(self, lo: int, hi: int, alloc=np.empty) -> Checkpoints:
-        return self._sized(lo, hi, x=alloc((hi - lo, len(self.ms), self.dim), float))
+        shape = (hi - lo, len(self.ms))
+        return self._sized(lo, hi, x=alloc((*shape, self.dim), float), y=alloc(shape, np.intp))
 
     def update(self, blk: _Block) -> None:
         ms, m0 = self.ms, blk.m0
         a, b = np.searchsorted(ms, [m0, m0 + blk.xs.shape[1]])
         self.x[:, a:b] = blk.xs[:, ms[a:b] - m0].transpose(2, 1, 0)
+        self.y[:, a:b] = blk.Y[ms[a:b] - blk.bs].T
 
 
 @dataclass(eq=False)
@@ -601,13 +603,13 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     ``_windows``: window 0 draws 1 + L per trajectory (the first picks the
     start state, drawn even when it is fixed), the others L, and chunked
     draws continue the stream exactly as one long draw would.  The states
-    are sampled one block of ``_BLOCK`` steps at a time: a segment holds
-    the states at steps bs..bs+K of a block as a (K+1, B) array, with bs a
+    are sampled one block of ``_BLOCK`` steps at a time: a block holds
+    the states at steps bs..bs+K as a (K+1, B) array, with bs a
     multiple of ``_BLOCK`` and K at most ``_BLOCK`` (no steps at horizon 0),
     and the next one starts at the state this one ends at.  The buffers are
     one window of uniforms and one block of everything else, and belong to
     the spec (``_buffer``): every batch of a run in one process reuses them,
-    so a segment is valid only until this batch or another asks for its
+    so a block is valid only until this batch or another asks for its
     next.
 
     The next state is the number of CDF entries of the current row at or
@@ -698,16 +700,6 @@ def _buffer(buffers: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarr
     return buf[:size].reshape(shape)
 
 
-def _sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
-    """The states of ``_path_segments`` joined into one (B, horizon+1) array."""
-    states = np.empty((hi - lo, spec.horizon + 1), dtype=np.intp)
-    start = 0
-    for seg in _path_segments(spec, lo, hi):
-        states[:, start : start + len(seg)] = seg.T
-        start += len(seg) - 1
-    return states
-
-
 def _dsum(p: np.ndarray) -> np.ndarray:
     """Sum over the leading axis in the order numpy's pairwise sum adds a
     contiguous row: term by term below 8 terms, else into eight accumulators
@@ -735,33 +727,18 @@ def _dsum(p: np.ndarray) -> np.ndarray:
 
 
 class _Lane:
-    """Trajectories [lo, hi) of a lockstep run: the collector ``parts`` they
-    fill and, with the per-step quantiles, the ring's ``part`` as well
+    """Trajectories [lo, hi) of a lockstep run: the ``parts`` of the collector
+    ``totals`` they fill and, with ``quantiles``, the ring's part as well
     (together, the ``feeds``); their iterates ``x`` (d, B) at step ``at``;
-    and their path segments still to come.  Iterating a lane yields its
-    segments until they reach the end of the window that starts at ``at``,
-    so ``_simulate_chunk`` given a lane as its segments runs one window,
-    whatever the segments' lengths, and leaves the lane where it ends."""
+    and their ``blocks`` of states still to come (``_path_segments``)."""
 
-    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, parts=(), ring=None, segments=None):
-        self.lo, self.hi, self.parts = lo, hi, parts
-        self.feeds = parts if ring is None else (*parts, ring)
+    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, totals: tuple, quantiles=None):
+        self.lo, self.hi = lo, hi
+        self.parts = tuple(t.part(lo, hi) for t in totals)
+        self.feeds = self.parts if quantiles is None else (*self.parts, quantiles.part(lo, hi))
         self.x = np.repeat(spec.initial_x[:, None], hi - lo, axis=1)
         self.at = 0
-        self.window, self.horizon = _windows(spec).step, spec.horizon
-        self.segments = iter(_path_segments(spec, lo, hi) if segments is None else segments)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        at, stop = self.at, min(self.at + self.window, self.horizon)
-        for seg in self.segments:
-            yield seg
-            at += len(seg) - 1
-            if at >= stop:
-                return
-
-    def folded(self) -> list[list[np.ndarray]]:
-        """The folded outputs of each collector part, to ``merge``."""
-        return [[getattr(part, name) for name in part.folded] for part in self.parts]
+        self.blocks = _path_segments(spec, lo, hi)
 
 
 def _non_finite(trajectory: int, step: int) -> NonFinite:
@@ -772,88 +749,66 @@ def _non_finite(trajectory: int, step: int) -> NonFinite:
     return exc
 
 
-def _simulate_chunk(
-    spec: _EnsembleSpec,
-    lo: int,
-    hi: int,
-    segments: Iterable[np.ndarray],
-    parts: tuple | None = None,
-) -> tuple:
-    """The online TD(0) update of trajectories [lo, hi) along their sampled
-    states, feeding ``parts`` (by default an empty copy of each of the spec's
-    collectors); time-blocked over a (d, B) layout as the module docstring
-    describes.  ``segments`` are the states in order as (L+1, B) arrays, each
-    starting at the state the one before ended at (``_path_segments``); any
-    L will do, and blocks start at multiples of ``_BLOCK`` as long as each
-    segment does.  They start at step 0 from the spec's initial iterate,
-    unless ``segments`` is a ``_Lane``: then its next window runs from where
-    the last one ended.  A block's arrays are the spec's buffers
-    (``_buffer``), so the iterates after the last block are copied into the
-    lane's own ``x``."""
+def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
+    """Run the next window of the batch ``lane``: the online TD(0) update of
+    its trajectories along each (K+1, B) block of states from
+    ``lane.blocks``, time-blocked over a (d, B) layout as the module
+    docstring describes, writing its rows of the totals and of the ring in
+    place.  A block's arrays are the spec's buffers (``_buffer``), so the
+    iterates after each block are copied into the lane's own ``x``."""
     n0 = spec.n0
-    B = hi - lo
+    lo, B = lane.lo, lane.hi - lane.lo
     d = spec.phi.shape[1]
-    if parts is None:
-        parts = tuple(c.empty(lo, hi) for c in spec.collectors)
-    lane = segments if isinstance(segments, _Lane) else _Lane(spec, lo, hi, segments=())
     buffers = spec.buffers
     phi_t = np.ascontiguousarray(spec.phi.T)
     gamma = spec.gamma
-    x, start = lane.x, lane.at
+    x = lane.x
+    stop = min(lane.at + _windows(spec).step, spec.horizon)
     P = np.empty((d, 2, B))
     t = np.empty(B)
     u = np.empty((d, B))
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in segments:
-            end = start + len(seg) - 1
-            for bs in range(start, max(end, 1), _BLOCK):  # at horizon 0, one block of no steps
-                K = min(_BLOCK, end - bs)
-                Y = seg[bs - start : bs - start + K + 1]
-                F = _buffer(buffers, "F", (d, K + 1, B), float)
-                np.take(phi_t, Y, axis=1, out=F, mode="clip")  # phi at the states of steps bs .. bs+K
-                R = _buffer(buffers, "R", (K, B), float)
-                np.take(spec.rewards, Y[:-1], out=R, mode="clip")
-                a = spec.steps[bs : bs + K]
-                AF = _buffer(buffers, "AF", (d, K, B), float)
-                np.multiply(F[:, :-1], a[:, None], out=AF)
-                X = _buffer(buffers, "X", (d, K + 1, B), float)
-                X[:, 0] = x
-                for j in range(K):
-                    # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
-                    np.multiply(F[:, j : j + 2], X[:, j, None], out=P)
-                    dots = _dsum(P)
-                    np.multiply(dots[1], gamma, out=t)
-                    t += R[j]
-                    t -= dots[0]
-                    np.multiply(AF[:, j], t, out=u)
-                    np.add(X[:, j], u, out=X[:, j + 1])
-                x[...] = X[:, K]
+        for Y in lane.blocks:  # at horizon 0, one block of no steps
+            bs, K = lane.at, len(Y) - 1
+            F = _buffer(buffers, "F", (d, K + 1, B), float)
+            np.take(phi_t, Y, axis=1, out=F, mode="clip")  # phi at the states of steps bs .. bs+K
+            R = _buffer(buffers, "R", (K, B), float)
+            np.take(spec.rewards, Y[:-1], out=R, mode="clip")
+            a = spec.steps[bs : bs + K]
+            AF = _buffer(buffers, "AF", (d, K, B), float)
+            np.multiply(F[:, :-1], a[:, None], out=AF)
+            X = _buffer(buffers, "X", (d, K + 1, B), float)
+            X[:, 0] = x
+            for j in range(K):
+                # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
+                np.multiply(F[:, j : j + 2], X[:, j, None], out=P)
+                dots = _dsum(P)
+                np.multiply(dots[1], gamma, out=t)
+                t += R[j]
+                t -= dots[0]
+                np.multiply(AF[:, j], t, out=u)
+                np.add(X[:, j], u, out=X[:, j + 1])
+            x[...] = X[:, K]
 
-                finite = _buffer(buffers, "finite", (d, K, B), bool)
-                finite = np.isfinite(X[:, 1:], out=finite).all(axis=0)
-                if not finite.all():
-                    j, b = np.argwhere(~finite)[0]
-                    raise _non_finite(lo + int(b), bs + int(j) + 1)
+            finite = _buffer(buffers, "finite", (d, K, B), bool)
+            finite = np.isfinite(X[:, 1:], out=finite).all(axis=0)
+            if not finite.all():
+                j, b = np.argwhere(~finite)[0]
+                raise _non_finite(lo + int(b), bs + int(j) + 1)
 
-                if bs + K >= n0:  # the iterates of steps bs+j.. are new and at or after n0
-                    j = max(n0 - bs, 1 if bs else 0)
-                    diff = _buffer(buffers, "diff", (d, K + 1 - j, B), float)
-                    np.subtract(X[:, j:], spec.x_star[:, None, None], out=diff)
-                    diff *= diff
-                    err = _dsum(diff)
-                    np.sqrt(err, out=err)
-                    blk = _Block(bs, Y, a, X, n0, bs + j, X[:, j:], err)
-                    for part in parts:
-                        part.update(blk)
-            start = end
-    lane.at = start
-    return parts
-
-
-def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
-    """Run the next window of the batch ``lane``, writing its rows of the
-    totals and of the ring in place."""
-    _simulate_chunk(spec, lane.lo, lane.hi, lane, lane.feeds)
+            if bs + K >= n0:  # the iterates of steps bs+j.. are new and at or after n0
+                j = max(n0 - bs, 1 if bs else 0)
+                diff = _buffer(buffers, "diff", (d, K + 1 - j, B), float)
+                np.subtract(X[:, j:], spec.x_star[:, None, None], out=diff)
+                diff *= diff
+                err = _dsum(diff)
+                np.sqrt(err, out=err)
+                blk = _Block(bs, Y, a, X, n0, bs + j, X[:, j:], err)
+                for part in lane.feeds:
+                    part.update(blk)
+            lane.at = bs + K
+            if lane.at >= stop:
+                return
 
 
 def _run_window(spec: _EnsembleSpec, lanes: list[_Lane]) -> None:
@@ -870,18 +825,6 @@ def _run_window(spec: _EnsembleSpec, lanes: list[_Lane]) -> None:
         raise min(failures, key=lambda exc: exc.at)
 
 
-def _lanes(spec: _EnsembleSpec, totals: tuple, quantiles: ErrQuantiles | None, batches) -> list[_Lane]:
-    """One lane per batch, filling its rows of ``totals`` and, with
-    ``quantiles``, its columns of the ring."""
-    return [
-        _Lane(
-            spec, lo, hi, tuple(t.part(lo, hi) for t in totals),
-            None if quantiles is None else quantiles.part(lo, hi),
-        )
-        for lo, hi in batches
-    ]
-
-
 def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     """An array in a new anonymous shared mapping: a forked child writes the
     same memory the parent reads, and a page is resident only once touched."""
@@ -896,8 +839,9 @@ def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 def _work(spec: _EnsembleSpec, lanes: list[_Lane], conn, parent_ends: list) -> None:
     """A worker process: run ``lanes`` one window each time the parent sends
     on ``conn``, and answer None, after the last window the folded outputs
-    of each lane, or the error that stopped it.  It first closes the
-    parent's ends of the pipes it inherited, so it ends if the parent does."""
+    of each collector, which its lanes' parts share, or the error that
+    stopped it.  It first closes the parent's ends of the pipes it
+    inherited, so it ends if the parent does."""
     for end in parent_ends:
         end.close()
     windows = len(_windows(spec))
@@ -905,7 +849,9 @@ def _work(spec: _EnsembleSpec, lanes: list[_Lane], conn, parent_ends: list) -> N
         for k in range(windows):
             conn.recv()
             _run_window(spec, lanes)
-            conn.send(None if k < windows - 1 else [lane.folded() for lane in lanes])
+            conn.send(None if k < windows - 1 else [
+                [getattr(part, name) for name in part.folded] for part in lanes[0].parts
+            ])
     except (EOFError, BrokenPipeError):  # the parent is gone
         pass
     except Exception as exc:  # the parent raises it
@@ -915,7 +861,7 @@ def _work(spec: _EnsembleSpec, lanes: list[_Lane], conn, parent_ends: list) -> N
 def _run_pool(spec: _EnsembleSpec, lanes: list[_Lane], workers: int, quantiles: ErrQuantiles | None) -> list:
     """Run ``lanes`` in lockstep on ``workers`` forked processes, each with a
     contiguous run of them and a pipe of its own; the folded outputs of
-    every lane.  The parent sends window k to every worker, reduces
+    every worker.  The parent sends window k to every worker, reduces
     ``quantiles`` of window k-1 and then waits for each one's answer.
 
     If a window fails, the run raises the earliest non-finite iterate of any
@@ -951,7 +897,7 @@ def _run_pool(spec: _EnsembleSpec, lanes: list[_Lane], workers: int, quantiles: 
         if quantiles is not None:
             quantiles.reduce(windows - 1)
         ended = True
-        return [out for reply in replies for out in reply]
+        return replies
     finally:
         for conn in conns:
             conn.close()
@@ -980,10 +926,11 @@ def _run_ensemble(
     """The spec's collectors over trajectories [0, n), in batches run in
     lockstep windows on at most ``jobs`` worker processes and never more
     workers than batches; with ``quantiles``, also the per-step error
-    quantiles, into it.  Each batch writes its rows of the totals in place;
-    its folded outputs are merged into them at the end.  With workers, the
-    totals' rows and the ring are shared mappings and the workers fork, so
-    the spec, the totals and the batches reach a worker once."""
+    quantiles, into it.  Each batch writes its rows and folds its per-step
+    outputs into the totals in place.  With workers, the totals' rows and
+    the ring are shared mappings and the workers fork, so the spec, the
+    totals and the batches reach a worker once; each worker's folded
+    outputs are merged into the totals at the end."""
     if jobs < 1:
         raise ValidationError(f"jobs: must be >= 1, got {jobs}")
     batches = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
@@ -993,18 +940,16 @@ def _run_ensemble(
     totals = tuple(c.empty(0, n, alloc) for c in spec.collectors)
     if quantiles is not None:
         quantiles.ring(n, _windows(spec).step, min(workers, 2), alloc)
-    lanes = _lanes(spec, totals, quantiles, batches)
+    lanes = [_Lane(spec, lo, hi, totals, quantiles) for lo, hi in batches]
     if workers > 1:
-        folded = _run_pool(spec, lanes, workers, quantiles)
+        for folded in _run_pool(spec, lanes, workers, quantiles):
+            for total, out in zip(totals, folded):
+                total.merge(*out)
     else:
         for k in range(len(_windows(spec))):
             _run_window(spec, lanes)
             if quantiles is not None:
                 quantiles.reduce(k)
-        folded = [lane.folded() for lane in lanes]
-    for outs in folded:
-        for total, out in zip(totals, outs):
-            total.merge(*out)
     return totals
 
 
@@ -1068,24 +1013,25 @@ def simulate_trajectory(
 ) -> TrajectoryRecord:
     """Trajectory ``index`` of the ensemble alone, from step 0 to the horizon.
 
-    The engine runs with n0 = 0 on the trajectory's own stream
-    ``rng.stream(master_seed, index)``, so the start state, the states and
-    the iterates are those of row ``index`` of any batched run; every step
-    is a checkpoint.  The comparison run is the averaged recursion from the
-    same start.  Distances and the running peak of the gap are taken from
-    the recorded iterates after the loop.
+    The engine runs one lane of that trajectory alone, window by window,
+    with n0 = 0 on its own stream ``rng.stream(master_seed, index)``, so the
+    start state, the states and the iterates are those of row ``index`` of
+    any batched run; every step is a checkpoint.  The comparison run is the
+    averaged recursion from the same start.  Distances and the running peak
+    of the gap are taken from the recorded iterates after the loop.
     """
     config = replace(config, n0=0)
     T = config.horizon
-    every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
-    spec = _base_spec(config, analytic, T, (every_step,))
-    states = _sample_paths(spec, index, index + 1)
-    (chk,) = _simulate_chunk(spec, index, index + 1, [states.T])
+    spec = _base_spec(config, analytic, T)
+    chk = Checkpoints(np.arange(T + 1), config.problem.n_features).empty(index, index + 1)
+    lane = _Lane(spec, index, index + 1, (chk,))
+    for _ in _windows(spec):
+        _fill_rows(spec, lane)
     xs = chk.x[0]
     zs = run_deterministic(config.problem, config.schedule, 0, T, config.initial_x)
     gap = np.linalg.norm(xs - zs, axis=1)
     return TrajectoryRecord(
-        states=states[0],
+        states=chk.y[0],
         x=xs,
         z=zs,
         dist_to_target=np.linalg.norm(xs - analytic.x_star, axis=1),

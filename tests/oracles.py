@@ -17,15 +17,17 @@ by Monte Carlo, as an independent check on the linear-system Poisson
 solver.
 
 ``reference_paths`` is the whole-path inverse-CDF sampler that the
-segment-wise ``harness._path_segments`` replaced: every uniform of a batch
+block-wise ``harness._path_segments`` replaced: every uniform of a batch
 drawn at once, then each step gathers the (B, s) CDF rows and caps the
-count at s-1.  The segment sampler is checked against it state for state.
+count at s-1.  The block sampler is checked against it state for state.
+``sample_paths`` joins the block sampler's states into one (B, horizon+1)
+array, for the tests that read whole paths.
 
-``reference_chunk`` is the per-step TD(0) kernel in the (B, d) layout that
-the time-blocked ``harness._simulate_chunk`` replaced: one update per step,
-then each collector's output filled for that step by its own rule, written
-out here and never through the collector's block-wise ``update``.  The
-blocked kernel and its collectors are checked against it.
+``reference_chunk`` is the twin of ``harness._fill_rows``: the per-step
+TD(0) kernel in the (B, d) layout, one update per step, then each
+collector's output filled for that step by its own rule, written out here
+and never through the collector's block-wise ``update``.  The blocked
+kernel and its collectors are checked against it.
 
 ``ErrMatrix`` is a collector of every error from n0 on, as an (n, span)
 float32 matrix.  The ensemble no longer holds one: it takes the per-step
@@ -33,9 +35,10 @@ quantiles one window at a time.  The kernel twins check every error
 against the reference kernel's, and the quantiles against one percentile
 of the whole matrix.
 
-``_run_chunk`` samples and runs one batch on its own, into new parts of
-the spec's collectors sized for its rows.  The ensemble no longer runs a
-batch that way: its batches write their rows into the run's totals.
+``_run_chunk`` runs one batch on its own, as one ``harness._Lane`` taken
+window by window through ``_fill_rows``, into new copies of the spec's
+collectors sized for its rows.  The ensemble does not run a batch that
+way: its batches write their rows into the run's totals.
 
 ``convergence_diagnostics`` is a pass with only the checkpoint collector,
 at the experiment's default checkpoints or any others in [n0, horizon]:
@@ -75,9 +78,11 @@ from tdlab.harness import (
     _Collector,
     _diagnostics,
     _EnsembleSpec,
+    _fill_rows,
+    _Lane,
     _path_segments,
     _run_ensemble,
-    _simulate_chunk,
+    _windows,
 )
 from tdlab.markov import MarkovChain, StationaryDistribution
 from tdlab.rng import stream
@@ -212,11 +217,25 @@ class ErrMatrix(_Collector):
         self.matrix[:, i0 : i0 + len(blk.err)] = blk.err.T
 
 
+def sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+    """The states of ``_path_segments`` joined into one (B, horizon+1) array."""
+    states = np.empty((hi - lo, spec.horizon + 1), dtype=np.intp)
+    start = 0
+    for block in _path_segments(spec, lo, hi):
+        states[:, start : start + len(block)] = block.T
+        start += len(block) - 1
+    return states
+
+
 def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> tuple:
     """The spec's collectors over trajectories [lo, hi) alone, from
-    ``args`` = (spec, lo, hi)."""
+    ``args`` = (spec, lo, hi): one lane, run window by window."""
     spec, lo, hi = args
-    return _simulate_chunk(spec, lo, hi, _path_segments(spec, lo, hi))
+    totals = tuple(c.empty(lo, hi) for c in spec.collectors)
+    lane = _Lane(spec, lo, hi, totals)
+    for _ in _windows(spec):
+        _fill_rows(spec, lane)
+    return totals
 
 
 def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:
@@ -242,6 +261,7 @@ def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:
                 c.matrix[:, idx] = err
             elif isinstance(c, Checkpoints):
                 c.x[:, c.ms == m] = x[:, None, :]
+                c.y[:, c.ms == m] = states[:, m, None]
             elif isinstance(c, Excess):
                 np.maximum(
                     c.max_excess, err[:, None] - c.decay[idx] * c.eps_grid[None, :], out=c.max_excess

@@ -19,9 +19,11 @@ from tdlab.bounds import build_query, evaluate_bound
 from tdlab.config import load_config
 from tdlab.dynamics import TrajectoryRecord
 from tdlab.errors import NonFinite
-from tdlab.harness import Checkpoints, _base_spec, _run_ensemble, _sample_paths
+from tdlab.harness import Checkpoints, _base_spec, _run_ensemble
 from tdlab.instances import reference_config_dict
 from tdlab.schedule import StepSchedule
+
+from oracles import sample_paths
 
 
 def _reject_constant(token):
@@ -251,7 +253,7 @@ class TestEnsembleTwins:
         steps = np.arange(exp.horizon + 1)
         every_step = Checkpoints(steps, cfg.problem.n_features)
         spec = _base_spec(exp, cfg.analytic, exp.horizon, (every_step,))
-        states = _sample_paths(spec, 0, exp.n_trajectories)
+        states = sample_paths(spec, 0, exp.n_trajectories)
         iterates = _run_ensemble(spec, exp.n_trajectories, 5, 1)[0].x
         errors = np.linalg.norm(iterates - cfg.analytic.x_star, axis=2)
         for i in (0, 7, 11):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import tdlab.cli as cli
 from tdlab.config import load_config
 from tdlab.errors import ConfigError, ValidationError
 from tdlab.harness import ExperimentConfig
@@ -130,6 +131,44 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=r"^schedule\.values: .*horizon = 300"):
                 load_config(write_config(tmp_path, with_table(length)))
         assert load_config(write_config(tmp_path, with_table(300))).issues == []
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ("$", "gama"),
+            ("chain", "p"),
+            ("rewards", "rr"),
+            ("features", "phi"),
+            ("schedule", "d_1"),
+            ("experiment", "D_cosnt"),
+            ("output", "formts"),
+        ],
+    )
+    def test_misspelt_key_exits_1(self, tmp_path, capsys, block, key):
+        # a misspelt optional field used to be ignored: D_cosnt left D_const unset, so D was fitted
+        raw = with_experiment()
+        (raw if block == "$" else raw[block])[key] = 1.0
+        path = write_config(tmp_path, raw)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{block}.{key}: unknown field"
+        assert cli.main(["validate", path]) == 1
+        assert f"error: {block}.{key}: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, 5, ["a"]], ids=["null", "integer", "list"])
+    def test_output_dir_that_is_not_a_string_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        # it used to go through str(), so null wrote to ./None/ and ["a"] to ./['a']/
+        monkeypatch.chdir(tmp_path)
+        raw = with_experiment()
+        raw["output"]["dir"] = value
+        path = write_config(tmp_path, raw)
+        message = f"output.dir: expected a string, got {type(value).__name__}"
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+        assert cli.main(["experiment", path]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_malformed_json_gives_its_position(self, tmp_path):
         with pytest.raises(ConfigError, match=r"cfg\.json:1:2:"):

@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 import tdlab.cli as cli
 from tdlab import NonFinite, run_deterministic, simulate_trajectory, solve_problem
-from tdlab.harness import Checkpoints, ExperimentConfig, _base_spec, _sample_paths, _simulate_chunk
+from tdlab.harness import Checkpoints, ExperimentConfig, _base_spec
 from tdlab.rng import stream
 
 from conftest import random_problem
 from oracles import ProductSchedule as StepSchedule
-from oracles import noise_matrix, state_map
+from oracles import _run_chunk, noise_matrix, sample_paths, state_map
 
 
 def sched_half():
@@ -39,8 +39,8 @@ def engine_path(config, analytic, index=0, **spec_changes):
     T = config.horizon
     every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
     spec = replace(_base_spec(config, analytic, T, (every_step,)), **spec_changes)
-    states = _sample_paths(spec, index, index + 1)
-    return states[0], _simulate_chunk(spec, index, index + 1, [states.T])[0].x[0]
+    (chk,) = _run_chunk((spec, index, index + 1))
+    return sample_paths(spec, index, index + 1)[0], chk.x[0]
 
 
 class TestTdStep:

@@ -3,10 +3,10 @@
 ``harness._run_ensemble`` allocates each collector's total once.  A batch's
 part holds views of the total's rows, so at jobs = 1 no rows are copied; at
 jobs = 2 the rows live in anonymous shared mappings that forked workers
-write, and a worker sends back only the per-step outputs it folds.  Every
-batch runs window k before any runs window k+1, so a non-finite iterate is
-reported at the earliest step, and at that step the lowest trajectory, for
-any batch split and worker count.  The per-step error quantiles, reduced
+write, and a worker sends back, once, only the per-step outputs its batches
+fold.  Every batch runs window k before any runs window k+1, so a
+non-finite iterate is reported at the earliest step, and at that step the
+lowest trajectory, for any batch split and worker count.  The per-step error quantiles, reduced
 one window at a time from a ring, equal one percentile of the whole error
 matrix, and the memory of a run does not grow with its horizon.  No worker
 process outlives a run, whether it ends normally, fails or dies.
@@ -40,7 +40,6 @@ from tdlab.harness import (
     _buffer,
     _run_ensemble,
     _window,
-    _windows,
     run_alltime_experiment,
 )
 from tdlab.instances import reference_config_dict
@@ -59,13 +58,13 @@ class TestInPlace:
     def test_parts_are_views_of_the_totals(self, ref_problem, ref_analytic, monkeypatch, batch_size):
         spec = full_spec(ref_problem, ref_analytic, 10, 200)
         seen = []
-        simulate = harness._simulate_chunk
+        fill = harness._fill_rows
 
-        def recording(spec, lo, hi, segments, parts=None):
-            seen.append(parts)
-            return simulate(spec, lo, hi, segments, parts)
+        def recording(spec, lane):
+            seen.append(lane.parts)
+            fill(spec, lane)
 
-        monkeypatch.setattr(harness, "_simulate_chunk", recording)
+        monkeypatch.setattr(harness, "_fill_rows", recording)
         totals = by_kind(_run_ensemble(spec, 70, batch_size, 1))
         assert len(seen) == -(-70 // batch_size)
         for parts in seen:
@@ -78,7 +77,7 @@ class TestInPlace:
                     assert not np.shares_memory(view, whole[: part.lo]), name
                     assert not np.shares_memory(view, whole[part.hi :]), name
                 for name in type(part).folded:
-                    assert not np.shares_memory(getattr(part, name), getattr(total, name)), name
+                    assert getattr(part, name) is getattr(total, name), name
 
     def test_tasks_and_returns_carry_no_rows(self, ref_problem, ref_analytic, monkeypatch):
         # at horizon 4000 one batch's error rows take 512 * 3991 * 4 bytes, about 8 MB;
@@ -117,6 +116,17 @@ class TestInPlace:
         assert returned(4000, set(KINDS)) < len(folded) + 1024 < 512 * span * 4 // 100
         assert len(sent) == 2 * (windows(1000) + 2 * windows(4000))
         assert max(sent) < 256  # a message is a window index
+
+        # each worker runs two lanes of 512, which share one set of folded outputs, so it
+        # answers with that one set, not one per lane
+        spec = full_spec(ref_problem, ref_analytic, 10, 1000)
+        spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) is Excess))
+        replies.clear()
+        _run_ensemble(spec, 2048, 512, 2)
+        span = 1000 - 10 + 1
+        one_set = pickle.dumps([[np.zeros(span, dtype=np.int64), np.zeros(span)]])
+        assert len(replies) == 2 * -(-1000 // _window(2048))
+        assert max(replies) < len(one_set) + 256
 
 
 def failing_spec(ref_problem, ref_analytic):
@@ -407,24 +417,12 @@ class TestBlockBuffers:
         allowance = quantiles.rows.nbytes + 2 * 2**20
         assert peak < u + ring + outputs + block + allowance
 
-    @pytest.mark.parametrize("segments", ["blocks", "whole windows"])
+    @pytest.mark.parametrize("segments", ["blocks"])
     def test_one_window_per_call(self, ref_problem, ref_analytic, monkeypatch, segments):
         n, horizon = 512, 2500
         spec = full_spec(ref_problem, ref_analytic, 100, horizon)
         spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) is not ErrMatrix))
         want = by_kind(_run_ensemble(spec, n, 256, 1))
-        real = harness._path_segments
-
-        def whole_windows(spec, lo, hi):
-            # the sampler's states, one segment per window
-            blocks = [seg.copy() for seg in real(spec, lo, hi)]
-            states = np.concatenate([blocks[0], *(seg[1:] for seg in blocks[1:])])
-            W = _windows(spec).step
-            for start in _windows(spec):
-                yield states[start : min(start + W, horizon) + 1]
-
-        if segments == "whole windows":
-            monkeypatch.setattr(harness, "_path_segments", whole_windows)
         calls = []
         fill = harness._fill_rows
 

@@ -21,11 +21,10 @@ from tdlab.harness import (
     wilson_interval,
     _base_spec,
     _run_ensemble,
-    _sample_paths,
 )
 
 from conftest import random_problem
-from oracles import convergence_diagnostics, linear_noise, noise_matrix, offset_noise
+from oracles import convergence_diagnostics, linear_noise, noise_matrix, offset_noise, sample_paths
 
 
 def small_config(problem, analytic=None, **kw):
@@ -311,7 +310,7 @@ class TestNoiseSums:
             Checkpoints(np.arange(n0, T + 1), problem.n_features),
         ))
         noise, chk = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
-        states = _sample_paths(spec, 0, cfg.n_trajectories)
+        states = sample_paths(spec, 0, cfg.n_trajectories)
         steps = cfg.schedule.steps(0, T)
         for i in range(cfg.n_trajectories):
             S = np.zeros(problem.n_features)

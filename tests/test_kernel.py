@@ -1,11 +1,12 @@
 """The time-blocked TD kernel against the per-step reference kernel.
 
-``harness._simulate_chunk`` runs the update in blocks of ``_BLOCK`` steps
-over path segments of ``_DRAW`` steps and feeds the collectors once per
-block; ``oracles.reference_chunk`` does both one step at a time along the
-whole path.  Every output of every collector must agree: the noise sums
-within 1e-12, everything else bit for bit.  Each collector's outputs are
-also the same whether it runs alone or alongside all the others.
+``harness._fill_rows`` runs the update along a lane's blocks of ``_BLOCK``
+steps, one window of at most ``_DRAW`` steps per call, and feeds the
+collectors once per block; ``oracles.reference_chunk`` does both one step
+at a time along the whole path.  Every output of every collector must
+agree: the noise sums within 1e-12, everything else bit for bit.  Each
+collector's outputs are also the same whether it runs alone or alongside
+all the others.
 """
 
 import copy
@@ -31,11 +32,10 @@ from tdlab.harness import (
     _base_spec,
     _Collector,
     _run_ensemble,
-    _sample_paths,
 )
 
 from conftest import random_problem
-from oracles import ErrMatrix, _run_chunk, reference_chunk
+from oracles import ErrMatrix, _run_chunk, reference_chunk, sample_paths
 
 KINDS = _Collector.__subclasses__()
 
@@ -78,7 +78,7 @@ def by_kind(parts):
 
 
 def assert_twins(spec, lo, B):
-    states = _sample_paths(spec, lo, lo + B)
+    states = sample_paths(spec, lo, lo + B)
     want = by_kind(reference_chunk(spec, lo, states))
     # a floor at the median excess, so about half the (step, trajectory) cells count
     ex = want[Excess]
@@ -225,15 +225,16 @@ class TestInvariance:
 
 def divergent_paths(spec, bad):
     """A sampler stand-in: every trajectory stays in state 0, except that
-    trajectory i of ``bad`` sits in state 1 at step ``bad[i]``; the whole
-    path is one segment."""
+    trajectory i of ``bad`` sits in state 1 at step ``bad[i]``; the states
+    come in blocks of ``_BLOCK`` steps, as the sampler's do."""
 
     def sample(_spec, lo, hi):
         states = np.zeros((hi - lo, spec.horizon + 1), dtype=np.int64)
         for i, n in bad.items():
             if lo <= i < hi:
                 states[i - lo, n] = 1
-        return [states.T]
+        for bs in range(0, spec.horizon, _BLOCK):
+            yield states[:, bs : bs + _BLOCK + 1].T
 
     return sample
 

@@ -12,12 +12,12 @@ from tdlab import (
     solve_problem,
     stationary_distribution,
 )
-from tdlab.harness import ExperimentConfig, _base_spec, _sample_paths
+from tdlab.harness import ExperimentConfig, _base_spec
 from tdlab.instances import scalar_problem, whitened_features
 from tdlab.rng import stream
 
 from conftest import random_chain
-from oracles import chain_class, expected_hitting_sums, reachability
+from oracles import chain_class, expected_hitting_sums, reachability, sample_paths
 
 
 def path_spec(problem, horizon, policy, seed=0):
@@ -179,25 +179,25 @@ class TestStationaryDistribution:
 class TestSamplePath:
     def test_single_state_path(self):
         spec = path_spec(scalar_problem(), 4, "fixed:0", seed=1)
-        assert_allclose(_sample_paths(spec, 0, 1)[0], np.zeros(5))
+        assert_allclose(sample_paths(spec, 0, 1)[0], np.zeros(5))
 
     def test_deterministic_given_stream(self):
         spec = path_spec(two_state_problem(), 199, "fixed:0", seed=7)
-        p1 = _sample_paths(spec, 3, 4)[0]
-        p2 = _sample_paths(spec, 3, 4)[0]
+        p1 = sample_paths(spec, 3, 4)[0]
+        p2 = sample_paths(spec, 3, 4)[0]
         assert np.array_equal(p1, p2)
-        assert np.array_equal(p1, _sample_paths(spec, 0, 5)[3])  # the stream is the index's own
+        assert np.array_equal(p1, sample_paths(spec, 0, 5)[3])  # the stream is the index's own
 
     def test_starts_at_initial_state(self):
         spec = path_spec(two_state_problem(), 9, "fixed:1")
-        assert _sample_paths(spec, 0, 1)[0, 0] == 1
+        assert sample_paths(spec, 0, 1)[0, 0] == 1
 
     def test_visit_frequencies_match_stationary(self):
         # 10^6 steps as 100 independent stationary paths: each path is one batch
         problem = two_state_problem()
         pi = stationary_distribution(problem.chain).pi
         spec = path_spec(problem, 9_999, "stationary", seed=12345)
-        paths = _sample_paths(spec, 0, 100)
+        paths = sample_paths(spec, 0, 100)
         n_batches = len(paths)
         for state in range(2):
             freqs = (paths == state).mean(axis=1)

@@ -35,11 +35,10 @@ from tdlab.harness import (
     _base_spec,
     _guide_table,
     _path_segments,
-    _sample_paths,
 )
 
 from conftest import random_problem
-from oracles import _run_chunk, reference_paths
+from oracles import _run_chunk, reference_paths, sample_paths
 
 HORIZONS = (0, 1, 63, 64, _DRAW - 1, _DRAW, _DRAW + 1, 2 * _DRAW + 1)
 
@@ -60,7 +59,7 @@ def path_spec(problem, analytic, horizon, policy="stationary", seed=23):
 
 
 def assert_equal_paths(spec, lo, hi):
-    got = _sample_paths(spec, lo, hi)
+    got = sample_paths(spec, lo, hi)
     want = reference_paths(spec, lo, hi)
     assert got.shape == want.shape == (hi - lo, spec.horizon + 1)
     assert np.array_equal(got, want)
@@ -101,7 +100,7 @@ class TestReferenceTwins:
     def test_single_state_has_no_columns(self, scalar, scalar_analytic):
         spec = path_spec(scalar, scalar_analytic, _DRAW + 1)
         assert_equal_paths(spec, 0, 4)
-        assert not _sample_paths(spec, 0, 4).any()
+        assert not sample_paths(spec, 0, 4).any()
 
     @pytest.mark.parametrize("policy", ["stationary", "uniform", "fixed:3"])
     @pytest.mark.parametrize("lo, hi", [(5, 6), (0, 9)])
@@ -221,15 +220,15 @@ class TestGuideTable:
         want = [3]
         for u in us[1:]:
             want.append(int(np.searchsorted(cdf[want[-1]], u, side="right")))
-        assert _sample_paths(spec, 0, 1)[0].tolist() == want
+        assert sample_paths(spec, 0, 1)[0].tolist() == want
 
 
 class TestSegments:
     def test_batch_rows_are_each_trajectory_alone(self, ref_problem, ref_analytic):
         spec = path_spec(ref_problem, ref_analytic, 2 * _DRAW + 1)
-        batch = _sample_paths(spec, 2, 9)
+        batch = sample_paths(spec, 2, 9)
         for i in range(2, 9):
-            assert np.array_equal(batch[i - 2], _sample_paths(spec, i, i + 1)[0])
+            assert np.array_equal(batch[i - 2], sample_paths(spec, i, i + 1)[0])
 
     def test_segments_chain_end_to_start(self, ref_problem, ref_analytic):
         spec = path_spec(ref_problem, ref_analytic, 2 * _DRAW + 1)
