@@ -12,6 +12,8 @@ back as the same double.  Reruns are byte-identical.  Timings go to
 stderr only.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure or out of memory.
+A config file that cannot be read, or an output directory or file that
+cannot be made or written, is a validation failure that names it.
 The only environment override is ``OUTPUT_DIR``.
 """
 
@@ -37,23 +39,35 @@ from .errors import ComputeError, NonFinite, ValidationError
 from .harness import estimate_p_init, run_alltime_experiment, simulate_trajectory
 
 
+def _create(path: Path):
+    """Open ``path`` for writing; a path that cannot be written is a bad input."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror}") from exc
+
+
 def _write_json(path: Path, obj) -> None:
     """Write strict JSON: a NaN or infinity is a numerical failure, not a token."""
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFinite(f"{path.name}: {exc}") from exc
-    path.write_text(text + "\n")
+    with _create(path) as fh:
+        fh.write(text + "\n")
 
 
 def _out_dir(args, cfg: LoadedConfig) -> Path:
     if getattr(args, "out", None):
-        d = Path(args.out)
+        source, d = "--out", Path(args.out)
     elif os.environ.get("OUTPUT_DIR"):
-        d = Path(os.environ["OUTPUT_DIR"])
+        source, d = "OUTPUT_DIR", Path(os.environ["OUTPUT_DIR"])
     else:
-        d = Path(cfg.output_dir)
-    d.mkdir(parents=True, exist_ok=True)
+        source, d = "output.dir", Path(cfg.output_dir)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{source}: cannot make directory {d}: {exc.strerror}") from exc
     return d
 
 
@@ -167,9 +181,9 @@ def cmd_bound(args) -> int:
         n0=exp.n0,
         horizon=None if args.infinite else exp.horizon,
         D_const=args.D if args.D is not None else exp.D_const,
-        p_init=0.0 if cfg.p_init_user is None else cfg.p_init_user,
+        p_init=0.0 if exp.p_init is None else exp.p_init,
     )
-    if cfg.p_init_user is None:
+    if exp.p_init is None:
         est = estimate_p_init(exp, jobs=args.jobs, analytic=analytic)
         query = replace(query, p_init=est.value, p_init_source="empirical")
     report = evaluate_bound(
@@ -211,7 +225,7 @@ def cmd_experiment(args) -> int:
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
     """Every CSV: a header, then one row per step or grid cell.  The csv module
     writes a Python float as its ``repr``, so each cell reads back exactly."""
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

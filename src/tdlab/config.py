@@ -2,14 +2,29 @@
 
 One self-contained JSON document describes a whole experiment: the chain,
 rewards, discount, features, step-size schedule, experiment parameters
-and output destination.  Parsing errors carry the offending field path.
-Cross-validation (feature scaling, start-index feasibility) runs at load
-time and is collected as a list of issues; the validate command reports
-them, every other command refuses to run while any are present.
+and output destination.  Each block -- the top level, ``chain``,
+``rewards``, ``features``, ``schedule``, ``experiment`` and ``output`` --
+has one table that maps each of its keys to a parser and a default, and
+``_fields`` applies every table by one rule:
+
+* a block that is not an object: ``<path>: expected an object``;
+* a key outside the table: ``<path>.<key>: unknown field``;
+* a missing key with no default: ``<path>.<key>: missing required field``;
+* a present key is parsed with its path, so each message starts with the
+  field at fault.  A null value gives None where that is the field's
+  default; a null block or a null required value is refused.
+
+Top-level paths are bare (``gamma: ...``, ``chain: missing required
+field``), nested ones dotted (``experiment.n0: ...``).  A schedule's kind
+decides which of its fields are required.  Cross-validation (feature
+scaling, start-index feasibility) runs at load time and is collected as a
+list of issues; the validate command reports them, every other command
+refuses to run while any are present.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,7 +46,6 @@ class LoadedConfig:
     problem: PolicyEvalProblem
     schedule: StepSchedule
     experiment: ExperimentConfig | None
-    p_init_user: float | None
     output_dir: str
     formats: tuple[str, ...]
     analytic: AnalyticSolution | None
@@ -51,22 +65,6 @@ class LoadedConfig:
         if self.experiment is None:
             raise ConfigError("config has no 'experiment' block")
         return self.experiment
-
-
-def _require(mapping: dict, key: str, path: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}: expected an object")
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return mapping[key]
-
-
-def _known(mapping: dict, path: str, fields: tuple[str, ...]) -> None:
-    """Refuse any key of ``mapping`` outside ``fields``, so that a misspelt
-    optional field is not silently left at its default."""
-    for key in mapping:
-        if key not in fields:
-            raise ConfigError(f"{path}.{key}: unknown field")
 
 
 def _number(value, path: str) -> float:
@@ -103,28 +101,110 @@ def _vector(value, path: str) -> np.ndarray:
     return _array(value, path, 1)
 
 
-def _build_schedule(block: dict) -> StepSchedule:
-    kind = _require(block, "kind", "schedule")
-    _known(block, "schedule", ("kind", "d1", "d2", "d3", "values"))
+def _grid(value, path: str) -> tuple[float, ...]:
+    return tuple(_vector(value, path).tolist())
 
-    def number(key: str) -> float:
-        return _number(_require(block, key, "schedule"), f"schedule.{key}")
 
-    if kind == "harmonic":
-        make, args = StepSchedule.harmonic, dict(d1=number("d1"))
-    elif kind == "polynomial":
-        make = StepSchedule.polynomial
-        args = dict(d3=number("d3"), d2=number("d2"), d1=number("d1") if "d1" in block else None)
-    elif kind == "table":
-        make = StepSchedule.table
-        values = _vector(_require(block, "values", "schedule"), "schedule.values")
-        args = dict(values=values, d1=number("d1"), d2=number("d2"), d3=number("d3"))
-    else:
-        raise ConfigError(f"schedule.kind: unknown kind {kind!r}")
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _formats(value, path: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(f in ("json", "csv") for f in value):
+        raise ConfigError(f"{path}: entries must be 'json' or 'csv'")
+    return tuple(value)
+
+
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def _fields(raw, path: str, table: dict) -> dict:
+    """The fields of the block ``raw`` at ``path`` ("" for the top level),
+    one per key of ``table``.  ``table`` maps each key to ``(parse, default)``,
+    where ``parse`` is ``parse(value, path)`` or the table of a nested block.
+    A parser may build an object; the field's path goes in front of any
+    error the build raises."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    prefix = f"{path}." if path else ""
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    fields = {}
+    for key, (parse, default) in table.items():
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"{prefix}{key}: missing required field")
+        if key in raw and isinstance(parse, dict):
+            fields[key] = _fields(raw[key], prefix + key, parse)
+        elif key not in raw or (raw[key] is None and default is None):
+            fields[key] = default
+        else:
+            try:
+                fields[key] = parse(raw[key], prefix + key)
+            except ConfigError:
+                raise
+            except ValidationError as exc:
+                raise ConfigError(f"{prefix}{key}: {exc}") from exc
+    return fields
+
+
+# Each kind's factory.  Its parameters are the fields that kind takes, and
+# those without a default are required.
+_KINDS = {kind: getattr(StepSchedule, kind) for kind in ("harmonic", "polynomial", "table")}
+
+_SCHEDULE = {
+    "kind": (_string, _REQUIRED),
+    "d1": (_number, None),
+    "d2": (_number, None),
+    "d3": (_number, None),
+    "values": (_vector, None),
+}
+
+
+def _schedule(raw, path: str) -> StepSchedule:
+    """Every field present is parsed; the kind decides which are required."""
+    fields = _fields(raw, path, _SCHEDULE)
+    make = _KINDS.get(fields["kind"])
+    if make is None:
+        raise ConfigError(f"{path}.kind: unknown kind {fields['kind']!r}")
+    params = inspect.signature(make).parameters
+    for name, param in params.items():
+        if fields[name] is None and param.default is param.empty:
+            raise ConfigError(f"{path}.{name}: missing required field")
     try:
-        return make(**args)
+        return make(**{name: fields[name] for name in params})
     except ValidationError as exc:  # its message starts with the field name
-        raise ConfigError(f"schedule.{exc}") from exc
+        raise ConfigError(f"{path}.{exc}") from exc
+
+
+_EXPERIMENT = {  # ExperimentConfig's fields, less problem, schedule and batch_size
+    "n0": (_integer, _REQUIRED),
+    "horizon": (_integer, _REQUIRED),
+    "n_trajectories": (_integer, _REQUIRED),
+    "master_seed": (_integer, _REQUIRED),
+    "epsilon": (_number, _REQUIRED),
+    "delta": (_number, _REQUIRED),
+    "D_const": (_number, None),
+    "initial_state_policy": (_string, "stationary"),
+    "initial_x": (_vector, None),
+    "epsilon_grid": (_grid, None),
+    "delta_grid": (_grid, None),
+    "p_init": (_number, None),
+}
+
+_OUTPUT = {"dir": (_string, "."), "formats": (_formats, ("json", "csv"))}
+
+_TOP = {
+    "chain": ({"P": (lambda v, path: build_chain(_matrix(v, path)), _REQUIRED)}, _REQUIRED),
+    "rewards": ({"r": (_vector, _REQUIRED)}, _REQUIRED),
+    "gamma": (_number, _REQUIRED),
+    "features": ({"Phi": (lambda v, path: build_features(_matrix(v, path)), _REQUIRED)}, _REQUIRED),
+    "schedule": (_schedule, _REQUIRED),
+    "experiment": (_EXPERIMENT, None),
+    "output": (_OUTPUT, _fields({}, "output", _OUTPUT)),  # absent: every default
+}
 
 
 def load_config(path: str | Path) -> LoadedConfig:
@@ -132,38 +212,20 @@ def load_config(path: str | Path) -> LoadedConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _known(raw, "$", ("chain", "rewards", "gamma", "features", "schedule", "experiment", "output"))
-
-    block = _require(raw, "chain", "$")
-    P = _matrix(_require(block, "P", "chain"), "chain.P")
-    _known(block, "chain", ("P",))
-    try:
-        chain = build_chain(P)
-    except ValidationError as exc:
-        raise ConfigError(f"chain.P: {exc}") from exc
-    block = _require(raw, "rewards", "$")
-    rewards = _vector(_require(block, "r", "rewards"), "rewards.r")
-    _known(block, "rewards", ("r",))
-    gamma = _number(_require(raw, "gamma", "$"), "gamma")
-    if not 0.0 < gamma < 1.0:
-        raise ConfigError(f"gamma: must lie in (0, 1), got {gamma}")
-    block = _require(raw, "features", "$")
-    Phi = _matrix(_require(block, "Phi", "features"), "features.Phi")
-    _known(block, "features", ("Phi",))
-    try:
-        features = build_features(Phi)
-    except ValidationError as exc:
-        raise ConfigError(f"features.Phi: {exc}") from exc
-    schedule = _build_schedule(_require(raw, "schedule", "$"))
+    top = _fields(raw, "", _TOP)
 
     try:
-        problem = PolicyEvalProblem(chain, rewards, gamma, features)
+        problem = PolicyEvalProblem(
+            top["chain"]["P"], top["rewards"]["r"], top["gamma"], top["features"]["Phi"]
+        )
     except ValidationError as exc:  # its message starts with the argument at fault
         arg, _, msg = str(exc).partition(": ")
         name = {"rewards": "rewards.r", "features": "features.Phi"}.get(arg, arg)
@@ -181,43 +243,11 @@ def load_config(path: str | Path) -> LoadedConfig:
             f"{problem.assumption.rescaling_factor:.6g} or less"
         )
 
+    schedule = top["schedule"]
     experiment: ExperimentConfig | None = None
-    p_init_user: float | None = None
-    if "experiment" in raw:
-        exp = raw["experiment"]
-        if not isinstance(exp, dict):
-            raise ConfigError("experiment: expected an object")
-        _known(exp, "experiment", (
-            "n0", "horizon", "n_trajectories", "master_seed", "epsilon", "delta", "D_const",
-            "initial_state_policy", "initial_x", "epsilon_grid", "delta_grid", "p_init",
-        ))
-        fields = dict(
-            n0=_integer(_require(exp, "n0", "experiment"), "experiment.n0"),
-            horizon=_integer(_require(exp, "horizon", "experiment"), "experiment.horizon"),
-            n_trajectories=_integer(
-                _require(exp, "n_trajectories", "experiment"), "experiment.n_trajectories"
-            ),
-            master_seed=_integer(
-                _require(exp, "master_seed", "experiment"), "experiment.master_seed"
-            ),
-            epsilon=_number(_require(exp, "epsilon", "experiment"), "experiment.epsilon"),
-            delta=_number(_require(exp, "delta", "experiment"), "experiment.delta"),
-            D_const=None
-            if exp.get("D_const") is None
-            else _number(exp["D_const"], "experiment.D_const"),
-            initial_state_policy=exp.get("initial_state_policy", "stationary"),
-            initial_x=None
-            if exp.get("initial_x") is None
-            else _vector(exp["initial_x"], "experiment.initial_x"),
-            epsilon_grid=None
-            if exp.get("epsilon_grid") is None
-            else tuple(_vector(exp["epsilon_grid"], "experiment.epsilon_grid").tolist()),
-            delta_grid=None
-            if exp.get("delta_grid") is None
-            else tuple(_vector(exp["delta_grid"], "experiment.delta_grid").tolist()),
-        )
+    if top["experiment"] is not None:
         try:
-            experiment = ExperimentConfig(problem=problem, schedule=schedule, **fields)
+            experiment = ExperimentConfig(problem=problem, schedule=schedule, **top["experiment"])
         except ValidationError as exc:  # its message starts with the field name
             raise ConfigError(f"experiment.{exc}") from exc
         if schedule.values is not None and len(schedule.values) < experiment.horizon:
@@ -225,38 +255,11 @@ def load_config(path: str | Path) -> LoadedConfig:
                 f"schedule.values: {len(schedule.values)} values do not cover "
                 f"experiment.horizon = {experiment.horizon}"
             )
-        if exp.get("p_init") is not None:
-            p_init_user = _number(exp["p_init"], "experiment.p_init")
-            if not 0.0 <= p_init_user <= 1.0:
-                raise ConfigError(f"experiment.p_init: must lie in [0, 1], got {p_init_user}")
         if analytic is not None:
             try:
                 require_feasible(analytic.constants, schedule, experiment.n0)
             except InfeasibleStart as exc:
                 issues.append(f"experiment.n0: {exc}")
 
-    output_dir = "."
-    formats: tuple[str, ...] = ("json", "csv")
-    if "output" in raw:
-        out = raw["output"]
-        if not isinstance(out, dict):
-            raise ConfigError("output: expected an object")
-        _known(out, "output", ("dir", "formats"))
-        output_dir = out.get("dir", ".")
-        if not isinstance(output_dir, str):
-            raise ConfigError(f"output.dir: expected a string, got {type(output_dir).__name__}")
-        fmts = out.get("formats", ["json", "csv"])
-        if not isinstance(fmts, list) or not all(f in ("json", "csv") for f in fmts):
-            raise ConfigError("output.formats: entries must be 'json' or 'csv'")
-        formats = tuple(fmts)
-
-    return LoadedConfig(
-        problem=problem,
-        schedule=schedule,
-        experiment=experiment,
-        p_init_user=p_init_user,
-        output_dir=output_dir,
-        formats=formats,
-        analytic=analytic,
-        issues=issues,
-    )
+    output = top["output"]
+    return LoadedConfig(problem, schedule, experiment, output["dir"], output["formats"], analytic, issues)

@@ -173,6 +173,7 @@ class ExperimentConfig:
     initial_x: np.ndarray | None = None
     epsilon_grid: tuple[float, ...] | None = None
     delta_grid: tuple[float, ...] | None = None
+    p_init: float | None = None  # for the bound command; None: estimated from the ensemble
     batch_size: int = 512
 
     def __post_init__(self) -> None:
@@ -220,6 +221,10 @@ class ExperimentConfig:
         for name, grid in (("epsilon_grid", self.epsilon_grid), ("delta_grid", self.delta_grid)):
             if grid is not None and not all(0.0 < g <= 1.0 for g in grid):
                 raise ValidationError(f"{name}: entries must lie in (0, 1]")
+            if grid is not None and len(set(grid)) < len(grid):
+                raise ValidationError(f"{name}: entries must be distinct")
+        if self.p_init is not None and not 0.0 <= self.p_init <= 1.0:
+            raise ValidationError(f"p_init: must lie in [0, 1], got {self.p_init}")
 
     def fixed_initial_state(self) -> int:
         """The start state of a 'fixed:<i>' policy, or -1."""

@@ -210,6 +210,56 @@ class TestBadInputs:
         assert "error: --horizon:" in capsys.readouterr().err
 
 
+class TestFileErrors:
+    """A config that cannot be read, or an output directory or file that cannot
+    be made or written, exits 1 with one line naming it, never a traceback."""
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"gamma": "\xe9"}')
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["--out", "OUTPUT_DIR", "output.dir"])
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_output_directory_that_cannot_be_made_exits_1(
+        self, tmp_path, capsys, monkeypatch, source, below
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        target = blocker / "sub" if below else blocker
+        raw = reference_config_dict(horizon=300, n_trajectories=4)
+        raw["output"]["dir"] = str(target if source == "output.dir" else tmp_path / "unused")
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(raw))
+        argv = ["solve", str(path)] + (["--out", str(target)] if source == "--out" else [])
+        if source == "OUTPUT_DIR":
+            monkeypatch.setenv("OUTPUT_DIR", str(target))
+        else:
+            monkeypatch.delenv("OUTPUT_DIR", raising=False)
+        assert cli.main(argv) == 1
+        reason = "Not a directory" if below else "File exists"
+        assert capsys.readouterr().err == (
+            f"error: {source}: cannot make directory {target}: {reason}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "ref.json"]
+
+    @pytest.mark.parametrize(
+        "argv, name", [(["solve"], "analytic.json"), (["bound", "--D", "5"], "bound.csv")]
+    )
+    def test_output_file_that_cannot_be_written_exits_1(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = reference_config(tmp_path, n_trajectories=4, horizon=300)
+        assert cli.main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out / name}: Is a directory\n"
+
+
 class TestOutOfMemory:
     # a horizon or n0 too large for memory, e.g. bound at n0 = 10**12; the callee is
     # made to raise, so that no test allocates for real

@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import tdlab.cli as cli
-from tdlab.config import load_config
+from tdlab.config import _EXPERIMENT, load_config
 from tdlab.errors import ConfigError, ValidationError
 from tdlab.harness import ExperimentConfig
 from tdlab.instances import reference_config_dict
@@ -55,12 +56,35 @@ class TestLoadConfig:
             (dict(initial_x=[0.0]), "experiment.initial_x"),
             (dict(delta_grid=[0.1, 0.0]), "experiment.delta_grid"),
             (dict(p_init=1.5), "experiment.p_init"),
+            (dict(epsilon_grid=[0.01, 0.01]), "experiment.epsilon_grid"),
+            (dict(delta_grid=[0.1, 0.5, 0.1]), "experiment.delta_grid"),
         ],
     )
     def test_bad_experiment_field_is_named(self, tmp_path, fields, path):
         with pytest.raises(ConfigError) as info:
             load_config(write_config(tmp_path, with_experiment(**fields)))
         assert str(info.value).startswith(f"{path}:")
+
+    def test_experiment_table_is_the_config_dataclass(self):
+        # every field of the block is one field of ExperimentConfig, under the same name
+        assert set(_EXPERIMENT) == (
+            {f.name for f in fields(ExperimentConfig)} - {"problem", "schedule", "batch_size"}
+        )
+
+    @pytest.mark.parametrize("section", ["chain", "schedule", "experiment", "output"])
+    def test_null_block_is_refused(self, tmp_path, section):
+        raw = with_experiment()
+        raw[section] = None
+        with pytest.raises(ConfigError, match=f"^{section}: expected an object$"):
+            load_config(write_config(tmp_path, raw))
+
+    @pytest.mark.parametrize("section", ["chain", "rewards", "gamma", "features", "schedule"])
+    def test_missing_top_level_field_is_bare(self, tmp_path, section):
+        raw = with_experiment()
+        del raw[section]
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, raw))
+        assert str(info.value) == f"{section}: missing required field"
 
     def test_missing_field_is_named(self, tmp_path):
         raw = with_experiment()
@@ -110,8 +134,13 @@ class TestLoadConfig:
              "values", "non-increasing"),
             ({"kind": "table", "values": [0.5, 0.01], "d1": 0.4, "d2": 1.0, "d3": 0.9},
              "values", "envelope"),
+            # a field the kind does not take is still parsed; it used to be ignored
+            ({"kind": "harmonic", "d1": 0.5, "d2": "x"}, "d2", "expected a number"),
         ],
-        ids=["missing-d3", "d1-not-a-number", "d2-range", "table-increasing", "table-envelope"],
+        ids=[
+            "missing-d3", "d1-not-a-number", "d2-range", "table-increasing", "table-envelope",
+            "harmonic-d2-not-a-number",
+        ],
     )
     def test_bad_schedule_field_is_named_once(self, tmp_path, schedule, field, words):
         raw = with_experiment()
@@ -149,11 +178,12 @@ class TestLoadConfig:
         raw = with_experiment()
         (raw if block == "$" else raw[block])[key] = 1.0
         path = write_config(tmp_path, raw)
+        name = key if block == "$" else f"{block}.{key}"  # top-level paths are bare
         with pytest.raises(ConfigError) as info:
             load_config(path)
-        assert str(info.value) == f"{block}.{key}: unknown field"
+        assert str(info.value) == f"{name}: unknown field"
         assert cli.main(["validate", path]) == 1
-        assert f"error: {block}.{key}: unknown field" in capsys.readouterr().err
+        assert f"error: {name}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [None, 5, ["a"]], ids=["null", "integer", "list"])
     def test_output_dir_that_is_not_a_string_exits_1(self, tmp_path, capsys, monkeypatch, value):
@@ -202,6 +232,23 @@ class TestExperimentConfig:
         ):
             with pytest.raises(ValidationError, match=f"^{field}:"):
                 ExperimentConfig(**dict(base, **{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p_init", 1.5, "p_init: must lie in [0, 1], got 1.5"),
+            ("p_init", -0.25, "p_init: must lie in [0, 1], got -0.25"),
+            ("epsilon_grid", (0.01, 0.03, 0.01), "epsilon_grid: entries must be distinct"),
+            ("delta_grid", (0.5, 0.5), "delta_grid: entries must be distinct"),
+        ],
+    )
+    def test_p_init_and_grid_checks(self, ref_problem, field, value, message):
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(
+                problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=100, horizon=300,
+                n_trajectories=10, master_seed=0, epsilon=0.5, delta=0.5, **{field: value},
+            )
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("batch_size", [-5, 0])
     def test_batch_size_below_one_refused(self, ref_problem, batch_size):
