@@ -51,6 +51,11 @@ twin of the vectorised terms of ``bounds``.  ``state_map``,
 per-transition quantities of a problem and its Poisson solution, which
 the engine never evaluates one transition at a time.
 
+``scipy_series_remainder`` is the infinite tail's remainder as
+``bounds._series_remainder`` took it before it was evaluated with ``math``
+alone: scipy's regularised ``gammaincc`` times Gamma(a) / (q c^a), summed
+in log space, with no slack.  The remainder is checked against it.
+
 ``ProductSchedule`` adds the step-size product calculus, and
 ``weighted_norm``, ``project_weighted`` and ``corollary_rate`` the weighted
 geometry and the rate shape, that the paper states but the bound evaluator
@@ -58,6 +63,7 @@ does not need.
 """
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -410,6 +416,20 @@ def corollary_rate(n0: int, m: int, eps1: float, eps2: float) -> float:
     first = math.sqrt(math.log(1.0 / eps1)) / math.sqrt(n0)
     second = math.sqrt(math.log(n0) / n0) / math.sqrt(eps2) * (n0 / m + 1.0 / n0)
     return first + second
+
+
+def scipy_series_remainder(c: float, q: float, M: int) -> float:
+    """sum_{m > M} exp(-c m^q) bounded by Gamma(a) Q(a, c M^q) / (q c^a),
+    a = 1/q, with scipy's regularised Q; 0 where Q underflows, inf beyond
+    the double range."""
+    from scipy.special import gammaincc
+
+    a = 1.0 / q
+    upper = float(gammaincc(a, c * float(M) ** q))
+    if upper == 0.0:
+        return 0.0
+    log_rem = math.lgamma(a) - math.log(q) - a * math.log(c) + math.log(upper)
+    return math.exp(log_rem) if log_rem < math.log(sys.float_info.max) else math.inf
 
 
 def martingale_tail(

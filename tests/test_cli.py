@@ -330,13 +330,46 @@ class TestSimulate:
 
 class TestStartUp:
     def test_import_loads_no_scipy(self):
-        # scipy serves only the infinite tail's remainder; every command's start-up skips it
+        # the package needs no scipy; the start-up of every command skips it
         code = "import sys, tdlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "[]"
+
+    def test_infinite_bound_loads_no_scipy(self, tmp_path):
+        # the infinite tail's remainder is evaluated with math alone
+        config = tmp_path / "ref.json"
+        config.write_text(json.dumps(reference_config_dict(horizon=200, n_trajectories=8)))
+        argv = ["bound", str(config), "--infinite", "--D", "0.05", "--out", str(tmp_path / "out")]
+        code = (
+            "import sys, tdlab.cli as cli; assert cli.main(sys.argv[1:]) == 0; "
+            "print([m for m in sys.modules if m.startswith('scipy')])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.splitlines()[-1] == "[]"
+        assert strict_load(tmp_path / "out" / "bound.json")["horizon"] is None
+
+    def test_import_adds_only_stdlib_numpy_and_tdlab(self):
+        # every command starts with this import, `validate` included
+        code = (
+            "import sys; before = set(sys.modules); import tdlab.cli; "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        added = ast.literal_eval(run.stdout.strip())
+        assert "numpy" in added and "tdlab.cli" in added
+        assert [
+            m for m in added
+            if m.split(".")[0] not in sys.stdlib_module_names and not m.startswith(("numpy", "tdlab"))
+        ] == []
 
     def test_import_loads_no_pool(self):
         # only an ensemble at jobs >= 2 makes a pool; every other start-up skips its modules
