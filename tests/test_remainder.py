@@ -14,8 +14,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from tdlab import StepSchedule, build_query, tail_probability
-from tdlab import bounds
+from tdlab import StepSchedule, bounds, build_query, tail_probability
 from tdlab.bounds import _REMAINDER_SLACK, _series_remainder
 
 from oracles import scipy_series_remainder
