@@ -6,10 +6,13 @@ and probability bound, and ``experiment`` run the Monte Carlo all-time
 verification.  Every command is deterministic given (config, flags).
 
 Every file format lives here.  JSON goes through ``_write_json``: sorted
-keys, no NaN or infinity.  CSV goes through ``_write_csv``: a header, one
-row per step or grid cell, floats as their ``repr``, so each cell reads
-back as the same double.  Reruns are byte-identical.  Timings go to
-stderr only.
+keys, no NaN or infinity.  Every CSV has a header, then one row per step
+or grid cell, floats as their ``repr``, so each cell reads back as the
+same double; ``_write_csv`` writes all but ``simulate``'s.  That one is
+written a window of steps at a time, as the engine yields them, into a
+temporary file beside the output that is renamed to it when the last row
+is written: a failed run leaves no file, and a non-finite cell is a
+numerical failure.  Reruns are byte-identical.  Timings go to stderr only.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure or out of memory.
 A config file that cannot be read, or an output directory or file that
@@ -144,10 +147,10 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--trajectory: must be >= 0, got {args.trajectory}")
     cfg = _load(args)
     analytic = cfg.require_analytic()
-    record = simulate_trajectory(cfg.require_experiment(), args.trajectory, analytic)
+    windows = simulate_trajectory(cfg.require_experiment(), args.trajectory, analytic)
     out = _out_dir(args, cfg)
     path = out / f"trajectory_{args.trajectory}.csv"
-    _write_trajectory_csv(path, record, args.components)
+    _write_trajectory_csv(path, windows, args.components)
     print(path)
     return 0
 
@@ -262,14 +265,41 @@ def _write_bound_csv(path: Path, report, schedule) -> None:
     _write_csv(path, ["m", "radius", "tail_term", "cumulative_tail"], rows)
 
 
-def _write_trajectory_csv(path: Path, record, include_components: bool) -> None:
-    header = ["n", "state", "dist_to_target", "dist_to_comparison", "peak_deviation"]
-    columns = [record.states, record.dist_to_target, record.dist_to_comparison,
-               record.peak_deviation]
-    if include_components:
-        header += [f"x{j}" for j in range(record.x.shape[1])]
-        columns += list(record.x.T)
-    _write_csv(path, header, _column_rows(np.arange(len(record.states)), *columns))
+def _write_trajectory_csv(path: Path, windows: Iterable, include_components: bool) -> None:
+    """The ``simulate`` CSV, one window (a ``TrajectoryRecord``) of rows at a
+    time, each written before the next window is computed.  The rows go to
+    a temporary file beside ``path``, renamed to it after the last one; any
+    failure removes it, so ``path`` is left whole or as it was.  A
+    non-finite cell is a numerical failure that names its step and column."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            n = 0
+            for rec in windows:
+                header = ["n", "state", "dist_to_target", "dist_to_comparison", "peak_deviation"]
+                columns = [rec.states, rec.dist_to_target, rec.dist_to_comparison,
+                           rec.peak_deviation]
+                if include_components:
+                    header += [f"x{j}" for j in range(rec.x.shape[1])]
+                    columns += list(rec.x.T)
+                bad = [(int(np.argmin(ok)), j) for j, c in enumerate(columns)
+                       if not (ok := np.isfinite(c)).all()]
+                if bad:
+                    i, j = min(bad)  # the earliest step, then the leftmost column
+                    raise NonFinite(
+                        f"{path.name}: {header[j + 1]} is {columns[j][i]} at step {n + i}"
+                    )
+                if not n:
+                    writer.writerow(header)
+                writer.writerows(_column_rows(np.arange(n, n + len(rec.states)), *columns))
+                n += len(rec.states)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"{path}: {exc.strerror}") from exc
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,8 @@ initial-condition term, fits the tail-exponent constant from simulated
 weighted noise sums when none is supplied, and compares the empirical
 all-time event frequency against the closed-form lower bound; ``bound``
 runs the same engine up to the start index for the initial-condition
-term; ``simulate_trajectory`` runs it on one trajectory alone.
+term; ``simulate_trajectory`` runs it on one trajectory alone and yields
+its path one window at a time.
 
 The sampler draws the next state as the count of CDF entries of the
 current row at or below the step's uniform u.  Small chains (up to
@@ -59,8 +60,12 @@ The batches run in lockstep, one window of L steps at a time (``_window``:
 L*n stays under ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple
 of ``_BLOCK``, so every block starts where it would on a whole path).  A
 batch is a ``_Lane``: its iterates, its parts and its stream of blocks of
-states, which ``_fill_rows`` runs one window at a time; ``simulate`` runs
-one lane of one trajectory the same way.  The lanes of a process take
+states, which ``_fill_rows`` runs one window at a time.  ``simulate`` runs
+one lane of one trajectory the same way, with a ``Checkpoints`` of the
+window's steps alone, and hands over each window's states and iterates,
+with the comparison run continued over the same steps, before the next
+window runs: its memory does not grow with the horizon, but for the
+step sizes the kernel reads.  The lanes of a process take
 turns, so they share one set of sampler and kernel buffers and their
 parts share the totals' folded outputs.  Every lane runs
 window k before any runs window k+1, so a non-finite iterate is reported
@@ -1015,34 +1020,47 @@ def estimate_p_init(
 
 def simulate_trajectory(
     config: ExperimentConfig, index: int, analytic: AnalyticSolution
-) -> TrajectoryRecord:
-    """Trajectory ``index`` of the ensemble alone, from step 0 to the horizon.
+) -> Iterator[TrajectoryRecord]:
+    """Trajectory ``index`` of the ensemble alone, from step 0 to the horizon,
+    as one record per window of L = min(``_DRAW``, horizon) steps: window 0
+    holds steps 0..L, and window k steps kL+1..(k+1)L.
 
     The engine runs one lane of that trajectory alone, window by window,
     with n0 = 0 on its own stream ``rng.stream(master_seed, index)``, so the
     start state, the states and the iterates are those of row ``index`` of
-    any batched run; every step is a checkpoint.  The comparison run is the
-    averaged recursion from the same start.  Distances and the running peak
-    of the gap are taken from the recorded iterates after the loop.
+    any batched run; the lane feeds a ``Checkpoints`` of every step of the
+    window, a new one each window.  The comparison run is the averaged
+    recursion from the same start, continued from the last iterate of the
+    window before.  Distances are taken per window, and the running peak of
+    the gap carries across windows.  Overflow in them is left as infinity
+    or NaN, without a warning, for the caller to report.
     """
     config = replace(config, n0=0)
-    T = config.horizon
+    T, d = config.horizon, config.problem.n_features
     spec = _base_spec(config, analytic, T)
-    chk = Checkpoints(np.arange(T + 1), config.problem.n_features).empty(index, index + 1)
-    lane = _Lane(spec, index, index + 1, (chk,))
-    for _ in _windows(spec):
+    lane = _Lane(spec, index, index + 1, ())
+    starts = _windows(spec)
+    z, peak = config.initial_x, 0.0
+    for start in starts:
+        stop = min(start + starts.step, T)
+        first = start + 1 if start else 0  # window k > 0 starts after the step window k-1 ends at
+        chk = Checkpoints(np.arange(first, stop + 1), d).empty(index, index + 1)
+        lane.feeds = (chk,)
         _fill_rows(spec, lane)
-    xs = chk.x[0]
-    zs = run_deterministic(config.problem, config.schedule, 0, T, config.initial_x)
-    gap = np.linalg.norm(xs - zs, axis=1)
-    return TrajectoryRecord(
-        states=chk.y[0],
-        x=xs,
-        z=zs,
-        dist_to_target=np.linalg.norm(xs - analytic.x_star, axis=1),
-        dist_to_comparison=gap,
-        peak_deviation=np.maximum.accumulate(gap),
-    )
+        xs = chk.x[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs = run_deterministic(config.problem, config.schedule, start, stop, z)[first - start :]
+            gap = np.linalg.norm(xs - zs, axis=1)
+            record = TrajectoryRecord(
+                states=chk.y[0],
+                x=xs,
+                z=zs,
+                dist_to_target=np.linalg.norm(xs - analytic.x_star, axis=1),
+                dist_to_comparison=gap,
+                peak_deviation=np.maximum(np.maximum.accumulate(gap), peak),
+            )
+        z, peak = zs[-1], record.peak_deviation[-1]
+        yield record
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,14 @@ window by window through ``_fill_rows``, into new copies of the spec's
 collectors sized for its rows.  The ensemble does not run a batch that
 way: its batches write their rows into the run's totals.
 
+``join_windows`` joins the records ``harness.simulate_trajectory`` yields,
+one per window, into one record over steps 0..horizon, for the tests that
+read a whole path.  ``whole_trajectory`` takes that record in one piece,
+as ``simulate_trajectory`` did before it yielded windows: one lane with
+every step a checkpoint, one comparison run over the whole horizon, and
+the distances and the running peak over whole arrays.  The windowed
+record is checked against it bit for bit.
+
 ``convergence_diagnostics`` is a pass with only the checkpoint collector,
 at the experiment's default checkpoints or any others in [n0, horizon]:
 the twin of the checkpoint diagnostics the experiment gathers in its own
@@ -65,10 +73,11 @@ does not need.
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from tdlab.dynamics import TrajectoryRecord, run_deterministic
 from tdlab.errors import NonFinite, NotIrreducible, Periodic, SolverFailure, ValidationError
 from tdlab.features import FeatureMap, weighted_gram
 from tdlab.analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, solve_problem
@@ -242,6 +251,36 @@ def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> tuple:
     for _ in _windows(spec):
         _fill_rows(spec, lane)
     return totals
+
+
+def join_windows(windows) -> TrajectoryRecord:
+    """The ``TrajectoryRecord`` windows of one path joined into one record."""
+    windows = list(windows)
+    return TrajectoryRecord(
+        *(np.concatenate([getattr(w, f.name) for w in windows]) for f in fields(TrajectoryRecord))
+    )
+
+
+def whole_trajectory(
+    config: ExperimentConfig, index: int, analytic: AnalyticSolution
+) -> TrajectoryRecord:
+    """Trajectory ``index`` over steps 0..horizon in one piece: every step a
+    checkpoint of one lane, one comparison run, whole-array distances."""
+    config = replace(config, n0=0)
+    T = config.horizon
+    every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
+    (chk,) = _run_chunk((_base_spec(config, analytic, T, (every_step,)), index, index + 1))
+    xs = chk.x[0]
+    zs = run_deterministic(config.problem, config.schedule, 0, T, config.initial_x)
+    gap = np.linalg.norm(xs - zs, axis=1)
+    return TrajectoryRecord(
+        states=chk.y[0],
+        x=xs,
+        z=zs,
+        dist_to_target=np.linalg.norm(xs - analytic.x_star, axis=1),
+        dist_to_comparison=gap,
+        peak_deviation=np.maximum.accumulate(gap),
+    )
 
 
 def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:

@@ -23,7 +23,8 @@ from tdlab.harness import Checkpoints, _base_spec, _run_ensemble
 from tdlab.instances import reference_config_dict
 from tdlab.schedule import StepSchedule
 
-from oracles import sample_paths
+from conftest import random_problem
+from oracles import join_windows, sample_paths, whole_trajectory
 
 
 def _reject_constant(token):
@@ -250,7 +251,12 @@ class TestFileErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "ref.json"]
 
     @pytest.mark.parametrize(
-        "argv, name", [(["solve"], "analytic.json"), (["bound", "--D", "5"], "bound.csv")]
+        "argv, name",
+        [
+            (["solve"], "analytic.json"),
+            (["bound", "--D", "5"], "bound.csv"),
+            (["simulate"], "trajectory_0.csv"),
+        ],
     )
     def test_output_file_that_cannot_be_written_exits_1(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out"
@@ -280,6 +286,7 @@ class TestOutOfMemory:
         assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err == "out of memory: Unable to allocate 7.28 TiB for an array with shape (10**12,)\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestEnsembleTwins:
@@ -317,7 +324,94 @@ class TestEnsembleTwins:
             assert np.max(np.abs(dist - errors[i])) <= 1e-12
 
 
+def simulate_config(tmp_path, instance, kind):
+    """The reference instance, or an s = 200, d = 8 one, on a harmonic or a
+    polynomial schedule."""
+    raw = reference_config_dict(n0=3000, horizon=5000, n_trajectories=4)  # n0 feasible for all four
+    if instance == "wide":
+        p = random_problem(5, s=200, d=8)
+        raw.update(chain={"P": p.chain.P.tolist()}, rewards={"r": p.rewards.tolist()},
+                   gamma=p.gamma, features={"Phi": p.features.Phi.tolist()})
+    if kind == "polynomial":
+        raw["schedule"] = {"kind": "polynomial", "d3": 0.6, "d2": 0.7}
+    path = tmp_path / f"{instance}-{kind}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("kind", ["harmonic", "polynomial"])
+    @pytest.mark.parametrize("instance", ["reference", "wide"])
+    @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 3 * 1024 + 17])
+    def test_windows_write_the_path_taken_whole(self, tmp_path, horizon, instance, kind):
+        # windows of 1024 steps (0..1024, then 1025..2048, ...) write the bytes of the
+        # path taken in one piece, with and without the iterates
+        path = simulate_config(tmp_path, instance, kind)
+        cfg = load_config(path)
+        exp = dataclasses.replace(cfg.require_experiment(), n0=0, horizon=horizon)
+        windows = list(harness.simulate_trajectory(exp, 2, cfg.analytic))
+        L = min(horizon, 1024)
+        assert [len(w.states) for w in windows] == [L + 1] + [
+            min(L, horizon - start) for start in range(L, horizon, L)
+        ]
+        for before, after in zip(windows, windows[1:]):
+            assert after.peak_deviation[0] >= before.peak_deviation[-1]
+        whole = whole_trajectory(exp, 2, cfg.analytic)
+        for components in (False, True):
+            out = tmp_path / f"out-{components}"
+            argv = ["simulate", path, "--horizon", str(horizon), "--trajectory", "2"]
+            assert cli.main([*argv, "--out", str(out)] + ["--components"] * components) == 0
+            cli._write_trajectory_csv(tmp_path / "whole.csv", [whole], components)
+            assert (out / "trajectory_2.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "failure, initial_x, err",
+        [
+            ("overflow", [1e308, -1e308],
+             "numerical failure: trajectory_0.csv: dist_to_target is inf at step 0\n"),
+            ("diverging", [1.7e308, 1.7e308],
+             "numerical failure: trajectory 0 became non-finite at step 2\n"),
+            ("out-of-memory", [0.0, 0.0], "out of memory: the second window\n"),
+        ],
+        ids=["overflow", "diverging", "out-of-memory"],
+    )
+    def test_failed_run_leaves_the_directory_as_it_found_it(
+        self, tmp_path, capsys, monkeypatch, failure, initial_x, err
+    ):
+        # distances that overflow on a finite path are a numerical failure, like divergence;
+        # the earlier file stays and no temporary file is left
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trajectory_0.csv").write_text("an earlier run\n")
+        real = harness.run_deterministic
+
+        def no_memory(problem, schedule, start, *args):  # after window 0 is written
+            if start and failure == "out-of-memory":
+                raise MemoryError("the second window")
+            return real(problem, schedule, start, *args)
+
+        monkeypatch.setattr(harness, "run_deterministic", no_memory)
+        config = reference_config(tmp_path, initial_x=initial_x)
+        assert cli.main(["simulate", config, "--horizon", "3000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert [p.name for p in out.iterdir()] == ["trajectory_0.csv"]
+        assert (out / "trajectory_0.csv").read_text() == "an earlier run\n"
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # the path is written a window at a time; only the kernel's step sizes span the
+        # horizon, at 8 bytes a step, and the temporaries that build them
+        path = reference_config(tmp_path)
+        peaks = []
+        for horizon in (20_000, 80_000):
+            argv = ["simulate", path, "--horizon", str(horizon), "--out", str(tmp_path / "out")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 40 * 60_000
+
     def test_horizon_below_start_index(self, tmp_path):
         # simulate runs from step 0, so the experiment's n0 = 100 does not bound it
         out = tmp_path / "out"
@@ -594,11 +688,14 @@ class TestCsvWriters:
         )
 
     def test_simulate_cells_read_back_exactly(self, tmp_path, monkeypatch):
-        kept = kept_returns(monkeypatch, "simulate_trajectory")
+        windows, real = [], cli.simulate_trajectory
+        monkeypatch.setattr(cli, "simulate_trajectory", lambda *args: (
+            windows.append(w) or w for w in real(*args)
+        ))
         out = tmp_path / "out"
         argv = ["simulate", reference_config(tmp_path), "--trajectory", "3", "--components"]
         assert cli.main([*argv, "--out", str(out)]) == 0
-        rec = kept[0]
+        rec = join_windows(windows)
         assert_cells_exact(
             out / "trajectory_3.csv",
             {
@@ -623,7 +720,7 @@ class TestCsvWriters:
                 states=rng.integers(0, 5, T + 1), x=floats(2), z=floats(2), dist_to_target=floats(),
                 dist_to_comparison=floats(), peak_deviation=floats(),
             )
-            write = lambda path: cli._write_trajectory_csv(path, rec, True)  # noqa: E731
+            write = lambda path: cli._write_trajectory_csv(path, [rec], True)  # noqa: E731
             columns = [np.arange(T + 1), rec.states, rec.dist_to_target, rec.dist_to_comparison,
                        rec.peak_deviation, *rec.x.T]
         else:

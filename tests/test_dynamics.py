@@ -11,7 +11,7 @@ from tdlab.rng import stream
 
 from conftest import random_problem
 from oracles import ProductSchedule as StepSchedule
-from oracles import _run_chunk, noise_matrix, sample_paths, state_map
+from oracles import _run_chunk, join_windows, noise_matrix, sample_paths, state_map
 
 
 def sched_half():
@@ -52,12 +52,13 @@ class TestTdStep:
 
     def test_scalar_fixed_point_stationary(self, scalar, scalar_analytic):
         cfg = path_config(scalar, 1, [4.0], schedule=StepSchedule.harmonic(0.1))
-        assert_allclose(simulate_trajectory(cfg, 0, scalar_analytic).x[1], [4.0], rtol=1e-14)
+        rec = join_windows(simulate_trajectory(cfg, 0, scalar_analytic))
+        assert_allclose(rec.x[1], [4.0], rtol=1e-14)
 
     def test_scalar_arithmetic(self, scalar, scalar_analytic):
         # horizon 1: 0 + 0.1 * 0.5 * (1 + 0 - 0) = 0.05
         cfg = path_config(scalar, 1, [0.0], schedule=StepSchedule.harmonic(0.1))
-        rec = simulate_trajectory(cfg, 0, scalar_analytic)
+        rec = join_windows(simulate_trajectory(cfg, 0, scalar_analytic))
         assert_allclose(rec.x[1], [0.05], rtol=1e-14)
 
 
@@ -111,14 +112,14 @@ def assert_decomposition(problem, schedule, states, xs, tol=1e-10):
 class TestOnline:
     def test_single_state_noiseless_stationary(self, scalar, scalar_analytic):
         cfg = path_config(scalar, 100, scalar_analytic.x_star)
-        rec = simulate_trajectory(cfg, 0, scalar_analytic)
+        rec = join_windows(simulate_trajectory(cfg, 0, scalar_analytic))
         assert np.max(np.abs(rec.x - 4.0)) <= 1e-12
         assert np.max(rec.dist_to_target) <= 1e-12
 
     def test_bitwise_reproducible(self, ref_problem, ref_analytic):
         cfg = path_config(ref_problem, 300, np.zeros(2), policy="fixed:1", seed=4)
-        a = simulate_trajectory(cfg, 2, ref_analytic)
-        b = simulate_trajectory(cfg, 2, ref_analytic)
+        a = join_windows(simulate_trajectory(cfg, 2, ref_analytic))
+        b = join_windows(simulate_trajectory(cfg, 2, ref_analytic))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.x, b.x)
 
@@ -138,21 +139,21 @@ class TestOnline:
 
     def test_peak_deviation_monotone_and_zero_at_start(self, ref_problem, ref_analytic):
         cfg = path_config(ref_problem, 400, np.ones(2), policy="fixed:2", seed=3)
-        rec = simulate_trajectory(cfg, 0, ref_analytic)
+        rec = join_windows(simulate_trajectory(cfg, 0, ref_analytic))
         assert rec.peak_deviation[0] == 0.0
         assert np.all(np.diff(rec.peak_deviation) >= 0.0)
         assert rec.peak_deviation[-1] == rec.dist_to_comparison.max() > 0.0
 
     def test_comparison_starts_equal(self, ref_problem, ref_analytic):
         cfg = path_config(ref_problem, 50, np.ones(2), seed=1)
-        rec = simulate_trajectory(cfg, 0, ref_analytic)
+        rec = join_windows(simulate_trajectory(cfg, 0, ref_analytic))
         assert_allclose(rec.x[0], rec.z[0])
         assert rec.dist_to_comparison[0] == 0.0
 
     def test_nonfinite_reported_with_step(self, ref_problem, ref_analytic):
         cfg = path_config(ref_problem, 10, [np.inf, 0.0], seed=2)
         with pytest.raises(NonFinite, match="step 1"):
-            simulate_trajectory(cfg, 0, ref_analytic)
+            join_windows(simulate_trajectory(cfg, 0, ref_analytic))
 
     def test_martingale_terms_have_zero_conditional_mean(self, ref_problem, ref_analytic):
         # per-state empirical means over simulated transitions, 3 sigma band
@@ -174,9 +175,9 @@ class TestOnline:
 
     def test_csv_export(self, ref_problem, ref_analytic, tmp_path):
         cfg = path_config(ref_problem, 20, np.zeros(2))
-        rec = simulate_trajectory(cfg, 0, ref_analytic)
         path = tmp_path / "traj.csv"
-        cli._write_trajectory_csv(path, rec, include_components=True)
+        windows = simulate_trajectory(cfg, 0, ref_analytic)
+        cli._write_trajectory_csv(path, windows, include_components=True)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,state,dist_to_target,dist_to_comparison,peak_deviation,x0,x1"
         assert len(lines) == 22
