@@ -19,8 +19,8 @@ from .bounds import (
     build_query,
     check_n0,
     evaluate_bound,
+    evaluate_grid,
     floor_term,
-    radius_curve,
     tail_crossover,
     tail_probability,
 )

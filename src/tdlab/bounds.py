@@ -209,20 +209,6 @@ def decay_curve(
     return out
 
 
-def radius_curve(
-    constants: ConstantsBundle,
-    schedule: StepSchedule,
-    n0: int,
-    horizon: int,
-    epsilon: float,
-    delta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The radius at every step in [n0, horizon]; non-increasing toward the floor."""
-    floor = floor_term(constants, schedule, n0, epsilon, delta)
-    ms = np.arange(n0, horizon + 1)
-    return ms, decay_curve(constants, schedule, n0, horizon) * epsilon + floor
-
-
 def tail_crossover(
     constants: ConstantsBundle, schedule: StepSchedule, n0: int, dims: int
 ) -> float:
@@ -357,15 +343,21 @@ def tail_probability(
     """Sum the per-step tail terms and report the probability lower bound.
 
     The bound may be negative (vacuous); it is reported as-is and flagged.
-    A query without a tail-exponent constant gets :func:`zero_tail`.
+    Without noise every martingale increment is identically 0, so a query
+    with no D gets tail 0; with noise, such a query is refused.
     """
     if dims < 1:
         raise ValidationError(f"dimension must be >= 1, got {dims}")
     n0 = query.n0
-    require_tail_start(n0, tail_constant_source(constants, query.D_const))
-    if query.D_const is None:
-        return zero_tail(constants, schedule, n0, dims, query.delta, query.p_init)
+    source = tail_constant_source(constants, query.D_const)
+    require_tail_start(n0, source)
+    if source == "fitted":
+        raise ValidationError(
+            f"the tail vanishes only without noise; increment scale is {constants.increment_scale}"
+        )
     cross = tail_crossover(constants, schedule, n0, dims)
+    if source == "noiseless":
+        return _summary(0.0, query.p_init, cross, query.delta)
     c, q = _tail_exponent(query, schedule, cross)
     if query.horizon is not None:
         truncated_at, remainder, last = None, 0.0, query.horizon
@@ -387,27 +379,31 @@ def tail_probability(
     return _summary(tail_sum, query.p_init, cross, query.delta, truncated_at, remainder_bound)
 
 
-def zero_tail(
-    constants: ConstantsBundle,
-    schedule: StepSchedule,
-    n0: int,
-    dims: int,
-    delta: float,
-    p_init: float,
-) -> TailSummary:
-    """The tail summary of a noiseless problem: probability bound 1 - p_init.
+@dataclass(frozen=True)
+class BoundCell:
+    """One (epsilon, delta) cell of a grid: its floor and its tail."""
 
-    When ``increment_scale`` is 0 every martingale increment is identically
-    0, so every weighted noise sum is 0 and no step's tail event can occur:
-    the tail sum is exactly 0 for any tail-exponent constant, and no
-    constant is needed.  Raises on a problem with noise, where dropping the
-    tail would no longer leave a lower bound.
-    """
-    if constants.increment_scale != 0.0:
-        raise ValidationError(
-            f"the tail vanishes only without noise; increment scale is {constants.increment_scale}"
-        )
-    return _summary(0.0, p_init, tail_crossover(constants, schedule, n0, dims), delta)
+    epsilon: float
+    delta: float
+    floor: float
+    tail: TailSummary
+
+
+def evaluate_grid(
+    query: BoundQuery, dims: int, schedule: StepSchedule, constants: ConstantsBundle,
+    epsilons: list[float], deltas: list[float], p_inits: list[float],
+) -> list[BoundCell]:
+    """The cells of ``epsilons`` x ``deltas``, epsilon-major: ``query`` at the
+    cell's epsilon and delta, and at its epsilon's entry of ``p_inits``."""
+    n0, horizon, D_const, p_source = query.n0, query.horizon, query.D_const, query.p_init_source
+    cells = []
+    for eps, p_init in zip(epsilons, p_inits, strict=True):
+        for dlt in deltas:
+            cell = BoundQuery(eps, dlt, n0, horizon, D_const, p_init, p_source)
+            floor = floor_term(constants, schedule, n0, eps, dlt)
+            tail = tail_probability(cell, dims, schedule, constants)
+            cells.append(BoundCell(eps, dlt, floor, tail))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -461,7 +457,7 @@ def evaluate_bound(
     constants: ConstantsBundle,
     curve_horizon: int | None = None,
 ) -> BoundReport:
-    """Evaluate the radius curve and tail bound for one query.
+    """Evaluate the radius curve and tail bound for one query: its one cell.
 
     For infinite-horizon queries the curve is still tabulated to a finite
     ``curve_horizon`` (default: 10 * n0 + 1000) for reporting.
@@ -470,13 +466,15 @@ def evaluate_bound(
     horizon = query.horizon if query.horizon is not None else curve_horizon
     if horizon is None:
         horizon = 10 * n0 + 1000
-    floor = floor_term(constants, schedule, n0, query.epsilon, query.delta)
+    (cell,) = evaluate_grid(
+        query, dims, schedule, constants, [query.epsilon], [query.delta], [query.p_init]
+    )
     return BoundReport(
         query=query,
         dims=dims,
         ms=np.arange(n0, horizon + 1),
-        radius=decay_curve(constants, schedule, n0, horizon) * query.epsilon + floor,
-        floor=floor,
-        tail=tail_probability(query, dims, schedule, constants),
+        radius=decay_curve(constants, schedule, n0, horizon) * query.epsilon + cell.floor,
+        floor=cell.floor,
+        tail=cell.tail,
         D_source=tail_constant_source(constants, query.D_const),
     )

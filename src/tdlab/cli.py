@@ -185,10 +185,11 @@ def cmd_bound(args) -> int:
         horizon=None if args.infinite else exp.horizon,
         D_const=args.D if args.D is not None else exp.D_const,
         p_init=0.0 if exp.p_init is None else exp.p_init,
+        p_init_source="user" if exp.p_init is not None else "empirical",
     )
     if exp.p_init is None:
         est = estimate_p_init(exp, jobs=args.jobs, analytic=analytic)
-        query = replace(query, p_init=est.value, p_init_source="empirical")
+        query = replace(query, p_init=est.value)
     report = evaluate_bound(
         query, cfg.problem.n_features, cfg.schedule, analytic.constants,
         curve_horizon=exp.horizon,
@@ -214,13 +215,9 @@ def cmd_experiment(args) -> int:
     if "csv" in cfg.formats:
         _write_per_m_csv(out / "per_m.csv", result)
         _write_summary_csv(out / "summary.csv", result)
-    print(
-        f"alltime {result.empirical_alltime_prob:.6f} "
-        f">= bound {result.theoretical_lower_bound:.6f}"
-        if result.empirical_alltime_prob >= result.theoretical_lower_bound
-        else f"alltime {result.empirical_alltime_prob:.6f} "
-        f"< bound {result.theoretical_lower_bound:.6f}"
-    )
+    row = result.primary
+    sign = ">=" if row.alltime_prob >= row.theoretical_lower_bound else "<"
+    print(f"alltime {row.alltime_prob:.6f} {sign} bound {row.theoretical_lower_bound:.6f}")
     print(f"elapsed {time.monotonic() - t0:.1f}s", file=sys.stderr)
     return 0
 

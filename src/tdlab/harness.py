@@ -117,14 +117,13 @@ import numpy as np
 
 from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, noise_rows, noise_table
 from .bounds import (
-    TailSummary,
     build_query,
     decay_curve,
+    evaluate_grid,
     floor_term,
     require_feasible,
     require_tail_start,
     tail_constant_source,
-    tail_probability,
 )
 from .dynamics import TrajectoryRecord, run_deterministic
 from .errors import InsufficientTailData, NonFinite, ValidationError, WorkerDied
@@ -1138,17 +1137,10 @@ class ExperimentResult:
     n0: int
     horizon: int
     master_seed: int
-    epsilon: float
-    delta: float
-    empirical_alltime_prob: float
-    alltime_interval: tuple[float, float]
-    violations: int
+    primary: GridRow
     empirical_p_init: float
     p_init_interval: tuple[float, float]
     p_init_source: str
-    theoretical_lower_bound: float
-    tail: TailSummary
-    floor: float
     D_used: float | None
     D_source: str
     fitted: TailFit | None
@@ -1166,18 +1158,18 @@ class ExperimentResult:
             "n0": self.n0,
             "horizon": self.horizon,
             "master_seed": self.master_seed,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "empirical_alltime_prob": self.empirical_alltime_prob,
-            "alltime_interval": list(self.alltime_interval),
-            "violations": self.violations,
+            "epsilon": self.primary.epsilon,
+            "delta": self.primary.delta,
+            "empirical_alltime_prob": self.primary.alltime_prob,
+            "alltime_interval": list(self.primary.interval),
+            "violations": self.primary.violations,
             "empirical_p_init": self.empirical_p_init,
             "p_init_interval": list(self.p_init_interval),
             "p_init_source": self.p_init_source,
-            "theoretical_lower_bound": self.theoretical_lower_bound,
-            "tail_sum": self.tail.tail_sum,
-            "vacuous": self.tail.vacuous,
-            "floor": self.floor,
+            "theoretical_lower_bound": self.primary.theoretical_lower_bound,
+            "tail_sum": self.primary.tail_sum,
+            "vacuous": self.primary.vacuous,
+            "floor": self.primary.floor,
             "D_used": self.D_used,
             "D_source": self.D_source,
             "fitted_D": None if self.fitted is None else self.fitted.value,
@@ -1276,53 +1268,42 @@ def run_alltime_experiment(
         p_init_source="fitted-ensemble" if need_fit else "empirical",
     )
 
-    # the primary (epsilon, delta) is one of the cells; its row is the verdict
+    p_inits = [int(np.count_nonzero(err_n0 > eps)) / n for eps in eps_grid]
+    cells = evaluate_grid(query, dims, sched, constants, eps_grid, delta_grid, p_inits)
     grid_rows: list[GridRow] = []
-    for i_eps, eps in enumerate(eps_grid):
-        p_init_eps = int(np.count_nonzero(err_n0 > eps)) / n
-        for dlt in delta_grid:
-            flr = floor_term(constants, sched, n0, eps, dlt)
-            vio = int(np.count_nonzero(max_excess[:, i_eps] > flr))
-            t = tail_probability(
-                replace(query, epsilon=eps, delta=dlt, p_init=p_init_eps), dims, sched, constants
-            )
-            row = GridRow(
-                epsilon=eps,
-                delta=dlt,
-                floor=flr,
+    for i, cell in enumerate(cells):
+        vio = int(np.count_nonzero(max_excess[:, i // len(delta_grid)] > cell.floor))
+        grid_rows.append(
+            GridRow(
+                epsilon=cell.epsilon,
+                delta=cell.delta,
+                floor=cell.floor,
                 violations=vio,
                 alltime_prob=1.0 - vio / n,
                 interval=wilson_interval(n - vio, n),
-                tail_sum=t.tail_sum,
-                theoretical_lower_bound=t.prob_lower_bound,
-                vacuous=t.vacuous,
+                tail_sum=cell.tail.tail_sum,
+                theoretical_lower_bound=cell.tail.prob_lower_bound,
+                vacuous=cell.tail.vacuous,
             )
-            grid_rows.append(row)
-            if (eps, dlt) == (config.epsilon, config.delta):
-                primary, tail = row, t
+        )
+    # the primary (epsilon, delta) is one of the cells; its row is the verdict
+    primary = next(r for r in grid_rows if (r.epsilon, r.delta) == (config.epsilon, config.delta))
 
     return ExperimentResult(
         n_trajectories=n,
         n0=n0,
         horizon=horizon,
         master_seed=config.master_seed,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        empirical_alltime_prob=primary.alltime_prob,
-        alltime_interval=primary.interval,
-        violations=primary.violations,
+        primary=primary,
         empirical_p_init=p_init_exceed / n,
         p_init_interval=wilson_interval(p_init_exceed, n),
         p_init_source=query.p_init_source,
-        theoretical_lower_bound=primary.theoretical_lower_bound,
-        tail=tail,
-        floor=primary_floor,
         D_used=d_used,
         D_source=d_source,
         fitted=fitted,
         per_m_violation_counts=out[Excess].counts,
         per_m_err_max=out[Excess].err_max,
-        radius=decay * config.epsilon + primary_floor,
+        radius=decay * config.epsilon + primary.floor,
         grid=grid_rows,
         err_quantiles=quantiles.q,
         diagnostics=_diagnostics(checkpoints, out[Checkpoints].x, analytic.x_star, sched),

@@ -21,14 +21,13 @@ from tdlab import (
     evaluate_bound,
     floor_term,
     harness,
-    radius_curve,
     run_alltime_experiment,
     tail_crossover,
     tail_probability,
     tail_weight,
 )
 from tdlab.analytic import PolicyEvalProblem, solve_problem
-from tdlab.bounds import _TERM_BUDGET, zero_tail
+from tdlab.bounds import _TERM_BUDGET
 from tdlab.config import load_config
 from tdlab.instances import reference_config_dict, whitened_features
 from tdlab.markov import build_chain
@@ -55,6 +54,13 @@ def bundle(alpha=0.5, gain=1.0, offset=1.0, scale=1.0, x_norm=0.0):
 
 def flat_schedule(a=0.01, length=400):
     return StepSchedule.table([a] * length, d1=a, d2=0.01, d3=2.0 * a)
+
+
+def bound_radius(constants, schedule, n0, horizon, epsilon, delta):
+    """The steps and radius of ``evaluate_bound`` for a query with D 1."""
+    query = BoundQuery(epsilon, delta, n0, horizon, 1.0, 0.0, "user")
+    report = evaluate_bound(query, 1, schedule, constants)
+    return report.ms, report.radius
 
 
 def unit_harmonic_stub(a0=0.01):
@@ -99,7 +105,7 @@ class TestRadiusCurve:
     def test_hand_value_at_start(self):
         # floor = (0.01*(1 + 1*0.1) + 0.05) / 0.49; radius(n0) = 0.1 + floor
         sched = flat_schedule(0.01)
-        ms, radius = radius_curve(bundle(), sched, 5, 30, epsilon=0.1, delta=0.05)
+        ms, radius = bound_radius(bundle(), sched, 5, 30, epsilon=0.1, delta=0.05)
         assert ms[0] == 5
         assert_allclose(radius[0], 0.1 + 0.061 / 0.49, rtol=1e-12)
         assert_allclose(radius[0], 0.22449, atol=5e-6)
@@ -107,7 +113,7 @@ class TestRadiusCurve:
     def test_non_increasing_to_floor(self):
         sched = StepSchedule.harmonic(0.5)
         c = bundle(alpha=0.6, gain=0.5, offset=0.2)
-        ms, radius = radius_curve(c, sched, 2, 5000, epsilon=0.3, delta=0.02)
+        ms, radius = bound_radius(c, sched, 2, 5000, epsilon=0.3, delta=0.02)
         floor = floor_term(c, sched, 2, 0.3, 0.02)
         assert np.all(np.diff(radius) <= 1e-15)
         assert np.all(radius >= floor - 1e-15)
@@ -115,7 +121,7 @@ class TestRadiusCurve:
 
     def test_zero_epsilon_edge_constant(self):
         sched = flat_schedule(0.01)
-        _, radius = radius_curve(bundle(), sched, 5, 60, epsilon=0.0, delta=0.05)
+        _, radius = bound_radius(bundle(), sched, 5, 60, epsilon=0.0, delta=0.05)
         assert np.all(radius == radius[0])
 
     def test_infeasible_raises(self):
@@ -226,16 +232,21 @@ class TestTailProbability:
 
 
 class TestZeroTail:
+    def tail(self, constants, p_init):
+        """``tail_probability`` of a query with no D: n0 4, delta 0.5, d 2."""
+        query = BoundQuery(0.5, 0.5, 4, 100, None, p_init, "user")
+        return tail_probability(query, 2, flat_schedule(), constants)
+
     def test_bound_is_one_minus_p_init(self):
-        out = zero_tail(bundle(scale=0.0), flat_schedule(), 4, 2, 0.5, 0.25)
+        out = self.tail(bundle(scale=0.0), 0.25)
         assert out.tail_sum == 0.0 and out.remainder_bound == 0.0
         assert out.prob_lower_bound == 0.75 and not out.vacuous
         assert out.crossover == 0.0 and not out.quadratic_branch
-        assert zero_tail(bundle(scale=0.0), flat_schedule(), 4, 2, 0.5, 1.0).vacuous
+        assert self.tail(bundle(scale=0.0), 1.0).vacuous
 
     def test_refused_with_noise(self):
         with pytest.raises(ValidationError):
-            zero_tail(bundle(scale=1e-300), flat_schedule(), 4, 2, 0.5, 0.25)
+            self.tail(bundle(scale=1e-300), 0.25)
 
 
 class TestMartingaleTail:

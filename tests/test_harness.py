@@ -161,8 +161,8 @@ class TestAllTimeExperiment:
     def test_noiseless_single_state_never_violates(self, scalar, scalar_analytic):
         cfg = small_config(scalar, initial_x=scalar_analytic.x_star, n_trajectories=20)
         res = run_alltime_experiment(cfg, analytic=scalar_analytic)
-        assert res.violations == 0
-        assert res.empirical_alltime_prob == 1.0
+        assert res.primary.violations == 0
+        assert res.primary.alltime_prob == 1.0
         assert np.all(res.per_m_violation_counts == 0)
 
     def test_given_d_is_used_unchanged(self, ref_problem, ref_analytic):
@@ -182,8 +182,8 @@ class TestAllTimeExperiment:
         res = run_alltime_experiment(cfg, analytic=scalar_analytic)
         assert res.D_source == "noiseless"
         assert res.D_used is None and res.fitted is None
-        assert res.tail.tail_sum == 0.0
-        assert res.theoretical_lower_bound == 1.0 - res.empirical_p_init == 0.0
+        assert res.primary.tail_sum == 0.0
+        assert res.primary.theoretical_lower_bound == 1.0 - res.empirical_p_init == 0.0
         bounds = set()
         for row in res.grid:
             p_init = estimate_p_init(
@@ -198,8 +198,8 @@ class TestAllTimeExperiment:
         # delta at its cap pushes the floor far above any observed error
         cfg = small_config(ref_problem, delta=1.0)
         res = run_alltime_experiment(cfg, analytic=ref_analytic)
-        assert res.floor > 10.0
-        assert res.violations == 0
+        assert res.primary.floor > 10.0
+        assert res.primary.violations == 0
 
     def test_violations_exactly_monotone_and_consistent(self, ref_problem, ref_analytic):
         # start far from the fixed point so the small-delta floors are crossed
@@ -241,7 +241,7 @@ class TestAllTimeExperiment:
             flr = floor_term(c, sched, cfg2.n0, row.epsilon, row.delta)
             assert row.violations == int(np.count_nonzero(excess > flr))
         # every all-time violation shows up in the per-step counts
-        assert res.violations <= int(res.per_m_violation_counts.sum())
+        assert res.primary.violations <= int(res.per_m_violation_counts.sum())
 
     def test_wall_time_excluded_from_serialization(self, ref_problem, ref_analytic):
         res = run_alltime_experiment(small_config(ref_problem), analytic=ref_analytic)
