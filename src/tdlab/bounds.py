@@ -16,7 +16,10 @@ where D is the tail-exponent constant (user supplied or fitted
 empirically; no closed form is available) and p_init bounds the chance
 that the iterate at n0 already sits outside epsilon.  Above the
 crossover scale the per-step tail switches from a quadratic to a linear
-exponent.  A problem without noise has a tail sum of exactly 0, and no D.
+exponent.  A problem without noise has a tail sum of exactly 0, and no
+D; ``tail_probability`` covers that case too.  ``evaluate_grid`` is the one
+evaluator of (epsilon, delta) cells, for ``experiment``'s grid and
+``evaluate_bound``'s single cell.
 
 Every tail term is 2 d exp(-c m^q) for one pair (c, q) read off the
 query and the schedule; the finite sum, the infinite partial sum and the
@@ -40,9 +43,10 @@ relative slack, ``_REMAINDER_SLACK``, which is more than 100 times the
 largest evaluation error measured against 40-digit values, so it stays a
 true upper bound on the integral.
 
-The start-index and D rules live here, for the harness and the CLI:
+The start-index, D and cell rules live here, for the harness and the CLI:
 ``require_feasible`` (the one margin and message), ``tail_constant_source``
-(D given, noiseless or fitted) and ``require_tail_start`` (D needs n0 >= 1).
+(D given, noiseless or fitted), ``require_tail_start`` (D needs n0 >= 1)
+and ``evaluate_grid`` (a cell's floor and tail, at its epsilon's p_init).
 Nothing here writes a file: ``cli`` owns every output format.
 """
 

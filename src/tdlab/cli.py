@@ -14,6 +14,11 @@ temporary file beside the output that is renamed to it when the last row
 is written: a failed run leaves no file, and a non-finite cell is a
 numerical failure.  Reruns are byte-identical.  Timings go to stderr only.
 
+``output.formats`` picks the files of ``solve``, ``bound`` and
+``experiment``: ``"json"`` their JSON file, ``"csv"`` their CSVs
+(``simulate`` always writes its one).  A format left out is not written,
+and ``solve`` and ``bound`` print the JSON path only when they write it.
+
 Exit codes: 0 success, 1 validation failure, 2 numerical failure or out of memory.
 A config file that cannot be read, or an output directory or file that
 cannot be made or written, is a validation failure that names it.
@@ -136,9 +141,9 @@ def cmd_solve(args) -> int:
     cfg = _load(args)
     analytic = cfg.require_analytic()
     out = _out_dir(args, cfg)
-    path = out / "analytic.json"
-    _write_json(path, analytic.as_dict())
-    print(path)
+    if "json" in cfg.formats:
+        _write_json(out / "analytic.json", analytic.as_dict())
+        print(out / "analytic.json")
     return 0
 
 
@@ -195,12 +200,14 @@ def cmd_bound(args) -> int:
         curve_horizon=exp.horizon,
     )
     out = _out_dir(args, cfg)
-    _write_json(out / "bound.json", report.as_dict())
+    if "json" in cfg.formats:
+        _write_json(out / "bound.json", report.as_dict())
     if "csv" in cfg.formats:
         _write_bound_csv(out / "bound.csv", report, cfg.schedule)
     if report.tail.vacuous:
         print("warning: vacuous bound (tail sum and initial term exceed 1)", file=sys.stderr)
-    print(out / "bound.json")
+    if "json" in cfg.formats:
+        print(out / "bound.json")
     return 0
 
 
@@ -211,7 +218,8 @@ def cmd_experiment(args) -> int:
     t0 = time.monotonic()
     result = _in_experiment(exp, run_alltime_experiment, exp, jobs=args.jobs, analytic=analytic)
     out = _out_dir(args, cfg)
-    _write_json(out / "result.json", result.as_dict())
+    if "json" in cfg.formats:
+        _write_json(out / "result.json", result.as_dict())
     if "csv" in cfg.formats:
         _write_per_m_csv(out / "per_m.csv", result)
         _write_summary_csv(out / "summary.csv", result)

@@ -519,7 +519,9 @@ class ErrQuantiles:
     as well in window 0) writes step kW + r to row r of slot k % slots.  A
     batch's ``part`` is a view of its columns, which ``update`` fills block
     by block.  After every batch has run window k, ``reduce(k)`` takes the
-    percentiles of the window's rows (``_err_quantiles``).  Each row holds
+    percentiles of the window's rows (``_err_quantiles``), or raises
+    ``NonFinite`` at the earliest step, and then the lowest trajectory, whose
+    distance overflows the ring's float32.  Each row holds
     the numbers of one step's column of the whole (n, span) error matrix,
     so the values are those of one whole-matrix ``np.percentile``.
     """
@@ -547,6 +549,9 @@ class ErrQuantiles:
         first, last = max(self.n0, k * W + (k > 0)), min((k + 1) * W, self.horizon)
         if first <= last:
             window = self.rows[k % len(self.rows), first - k * W : last - k * W + 1]
+            if not np.isfinite(window.max()):  # the distances are >= 0 or NaN
+                r, t = np.argwhere(~np.isfinite(window))[0]
+                raise NonFinite(f"the distance to x* of trajectory {t} overflows at step {first + r}")
             for key, q in _err_quantiles(window).items():
                 self.q[key][first - self.n0 : last - self.n0 + 1] = q
 
@@ -1127,6 +1132,9 @@ class ExperimentResult:
     """Outcome of the all-time experiment (serialization omits wall time,
     which is the one field that is not a pure function of the config).
 
+    ``primary`` is the row of ``grid`` at the config's epsilon and delta,
+    the run's verdict; ``as_dict`` puts its values at the top level.
+
     ``D_source`` says where the tail-exponent constant came from:
     ``"given"`` by the config, ``"fitted"`` from the ensemble's noise sums,
     or ``"noiseless"`` when the problem has no noise and the tail is 0
@@ -1197,8 +1205,9 @@ def run_alltime_experiment(
     checkpoints, reduced into ``diagnostics``, and the per-step error
     quantiles, window by window (``ErrQuantiles``).  A tail constant, given or
     fitted, needs n0 >= 1, and n0 must be feasible; both are checked before
-    the ensemble runs.  Every grid cell's tail is the primary query with
-    that cell's epsilon, delta and p_init.
+    the ensemble runs.  Every grid cell's floor and tail come from
+    ``evaluate_grid``; the run adds its violations and Wilson interval from
+    ``Excess``.  The primary cell is the ``primary`` row of the grid.
     """
     t0 = time.monotonic()
     problem = config.problem

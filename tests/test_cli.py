@@ -745,3 +745,76 @@ class TestCsvWriters:
         header = path.read_text().splitlines()[0].split(",")
         cli._write_csv(lists, header, zip(*(c.tolist() for c in columns)))
         assert path.read_bytes() == lists.read_bytes()
+
+
+class TestOutputFormats:
+    FILES = {
+        "solve": ["analytic.json"],
+        "bound": ["bound.csv", "bound.json"],
+        "experiment": ["per_m.csv", "result.json", "summary.csv"],
+    }
+
+    @pytest.mark.parametrize("formats", [["csv"], []], ids=["csv", "none"])
+    def test_only_listed_formats_are_written(self, tmp_path, capsys, formats):
+        raw = reference_config_dict(horizon=300, n_trajectories=8)
+        raw["experiment"]["D_const"] = 5.0
+        del raw["output"]["formats"]  # the default: json and csv
+        default = tmp_path / "default.json"
+        default.write_text(json.dumps(raw))
+        raw["output"]["formats"] = formats
+        chosen = tmp_path / "chosen.json"
+        chosen.write_text(json.dumps(raw))
+        for command, files in self.FILES.items():
+            full, some = tmp_path / "full" / command, tmp_path / "some" / command
+            assert cli.main([command, str(default), "--out", str(full)]) == 0
+            assert sorted(p.name for p in full.iterdir()) == files
+            printed = capsys.readouterr().out
+            if command != "experiment":
+                assert printed == f"{full / files[-1]}\n"
+            assert cli.main([command, str(chosen), "--out", str(some)]) == 0
+            kept = [name for name in files if name.rsplit(".", 1)[1] in formats]
+            assert sorted(p.name for p in some.iterdir()) == kept
+            for name in kept:
+                assert (some / name).read_bytes() == (full / name).read_bytes()
+            printed = capsys.readouterr().out
+            if command != "experiment":
+                assert printed == ""  # no JSON file, so no path
+
+
+class TestDistanceOverflow:
+    @pytest.mark.parametrize("D_const", [None, 5.0], ids=["fitted", "given"])
+    def test_experiment_names_the_first_overflowing_step(self, tmp_path, capsys, D_const):
+        # the iterates stay finite, but their distances to x* overflow the float32 ring;
+        # a numpy RuntimeWarning would fail the test, as pytest turns it into an error
+        given = {} if D_const is None else {"D_const": D_const}
+        config = reference_config(
+            tmp_path, initial_x=[1e308, -1e308], n_trajectories=50, horizon=3000, **given
+        )
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["experiment", config, "--jobs", jobs, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "numerical failure: the distance to x* of trajectory 0 overflows at step 100\n"
+            )
+            assert not out.exists()
+
+
+class TestBoundMatchesExperiment:
+    def test_primary_cell_agrees(self, tmp_path):
+        # both commands evaluate the primary cell through one evaluator, at the same p_init
+        config = reference_config(tmp_path, D_const=5.0, n_trajectories=200)
+        bound_out, experiment_out = tmp_path / "bound", tmp_path / "experiment"
+        assert cli.main(["bound", config, "--out", str(bound_out)]) == 0
+        assert cli.main(["experiment", config, "--out", str(experiment_out)]) == 0
+        bound = strict_load(bound_out / "bound.json")
+        result = strict_load(experiment_out / "result.json")
+        keys = {
+            "floor": "floor",
+            "tail_sum": "tail_sum",
+            "prob_lower_bound": "theoretical_lower_bound",
+            "p_init": "empirical_p_init",
+        }
+        for bound_key, result_key in keys.items():
+            assert bound[bound_key] == result[result_key], bound_key
+        radius = read_columns(bound_out / "bound.csv")["radius"]
+        assert radius == read_columns(experiment_out / "per_m.csv")["radius"]
