@@ -37,6 +37,21 @@ shared by the total's parts: besides the run's outputs, only each
 trajectory's uniforms for a window and the quantile ring are wider than
 one block.
 
+A lane of one trajectory (``simulate``'s, or the last batch of a split
+that leaves one over) would pay numpy's fixed cost per call on arrays of
+one column: about ten calls a step, 12-18 us a step against about 0.1 us
+per trajectory-step in a lane 512 wide (on a shared 2-core x86-64 host).  So the lane's width selects a
+per-step loop on Python floats, in the sampler and in the kernel alike.
+The sampler takes the next state by one ``bisect_right`` on the current
+row's CDF entries, the same count both numpy layouts take.  The kernel
+keeps its per-block gathers and runs the block's steps on floats, with
+each feature-axis sum in ``_dsum``'s order (``_fsum``) and every other
+operation in the numpy loop's order, so the iterates are the same bit for
+bit.  Python's float ``*``, ``+`` and ``-`` overflow to inf or NaN as
+numpy's do, and never raise, so the block's finite check is unchanged.
+Above ``_FLOAT_MAX_D`` features the float loop is slower than numpy's
+(16.6 against 13.7 us a step at d = 48), and such a lane runs numpy's.
+
 A collector is one quantity the pass gathers, built from its own inputs:
 ``StartError`` (the error at n0), ``Excess`` (the largest excess over the
 radius per trajectory and epsilon, and the per-step violation counts and
@@ -108,9 +123,11 @@ import contextlib
 import copy
 import math
 import time
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -137,6 +154,7 @@ _RING_MAX_CELLS = 1 << 20  # cap on the steps x trajectories of one lockstep win
 _TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
 _GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
 _NOISE_TABLE_MAX_CELLS = 1 << 22  # cap on the s^2 d^2 entries of a noise table (32 MB)
+_FLOAT_MAX_D = 32  # most features a one-trajectory lane updates on Python floats, not numpy
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -634,7 +652,11 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     (``_Guide``): the bucket b = floor(u*G) of every step of a block is
     taken at once, and the step adds to first[b, y] the count of the w
     entries after it at or below u, from one (w, B) take of the padded rows.
-    Both give the same count for every u.
+    A batch of one trajectory reads neither: each step is one
+    ``bisect_right`` of u on the current row's first s-1 entries, which a
+    memoryview hands over as Python floats without a copy.  All three give
+    the same count for every u and every s; with s = 1 the row is empty and
+    the count is 0.
     """
     B = hi - lo
     T = spec.horizon
@@ -645,7 +667,9 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     u = _buffer(spec.buffers, "u", (B, 1 + W), float)  # column 0 is the start-state draw
     ut = _buffer(spec.buffers, "ut", (_BLOCK, B), float)
     columns = s <= _TAKE_COLUMNS_MAX_S
-    if columns:  # the CDF row of state y is column y
+    if B == 1:  # one bisect per step, on each row's entries read as Python floats
+        cdf_rows = [memoryview(row) for row in spec.cum_rows[:, : s - 1]]
+    elif columns:  # the CDF row of state y is column y
         table = np.ascontiguousarray(spec.cum_rows[:, : s - 1].T)
         cdf = np.empty((s - 1, B))
         hits = np.empty(cdf.shape, dtype=bool)
@@ -677,7 +701,10 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
             else:
                 Y[0] = np.minimum(np.searchsorted(spec.cum_pi, u[:, 0], side="right"), s - 1)
             ut[:K] = u[:, 1 + b : 1 + b + K].T
-            if columns:
+            if B == 1:
+                y = int(Y[0, 0])
+                Y[1 : K + 1, 0] = [y := bisect_right(cdf_rows[y], v) for v in ut[:K, 0].tolist()]
+            elif columns:
                 for n in range(K):
                     table.take(Y[n], axis=1, out=cdf, mode="clip")
                     np.less_equal(cdf, ut[n], out=hits)
@@ -740,6 +767,25 @@ def _dsum(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fsum(p: Iterable[float]) -> float:
+    """``_dsum`` of one column, on Python floats: the same additions in the
+    same order, so the same sum bit for bit."""
+    p = list(p)
+    d = len(p)
+    if d < 8:
+        return reduce(add, p)
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        return _fsum(p[:half]) + _fsum(p[half:])
+    r = p[:8]
+    for i in range(8, d - d % 8, 8):
+        r = list(map(add, r, p[i : i + 8]))
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in p[d - d % 8 :]:
+        out += v
+    return out
+
+
 class _Lane:
     """Trajectories [lo, hi) of a lockstep run: the ``parts`` of the collector
     ``totals`` they fill and, with ``quantiles``, the ring's part as well
@@ -769,7 +815,13 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
     ``lane.blocks``, time-blocked over a (d, B) layout as the module
     docstring describes, writing its rows of the totals and of the ring in
     place.  A block's arrays are the spec's buffers (``_buffer``), so the
-    iterates after each block are copied into the lane's own ``x``."""
+    iterates after each block are copied into the lane's own ``x``.
+
+    A lane of one trajectory with at most ``_FLOAT_MAX_D`` features runs
+    each block's steps on Python floats instead: the same products, sums
+    (``_fsum``, or a left fold below 8 features) and updates in the same
+    order, written into the block's iterates once, before the finite
+    check, so every output is the same bit for bit."""
     n0 = spec.n0
     lo, B = lane.lo, lane.hi - lane.lo
     d = spec.phi.shape[1]
@@ -781,6 +833,8 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
     P = np.empty((d, 2, B))
     t = np.empty(B)
     u = np.empty((d, B))
+    floats = B == 1 and d <= _FLOAT_MAX_D  # one trajectory: each step on Python floats
+    dot = partial(reduce, add) if d < 8 else _fsum  # _fsum, without its list below 8 terms
     with np.errstate(over="ignore", invalid="ignore"):
         for Y in lane.blocks:  # at horizon 0, one block of no steps
             bs, K = lane.at, len(Y) - 1
@@ -793,15 +847,24 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
             np.multiply(F[:, :-1], a[:, None], out=AF)
             X = _buffer(buffers, "X", (d, K + 1, B), float)
             X[:, 0] = x
-            for j in range(K):
-                # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
-                np.multiply(F[:, j : j + 2], X[:, j, None], out=P)
-                dots = _dsum(P)
-                np.multiply(dots[1], gamma, out=t)
-                t += R[j]
-                t -= dots[0]
-                np.multiply(AF[:, j], t, out=u)
-                np.add(X[:, j], u, out=X[:, j + 1])
+            if floats:  # the operations of the loop below, in its order
+                xj, f = x[:, 0].tolist(), F[:, :, 0].T.tolist()
+                rows = []
+                for f0, f1, af, r in zip(f, f[1:], AF[:, :, 0].T.tolist(), R[:, 0].tolist()):
+                    tj = dot(map(mul, f1, xj)) * gamma + r - dot(map(mul, f0, xj))
+                    xj = [v + c * tj for v, c in zip(xj, af)]
+                    rows.append(xj)
+                X[:, 1:, 0] = np.reshape(rows, (K, d)).T
+            else:
+                for j in range(K):
+                    # x + a phi_y (r_y + gamma phi_y'·x - phi_y·x)
+                    np.multiply(F[:, j : j + 2], X[:, j, None], out=P)
+                    dots = _dsum(P)
+                    np.multiply(dots[1], gamma, out=t)
+                    t += R[j]
+                    t -= dots[0]
+                    np.multiply(AF[:, j], t, out=u)
+                    np.add(X[:, j], u, out=X[:, j + 1])
             x[...] = X[:, K]
 
             finite = _buffer(buffers, "finite", (d, K, B), bool)

@@ -24,7 +24,7 @@ from tdlab.instances import reference_config_dict
 from tdlab.schedule import StepSchedule
 
 from conftest import random_problem
-from oracles import join_windows, sample_paths, whole_trajectory
+from oracles import _run_chunk, join_windows, sample_paths, whole_trajectory
 
 
 def _reject_constant(token):
@@ -363,6 +363,19 @@ class TestSimulate:
             assert cli.main([*argv, "--out", str(out)] + ["--components"] * components) == 0
             cli._write_trajectory_csv(tmp_path / "whole.csv", [whole], components)
             assert (out / "trajectory_2.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("instance", ["reference", "wide"])
+    @pytest.mark.parametrize("horizon", [1023, 1024, 1025, 3 * 1024 + 17])
+    def test_windows_equal_a_row_of_a_batch(self, tmp_path, horizon, instance):
+        # simulate's lane of one trajectory runs on Python floats, a batch of three on numpy
+        cfg = load_config(simulate_config(tmp_path, instance, "harmonic"))
+        exp = dataclasses.replace(cfg.require_experiment(), n0=0, horizon=horizon)
+        record = join_windows(harness.simulate_trajectory(exp, 2, cfg.analytic))
+        every_step = Checkpoints(np.arange(horizon + 1), cfg.problem.n_features)
+        spec = _base_spec(exp, cfg.analytic, horizon, (every_step,))
+        (batch,) = _run_chunk((spec, 1, 4))
+        assert np.array_equal(record.states, batch.y[1])
+        assert np.array_equal(record.x, batch.x[1])
 
     @pytest.mark.parametrize(
         "failure, initial_x, err",

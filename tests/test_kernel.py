@@ -10,6 +10,7 @@ all the others.
 """
 
 import copy
+import math
 import tracemalloc
 from dataclasses import replace
 from multiprocessing.context import ForkProcess
@@ -29,8 +30,11 @@ from tdlab.harness import (
     StartError,
     _BLOCK,
     _DRAW,
+    _FLOAT_MAX_D,
     _base_spec,
     _Collector,
+    _dsum,
+    _fsum,
     _run_ensemble,
 )
 
@@ -143,6 +147,17 @@ class TestBlockedKernelTwins:
     def test_single_trajectory(self, ref_problem, ref_analytic):
         assert_twins(full_spec(ref_problem, ref_analytic, 0, 200), lo=41, B=1)
 
+    @pytest.mark.parametrize("n0, horizon", [(30, 300), (0, 70)])
+    def test_single_trajectory_wide(self, wide, n0, horizon):
+        # d = 8, the first feature count whose sums take _dsum's tree
+        assert_twins(full_spec(*wide, n0, horizon, policy="uniform"), lo=4, B=1)
+
+    @pytest.mark.parametrize("d", [*range(1, 10), _FLOAT_MAX_D, _FLOAT_MAX_D + 1])
+    def test_single_trajectory_feature_counts(self, d):
+        # one trajectory runs on Python floats up to _FLOAT_MAX_D features, on numpy above
+        problem = random_problem(100 + d, s=d + 3, d=d)
+        assert_twins(full_spec(problem, solve_problem(problem), 10, 3 * _BLOCK + 5), lo=2, B=1)
+
     def test_collection_points_on_block_boundaries(self, ref_problem, ref_analytic):
         n0, horizon = 20, 4 * _BLOCK
         edges = [n0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 1, horizon - 1]
@@ -172,6 +187,41 @@ class TestBlockedKernelTwins:
 @pytest.mark.usefixtures("no_noise_table")
 class TestBlockedKernelTwinsPerState(TestBlockedKernelTwins):
     """The same twins on the per-state path above the noise-table cap."""
+
+
+def signed_terms(d, seed):
+    """d floats with both zeros, large and small magnitudes, and at random
+    places an inf, a -inf or a NaN, so a sum in any other order differs."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(d) * 10.0 ** rng.integers(-20, 20, size=d)
+    p[rng.random(d) < 0.2] = 0.0
+    p[rng.random(d) < 0.2] = -0.0
+    if seed % 4 == 1:
+        p[rng.integers(d)] = np.inf
+    elif seed % 4 == 2:
+        p[rng.integers(d, size=2)] = [np.inf, -np.inf]
+    elif seed % 4 == 3:
+        p[rng.integers(d)] = np.nan
+    return p
+
+
+class TestFloatSum:
+    @pytest.mark.parametrize("d", [*range(1, 21), *range(129, 141)])
+    def test_equals_dsum_bit_for_bit(self, d):
+        for seed in range(12):
+            p = signed_terms(d, seed)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = _dsum(p[:, None])[0]
+            got = _fsum(p.tolist())
+            assert type(got) is float
+            assert np.array([got]).view(np.int64)[0] == np.array([want]).view(np.int64)[0], seed
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16])
+    def test_signed_zeros(self, d):
+        # -0.0 + -0.0 is -0.0, and -0.0 + 0.0 is 0.0, in either form
+        for p in (np.full(d, -0.0), np.r_[-0.0, np.zeros(d - 1)], np.r_[np.full(d - 1, -0.0), 0.0]):
+            want = _dsum(p[:, None])[0]
+            assert math.copysign(1.0, _fsum(p.tolist())) == math.copysign(1.0, want)
 
 
 class TestExcessMemory:
@@ -222,6 +272,24 @@ class TestInvariance:
             for k in base.err_quantiles:
                 assert np.array_equal(other.err_quantiles[k], base.err_quantiles[k])
 
+    def test_one_trajectory_per_batch(self, ref_problem, ref_analytic):
+        # at batch size 1 every lane runs on Python floats; at 8 and 64 none does
+        def run(jobs, batch_size):
+            cfg = ExperimentConfig(
+                problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=80, horizon=400,
+                n_trajectories=48, master_seed=314, epsilon=0.5, delta=0.25, batch_size=batch_size,
+            )
+            return harness.run_alltime_experiment(cfg, jobs=jobs, analytic=ref_analytic)
+
+        base = run(1, 1)
+        assert base.D_source == "fitted"
+        for jobs, batch_size in [(1, 8), (1, 64), (2, 1)]:
+            other = run(jobs, batch_size)
+            assert other.as_dict() == base.as_dict()
+            assert np.array_equal(other.per_m_err_max, base.per_m_err_max)
+            for k in base.err_quantiles:
+                assert np.array_equal(other.err_quantiles[k], base.err_quantiles[k])
+
 
 def divergent_paths(spec, bad):
     """A sampler stand-in: every trajectory stays in state 0, except that
@@ -260,6 +328,10 @@ class TestNonFinite:
         )
         with pytest.raises(NonFinite, match=f"trajectory 13 became non-finite at step {step + 1}$"):
             _run_ensemble(spec, 20, batch_size, 1)
+
+    def test_one_trajectory_per_batch(self, ref_problem, ref_analytic, monkeypatch):
+        # every lane on Python floats, which overflow to inf and NaN without raising
+        self.test_first_bad_step_and_trajectory(ref_problem, ref_analytic, monkeypatch, 1)
 
 
 class TestWorkerPool:

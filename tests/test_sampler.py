@@ -111,6 +111,17 @@ class TestReferenceTwins:
     def test_start_policies_row_layout(self, wide, policy):
         assert_equal_paths(path_spec(*wide, 70, policy), 0, 3)
 
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_one_trajectory(self, ref_problem, ref_analytic, scalar, scalar_analytic, wide, horizon):
+        # one trajectory takes each state by bisect on Python floats
+        assert_equal_paths(path_spec(ref_problem, ref_analytic, horizon), 5, 6)
+        assert_equal_paths(path_spec(scalar, scalar_analytic, horizon), 2, 3)
+        assert_equal_paths(path_spec(*wide, horizon, policy="uniform"), 4, 5)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_one_trajectory_sizes(self, sized, horizon):
+        assert_equal_paths(path_spec(*sized, horizon, policy="uniform"), 6, 7)
+
 
 class TestBothLayouts:
     @pytest.mark.parametrize("horizon", HORIZONS)
@@ -128,6 +139,13 @@ class TestBothLayouts:
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_sizes(self, layout, sized, horizon):
         assert_equal_paths(path_spec(*sized, horizon, policy="uniform"), 2, 9)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_one_trajectory(self, layout, scalar, scalar_analytic, wide, sized, horizon):
+        # whichever layout wider batches read, one trajectory gives the same states
+        assert_equal_paths(path_spec(scalar, scalar_analytic, horizon), 1, 2)
+        assert_equal_paths(path_spec(*wide, horizon, policy="uniform"), 3, 4)
+        assert_equal_paths(path_spec(*sized, horizon, policy="uniform"), 8, 9)
 
 
 def guide_size(s):
@@ -221,6 +239,35 @@ class TestGuideTable:
         for u in us[1:]:
             want.append(int(np.searchsorted(cdf[want[-1]], u, side="right")))
         assert sample_paths(spec, 0, 1)[0].tolist() == want
+
+
+    @pytest.mark.parametrize("s", [33, 200])
+    @pytest.mark.parametrize("rows", [edge_cdf, crowded_cdf])
+    def test_path_segments_on_edge_uniforms_in_a_batch(self, layout, wide, monkeypatch, s, rows):
+        """The numpy layouts, which run batches of more than one trajectory,
+        fed the same edge uniforms in every trajectory."""
+        cdf = rows(s, guide_size(s))
+        us = np.tile(edge_uniforms(guide_size(s)), 3)
+        us = us[np.random.default_rng(2).permutation(len(us))]
+
+        class Fixed:  # every trajectory's stream gives the same uniforms
+            def __init__(self, seed, index):
+                self.pos = 0
+
+            def random(self, out):
+                out[:] = us[self.pos : self.pos + len(out)]
+                self.pos += len(out)
+
+        monkeypatch.setattr(harness, "stream", Fixed)
+        spec = replace(
+            path_spec(*wide, len(us) - 1, policy="fixed:3"),
+            cum_rows=np.c_[cdf, np.ones(s)],
+            phi=np.zeros((s, 1)),
+        )
+        want = [3]
+        for u in us[1:]:
+            want.append(int(np.searchsorted(cdf[want[-1]], u, side="right")))
+        assert sample_paths(spec, 0, 3).tolist() == [want] * 3
 
 
 class TestSegments:
