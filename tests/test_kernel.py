@@ -190,8 +190,9 @@ class TestBlockedKernelTwinsPerState(TestBlockedKernelTwins):
 
 
 def signed_terms(d, seed):
-    """d floats with both zeros, large and small magnitudes, and at random
-    places an inf, a -inf or a NaN, so a sum in any other order differs."""
+    """d floats with both zeros, magnitudes spread over 40 decades, so that
+    most other orders of addition round differently, and at random places
+    an inf, a -inf or a NaN."""
     rng = np.random.default_rng(seed)
     p = rng.standard_normal(d) * 10.0 ** rng.integers(-20, 20, size=d)
     p[rng.random(d) < 0.2] = 0.0
