@@ -33,15 +33,16 @@ collector.  Feature-axis sums follow numpy's pairwise order (``_dsum``),
 so the iterates equal those of a per-step update in the (B, d) layout
 bit for bit.  The block's arrays, like the sampler's, are the spec's
 working buffers (``_buffer``), and each collector's are its total's,
-shared by the total's parts: besides the run's outputs, only each
-trajectory's uniforms for a window and the quantile ring are wider than
-one block.
+shared by the total's parts: besides the run's outputs, only the
+uniforms of one draw (``_path_segments``) and the quantile ring are wider
+than one block, and the draw never holds more bytes than the ring.
 
 A lane of one trajectory (``simulate``'s, or the last batch of a split
 that leaves one over) would pay numpy's fixed cost per call on arrays of
 one column: about ten calls a step, 12-18 us a step against about 0.1 us
-per trajectory-step in a lane 512 wide (on a shared 2-core x86-64 host).  So the lane's width selects a
-per-step loop on Python floats, in the sampler and in the kernel alike.
+per trajectory-step in a lane of 512 trajectories (on a shared 2-core
+x86-64 host).  So the lane's width selects a per-step loop on Python
+floats, in the sampler and in the kernel alike.
 The sampler takes the next state by one ``bisect_right`` on the current
 row's CDF entries, the same count both numpy layouts take.  The kernel
 keeps its per-block gathers and runs the block's steps on floats, with
@@ -71,10 +72,19 @@ with all four (the noise sums only when D is fitted).  A collector reads
 only the block, never another collector, so which others ride along never
 changes its values.
 
-The batches run in lockstep, one window of L steps at a time (``_window``:
-L*n stays under ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple
-of ``_BLOCK``, so every block starts where it would on a whole path).  A
-batch is a ``_Lane``: its iterates, its parts and its stream of blocks of
+The kernel and the sampler pay numpy's fixed cost once per call, about
+ten calls a step per lane, whatever the lane's width, so a run takes as
+few lanes as it can (``_split``): each worker gets one lane of its share
+of the trajectories, cut into near-equal lanes only where a lane would
+pass ``_LANE_MAX_CELLS`` features x trajectories, the size of a lane of
+512 at 8 features, above which the block buffers raise the peak memory
+of a run, or ``_DRAW`` trajectories, above which a lane at 2 features
+costs more per trajectory-step again (83-89 ns at 2048 wide against 77 ns
+at 1024, on a shared 2-core x86-64 host).  The lanes run in lockstep,
+one window of L steps at a time (``_window``: L*n stays under
+``_RING_MAX_CELLS`` for n trajectories, and L is a multiple of
+``_BLOCK``, so every block starts where it would on a whole path).  A lane (a ``_Lane``) is a batch of
+trajectories: its iterates, its parts and its stream of blocks of
 states, which ``_fill_rows`` runs one window at a time.  ``simulate`` runs
 one lane of one trajectory the same way, with a ``Checkpoints`` of the
 window's steps alone, and hands over each window's states and iterates,
@@ -93,12 +103,11 @@ in place and takes its percentiles.  No process holds more than the ring
 of errors, whatever the horizon.
 
 With more than one worker, each worker process owns a contiguous run of
-batches.  The totals' per-trajectory outputs and the ring live in
+lanes.  The totals' per-trajectory outputs and the ring live in
 anonymous shared mappings made before the workers fork, so a worker
-inherits the spec, the totals and its batches once, writes its rows into
+inherits the spec, the totals and its lanes once, writes its rows into
 the parent's memory and sends back only its copy of the folded outputs,
-which the parent merges into the totals.  Each worker
-has a pipe of its own: the parent sends it each window's index and waits
+which the parent merges into the totals.  Each worker has a pipe of its own: the parent sends it each window's index and waits
 for its answer, so no worker runs window k+1 before every worker has run
 window k; the ring has two slots, so the parent reduces window k while the
 workers run window k+1.  A worker that fails answers with its error, and
@@ -109,8 +118,8 @@ code of a worker that died, else re-raises the worker's error.
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
 owns the stream ``rng.stream(master_seed, index)``; trajectories are
-processed in fixed-size batches and assembled by index, so the outputs
-are bit-identical for any batch split or worker count.
+processed in lanes and assembled by index, so the outputs are
+bit-identical for any batch split or worker count.
 
 Grid sweeps over the radius parameters reuse one trajectory ensemble
 (common random numbers); violation counts are therefore exactly, not
@@ -149,12 +158,13 @@ from .schedule import StepSchedule
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 _BLOCK = 64  # steps per block of the TD kernel
-_DRAW = 16 * _BLOCK  # most steps per lockstep window, and per draw of uniforms
+_DRAW = 16 * _BLOCK  # most steps per lockstep window, and most trajectories per lane of the default split
 _RING_MAX_CELLS = 1 << 20  # cap on the steps x trajectories of one lockstep window (4 MB of float32)
 _TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
 _GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
 _NOISE_TABLE_MAX_CELLS = 1 << 22  # cap on the s^2 d^2 entries of a noise table (32 MB)
 _FLOAT_MAX_D = 32  # most features a one-trajectory lane updates on Python floats, not numpy
+_LANE_MAX_CELLS = 1 << 12  # cap on the features x trajectories of a lane of the default split (``_split``)
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -196,13 +206,13 @@ class ExperimentConfig:
     epsilon_grid: tuple[float, ...] | None = None
     delta_grid: tuple[float, ...] | None = None
     p_init: float | None = None  # for the bound command; None: estimated from the ensemble
-    batch_size: int = 512
+    batch_size: int | None = None  # None: the default split (``_split``); a size, lanes of it, for tests
 
     def __post_init__(self) -> None:
         """Every message starts with the name of the field at fault."""
         if self.n_trajectories < 1:
             raise ValidationError("n_trajectories: need at least one trajectory")
-        if self.batch_size < 1:
+        if self.batch_size is not None and self.batch_size < 1:
             raise ValidationError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.n0 < 0:
             raise ValidationError(f"n0: must be >= 0, got {self.n0}")
@@ -518,11 +528,22 @@ _PERCENTILES = (25, 50, 75, 90)
 
 def _err_quantiles(window: np.ndarray) -> dict[str, np.ndarray]:
     """The 25/50/75/90th percentiles of each row of a (steps, n) window of
-    errors.  The rows are sorted in place first, so the percentile selects
-    from sorted rows."""
+    errors, in float64.  The rows are sorted in place, and each percentile
+    is read off the two columns of order statistics around the virtual index
+    p/100 * (n-1), with the lerp of numpy's linear ``percentile`` (``a +
+    (b-a) t``, or ``b - (b-a) (1-t)`` from t = 1/2 on), so the values equal
+    ``np.percentile``'s bit for bit without its copy of the window."""
     window.sort(axis=1)
-    qs = np.percentile(window, _PERCENTILES, axis=1)
-    return {f"q{p}": q for p, q in zip(_PERCENTILES, qs)}
+    n = window.shape[1]
+    out = {}
+    for p in _PERCENTILES:
+        v = (n - 1) * (p / 100)
+        i = min(int(v), n - 1)
+        t = np.float64(v - i)  # a float64 scalar, so the lerp runs in float64 as numpy's does
+        a, b = window[:, i], window[:, min(i + 1, n - 1)]
+        diff = b - a
+        out[f"q{p}"] = a + diff * t if t < 0.5 else b - diff * (1 - t)
+    return out
 
 
 @dataclass(eq=False)
@@ -631,18 +652,21 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     """The states of trajectories [lo, hi) at steps 0..horizon, by inverse
     CDF on each trajectory's own stream, one block at a time.
 
-    The uniforms are drawn one window at a time, for each start of
-    ``_windows``: window 0 draws 1 + L per trajectory (the first picks the
-    start state, drawn even when it is fixed), the others L, and chunked
-    draws continue the stream exactly as one long draw would.  The states
-    are sampled one block of ``_BLOCK`` steps at a time: a block holds
-    the states at steps bs..bs+K as a (K+1, B) array, with bs a
-    multiple of ``_BLOCK`` and K at most ``_BLOCK`` (no steps at horizon 0),
-    and the next one starts at the state this one ends at.  The buffers are
-    one window of uniforms and one block of everything else, and belong to
-    the spec (``_buffer``): every batch of a run in one process reuses them,
-    so a block is valid only until this batch or another asks for its
-    next.
+    The uniforms are drawn in chunks of C = ``_window(2B)`` steps, capped at
+    the window, so that B*C*8 bytes of float64 stay within one slot of the
+    ring, whose float32 errors are half as wide: each window of
+    ``_windows`` is drawn C steps at a time, its last chunk shorter.  The
+    first chunk draws 1 + C per trajectory (the first picks the start
+    state, drawn even when it is fixed), and chunked draws continue the
+    stream exactly as one long draw would.  After the last draw each
+    trajectory's generator is dropped.  The states are sampled one block of
+    ``_BLOCK`` steps at a time: a block holds the states at steps bs..bs+K
+    as a (K+1, B) array, with bs a multiple of ``_BLOCK`` (C is one) and K
+    at most ``_BLOCK`` (no steps at horizon 0), and the next one starts at
+    the state this one ends at.  The buffers are one chunk of uniforms and
+    one block of everything else, and belong to the spec (``_buffer``):
+    every batch of a run in one process reuses them, so a block is valid
+    only until this batch or another asks for its next.
 
     The next state is the number of CDF entries of the current row at or
     below the uniform u.  Rows are nondecreasing, so counting only the first
@@ -663,8 +687,9 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     s = spec.phi.shape[0]
     starts = _windows(spec)
     W = starts.step
+    C = min(_window(2 * B), W)  # steps per draw of uniforms
     gens = [stream(spec.master_seed, i) for i in range(lo, hi)]
-    u = _buffer(spec.buffers, "u", (B, 1 + W), float)  # column 0 is the start-state draw
+    u = _buffer(spec.buffers, "u", (B, 1 + C), float)  # column 0 is the start-state draw
     ut = _buffer(spec.buffers, "ut", (_BLOCK, B), float)
     columns = s <= _TAKE_COLUMNS_MAX_S
     if B == 1:  # one bisect per step, on each row's entries read as Python floats
@@ -688,9 +713,14 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     end = np.empty(B, dtype=np.intp)  # the state the last block ended at
     for start in starts:
         L = min(W, T - start)
-        for g, row in zip(gens, u):
-            g.random(out=row[0 if start == 0 else 1 : 1 + L])
         for b in range(0, max(L, 1), _BLOCK):  # at horizon 0, one block of no steps
+            c = b % C  # the block's first column of the chunk of uniforms drawn last
+            if c == 0:  # draw the next chunk
+                M = min(C, L - b)
+                for g, row in zip(gens, u):
+                    g.random(out=row[0 if start + b == 0 else 1 : 1 + M])
+                if start + b + M == T:
+                    gens.clear()  # the streams are spent
             K = min(_BLOCK, L - b)
             if start + b > 0:
                 Y[0] = end
@@ -700,7 +730,7 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
                 Y[0] = np.minimum((u[:, 0] * s).astype(np.intp), s - 1)
             else:
                 Y[0] = np.minimum(np.searchsorted(spec.cum_pi, u[:, 0], side="right"), s - 1)
-            ut[:K] = u[:, 1 + b : 1 + b + K].T
+            ut[:K] = u[:, 1 + c : 1 + c + K].T
             if B == 1:
                 y = int(Y[0, 0])
                 Y[1 : K + 1, 0] = [y := bisect_right(cdf_rows[y], v) for v in ut[:K, 0].tolist()]
@@ -875,7 +905,7 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
 
             if bs + K >= n0:  # the iterates of steps bs+j.. are new and at or after n0
                 j = max(n0 - bs, 1 if bs else 0)
-                diff = _buffer(buffers, "diff", (d, K + 1 - j, B), float)
+                diff = _buffer(buffers, "AF", (d, K + 1 - j, B), float)  # AF is spent
                 np.subtract(X[:, j:], spec.x_star[:, None, None], out=diff)
                 diff *= diff
                 err = _dsum(diff)
@@ -993,24 +1023,40 @@ def _reply(conn, proc):
         return WorkerDied(f"a worker process ended abruptly with exit code {proc.exitcode}")
 
 
+def _split(n: int, d: int, jobs: int, batch_size: int | None) -> list[tuple[int, int]]:
+    """The lanes [lo, hi) of trajectories [0, n) in ``d`` features, for at
+    most ``jobs`` workers.  Given ``batch_size``, lanes of that many
+    trajectories, the last one shorter.  Else the fewest near-equal lanes
+    [i*n//k, (i+1)*n//k) of at most ``_LANE_MAX_CELLS // d`` and at most
+    ``_DRAW`` trajectories, with k a multiple of the worker count, so each
+    worker runs as many lanes, and k at most n."""
+    if batch_size is not None:
+        return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+    workers = min(jobs, n)
+    k = -(-n // max(min(_LANE_MAX_CELLS // d, _DRAW), 1))  # the fewest lanes within the caps
+    k = min(-(-k // workers) * workers, n)
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def _run_ensemble(
     spec: _EnsembleSpec,
     n: int,
-    batch_size: int,
+    batch_size: int | None,
     jobs: int,
     quantiles: ErrQuantiles | None = None,
 ) -> tuple[_Collector, ...]:
-    """The spec's collectors over trajectories [0, n), in batches run in
-    lockstep windows on at most ``jobs`` worker processes and never more
-    workers than batches; with ``quantiles``, also the per-step error
-    quantiles, into it.  Each batch writes its rows and folds its per-step
-    outputs into the totals in place.  With workers, the totals' rows and
-    the ring are shared mappings and the workers fork, so the spec, the
-    totals and the batches reach a worker once; each worker's folded
-    outputs are merged into the totals at the end."""
+    """The spec's collectors over trajectories [0, n), in the lanes of
+    ``_split`` (one per worker within its caps, or lanes of ``batch_size``
+    when it is given) run in lockstep windows on at most ``jobs`` worker
+    processes and never more workers than lanes; with ``quantiles``, also
+    the per-step error quantiles, into it.  Each lane writes its rows and
+    folds its per-step outputs into the totals in place.  With workers, the
+    totals' rows and the ring are shared mappings and the workers fork, so
+    the spec, the totals and the lanes reach a worker once; each worker's
+    folded outputs are merged into the totals at the end."""
     if jobs < 1:
         raise ValidationError(f"jobs: must be >= 1, got {jobs}")
-    batches = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+    batches = _split(n, spec.phi.shape[1], jobs, batch_size)
     workers = min(jobs, len(batches))
     spec = replace(spec, window=_window(n))
     alloc = _shared_empty if workers > 1 else np.empty

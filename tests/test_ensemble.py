@@ -39,6 +39,7 @@ from tdlab.harness import (
     _base_spec,
     _buffer,
     _run_ensemble,
+    _split,
     _window,
     run_alltime_experiment,
 )
@@ -439,6 +440,84 @@ class TestBlockBuffers:
         for kind, total in want.items():
             for name in kind.outputs:
                 assert np.array_equal(getattr(got[kind], name), getattr(total, name)), name
+
+
+def recorded_runs(monkeypatch):
+    """The (lo, hi) of every lane a run builds, and the count of worker
+    processes it starts; the lanes are built in the parent, before any fork."""
+    lanes, starts = [], []
+
+    class Recorded(harness._Lane):
+        def __init__(self, spec, lo, hi, *args):
+            lanes.append((lo, hi))
+            super().__init__(spec, lo, hi, *args)
+
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(harness, "_Lane", Recorded)
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda self: starts.append(self) or start(self)
+    )
+    return lanes, starts
+
+
+def totals_and_quantiles(spec, n, batch_size, jobs):
+    quantiles = ErrQuantiles(spec.n0, spec.horizon)
+    totals = by_kind(_run_ensemble(spec, n, batch_size, jobs, quantiles))
+    return totals, quantiles.q
+
+
+class TestDefaultSplit:
+    def test_one_lane_per_worker_within_the_cap(self, ref_problem, ref_analytic, monkeypatch):
+        assert _split(1000, 2, 1, None) == [(0, 1000)]
+        assert _split(2000, 2, 1, None) == [(0, 1000), (1000, 2000)]  # at most _DRAW trajectories
+        assert _split(2000, 8, 2, None) == [(0, 500), (500, 1000), (1000, 1500), (1500, 2000)]
+        assert _split(7, 2, 2, None) == [(0, 3), (3, 7)]  # near-equal
+        assert _split(3, 4096, 2, None) == [(0, 1), (1, 2), (2, 3)]  # at most n lanes
+        assert _split(70, 2, 2, 32) == [(0, 32), (32, 64), (64, 70)]  # the tests' override
+        lanes, starts = recorded_runs(monkeypatch)
+        _run_ensemble(full_spec(ref_problem, ref_analytic, 10, 200), 1000, None, 1)
+        assert (lanes, starts) == ([(0, 1000)], [])
+        lanes.clear()
+        problem = random_problem(5, s=40, d=8)
+        _run_ensemble(full_spec(problem, solve_problem(problem), 10, 100), 2000, None, 2)
+        assert lanes == [(0, 500), (500, 1000), (1000, 1500), (1500, 2000)]
+        assert len(starts) == 2
+
+    @pytest.mark.parametrize(
+        "instance, n, horizon, batch_size",
+        [
+            ("ref", 1000, 1100, None),  # one lane of 1000, uniforms drawn 512 steps at a time
+            ("s40-d8", 2000, 300, None),  # four lanes of 500, two per worker at jobs 2
+            ("ref", 1200, 1700, 1200),  # windows of 832 steps, draws of 384: one short draw a window
+        ],
+    )
+    def test_equals_batches_of_512(self, ref_problem, ref_analytic, instance, n, horizon, batch_size):
+        if instance == "ref":
+            problem, analytic = ref_problem, ref_analytic
+        else:
+            problem = random_problem(5, s=40, d=8)
+            analytic = solve_problem(problem)
+        spec = full_spec(problem, analytic, 10, horizon)
+        want, want_q = totals_and_quantiles(spec, n, 512, 1)
+        for jobs in (1, 2):
+            got, got_q = totals_and_quantiles(spec, n, batch_size, jobs)
+            for kind, total in want.items():
+                for name in kind.outputs:
+                    a, b = getattr(got[kind], name), getattr(total, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (kind.__name__, name, jobs)
+            assert {k: q.tobytes() for k, q in got_q.items()} == {k: q.tobytes() for k, q in want_q.items()}
+
+    def test_jobs_2_forks_two_workers_at_512(self, ref_problem, ref_analytic, monkeypatch):
+        spec = full_spec(ref_problem, ref_analytic, 10, 300)
+        want, want_q = totals_and_quantiles(spec, 512, None, 1)
+        lanes, starts = recorded_runs(monkeypatch)
+        got, got_q = totals_and_quantiles(spec, 512, None, 2)
+        assert lanes == [(0, 256), (256, 512)] and len(starts) == 2
+        assert multiprocessing.active_children() == []
+        for kind, total in want.items():
+            for name in kind.outputs:
+                assert getattr(got[kind], name).tobytes() == getattr(total, name).tobytes(), name
+        assert all(np.array_equal(got_q[k], q) for k, q in want_q.items())
 
 
 def run_with_patch(out, horizon, patch, jobs=2):

@@ -348,3 +348,16 @@ class TestErrQuantiles:
         for q, w in zip(got.values(), want):
             assert q.dtype == w.dtype and np.array_equal(q, w)
         assert np.array_equal(window, np.sort(matrix.T, axis=1))  # sorted in place, each row its own numbers
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 513, 1000, 1200])
+    def test_twin_of_percentile_on_the_sorted_rows(self, n):
+        # the order statistics and the lerp are numpy's own, so the values are its bits
+        rng = np.random.default_rng(n)
+        window = rng.random((40, n)).astype(np.float32)
+        window[::2] = np.round(window[::2], 2)  # ties within a row
+        window[3] = 0.5  # a row of one value
+        want = np.percentile(np.sort(window, axis=1), [25, 50, 75, 90], axis=1)
+        got = harness._err_quantiles(window)
+        for q, w in zip(got.values(), want):
+            assert q.dtype == w.dtype == np.float64
+            assert q.tobytes() == w.tobytes()
