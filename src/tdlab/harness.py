@@ -493,7 +493,8 @@ class NoiseSums(_Collector):
         for cols in (slice(b, b + width) for b in range(0, B, width)):
             for i, (G, c_i) in enumerate(self._rows(Y[:-1, cols], Y[1:, cols])):
                 G *= X[..., cols]
-                np.add(c_i, _dsum(G), out=xi[i, :, cols])
+                _dsum(G, out=xi[i, :, cols])
+                xi[i, :, cols] += c_i
         return xi
 
     def update(self, blk: _Block) -> None:
@@ -771,27 +772,28 @@ def _buffer(buffers: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarr
     return buf[:size].reshape(shape)
 
 
-def _dsum(p: np.ndarray) -> np.ndarray:
+def _dsum(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum over the leading axis in the order numpy's pairwise sum adds a
     contiguous row: term by term below 8 terms, else into eight accumulators
     folded as a tree.  A (d, ...) sum is then bit-identical to the
     ``sum(axis=-1)`` of the same numbers laid out as (..., d), and the order
-    never depends on the other axes' lengths, such as the batch size."""
+    never depends on the other axes' lengths, such as the batch size.  The
+    sum goes into ``out`` when it is given, else into a new array."""
     d = len(p)
     if d < 8:
-        out = p[0] + p[1] if d > 1 else p[0].copy()
+        out = np.add(p[0], p[1], out=out) if d > 1 else np.positive(p[0], out=out)
         for i in range(2, d):
             out += p[i]
         return out
     if d > 128:
         half = d // 2 - (d // 2) % 8
-        return _dsum(p[:half]) + _dsum(p[half:])
+        return np.add(_dsum(p[:half]), _dsum(p[half:]), out=out)
     r = p[:8]
     for i in range(8, d - d % 8, 8):
         r = r + p[i : i + 8]
     r = r[0::2] + r[1::2]
     r = r[0::2] + r[1::2]
-    out = r[0] + r[1]
+    out = np.add(r[0], r[1], out=out)
     for i in range(d - d % 8, d):
         out += p[i]
     return out
@@ -908,7 +910,7 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
                 diff = _buffer(buffers, "AF", (d, K + 1 - j, B), float)  # AF is spent
                 np.subtract(X[:, j:], spec.x_star[:, None, None], out=diff)
                 diff *= diff
-                err = _dsum(diff)
+                err = _dsum(diff, out=_buffer(buffers, "err", diff.shape[1:], float))
                 np.sqrt(err, out=err)
                 blk = _Block(bs, Y, a, X, n0, bs + j, X[:, j:], err)
                 for part in lane.feeds:
