@@ -659,8 +659,10 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     ``_windows`` is drawn C steps at a time, its last chunk shorter.  The
     first chunk draws 1 + C per trajectory (the first picks the start
     state, drawn even when it is fixed), and chunked draws continue the
-    stream exactly as one long draw would.  After the last draw each
-    trajectory's generator is dropped.  The states are sampled one block of
+    stream exactly as one long draw would.  Each trajectory's generator is
+    dropped after its last draw, and when the whole path is one draw, as
+    soon as it has drawn, so the lane never holds them all at once.  The
+    states are sampled one block of
     ``_BLOCK`` steps at a time: a block holds the states at steps bs..bs+K
     as a (K+1, B) array, with bs a multiple of ``_BLOCK`` (C is one) and K
     at most ``_BLOCK`` (no steps at horizon 0), and the next one starts at
@@ -689,7 +691,9 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     starts = _windows(spec)
     W = starts.step
     C = min(_window(2 * B), W)  # steps per draw of uniforms
-    gens = [stream(spec.master_seed, i) for i in range(lo, hi)]
+    gens = (stream(spec.master_seed, i) for i in range(lo, hi))
+    if T > C:  # more than one draw: each stream is kept until its last
+        gens = list(gens)
     u = _buffer(spec.buffers, "u", (B, 1 + C), float)  # column 0 is the start-state draw
     ut = _buffer(spec.buffers, "ut", (_BLOCK, B), float)
     columns = s <= _TAKE_COLUMNS_MAX_S
@@ -721,7 +725,7 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
                 for g, row in zip(gens, u):
                     g.random(out=row[0 if start + b == 0 else 1 : 1 + M])
                 if start + b + M == T:
-                    gens.clear()  # the streams are spent
+                    gens = ()  # the streams are spent
             K = min(_BLOCK, L - b)
             if start + b > 0:
                 Y[0] = end

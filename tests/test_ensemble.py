@@ -460,10 +460,13 @@ def recorded_runs(monkeypatch):
     return lanes, starts
 
 
-def totals_and_quantiles(spec, n, batch_size, jobs):
+def outputs_bytes(spec, n, batch_size, jobs):
+    """The bytes and dtype of every collector output and ring quantile of a run."""
     quantiles = ErrQuantiles(spec.n0, spec.horizon)
-    totals = by_kind(_run_ensemble(spec, n, batch_size, jobs, quantiles))
-    return totals, quantiles.q
+    totals = _run_ensemble(spec, n, batch_size, jobs, quantiles)
+    out = {(type(t).__name__, name): getattr(t, name) for t in totals for name in t.outputs}
+    out.update(quantiles.q)
+    return {key: (a.dtype, a.tobytes()) for key, a in out.items()}
 
 
 class TestDefaultSplit:
@@ -498,26 +501,17 @@ class TestDefaultSplit:
             problem = random_problem(5, s=40, d=8)
             analytic = solve_problem(problem)
         spec = full_spec(problem, analytic, 10, horizon)
-        want, want_q = totals_and_quantiles(spec, n, 512, 1)
+        want = outputs_bytes(spec, n, 512, 1)
         for jobs in (1, 2):
-            got, got_q = totals_and_quantiles(spec, n, batch_size, jobs)
-            for kind, total in want.items():
-                for name in kind.outputs:
-                    a, b = getattr(got[kind], name), getattr(total, name)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (kind.__name__, name, jobs)
-            assert {k: q.tobytes() for k, q in got_q.items()} == {k: q.tobytes() for k, q in want_q.items()}
+            assert outputs_bytes(spec, n, batch_size, jobs) == want
 
     def test_jobs_2_forks_two_workers_at_512(self, ref_problem, ref_analytic, monkeypatch):
         spec = full_spec(ref_problem, ref_analytic, 10, 300)
-        want, want_q = totals_and_quantiles(spec, 512, None, 1)
+        want = outputs_bytes(spec, 512, None, 1)
         lanes, starts = recorded_runs(monkeypatch)
-        got, got_q = totals_and_quantiles(spec, 512, None, 2)
+        assert outputs_bytes(spec, 512, None, 2) == want
         assert lanes == [(0, 256), (256, 512)] and len(starts) == 2
         assert multiprocessing.active_children() == []
-        for kind, total in want.items():
-            for name in kind.outputs:
-                assert getattr(got[kind], name).tobytes() == getattr(total, name).tobytes(), name
-        assert all(np.array_equal(got_q[k], q) for k, q in want_q.items())
 
 
 def run_with_patch(out, horizon, patch, jobs=2):
