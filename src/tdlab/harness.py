@@ -657,19 +657,19 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     the window, so that B*C*8 bytes of float64 stay within one slot of the
     ring, whose float32 errors are half as wide: each window of
     ``_windows`` is drawn C steps at a time, its last chunk shorter.  The
-    first chunk draws 1 + C per trajectory (the first picks the start
-    state, drawn even when it is fixed), and chunked draws continue the
-    stream exactly as one long draw would.  Each trajectory's generator is
-    dropped after its last draw, and when the whole path is one draw, as
+    first chunk draws one more uniform per trajectory, which picks the
+    start state (drawn even when it is fixed), and chunked draws continue
+    the stream exactly as one long draw would.  Each trajectory's generator
+    is dropped after its last draw, and when the whole path is one draw, as
     soon as it has drawn, so the lane never holds them all at once.  The
-    states are sampled one block of
-    ``_BLOCK`` steps at a time: a block holds the states at steps bs..bs+K
-    as a (K+1, B) array, with bs a multiple of ``_BLOCK`` (C is one) and K
-    at most ``_BLOCK`` (no steps at horizon 0), and the next one starts at
-    the state this one ends at.  The buffers are one chunk of uniforms and
-    one block of everything else, and belong to the spec (``_buffer``):
-    every batch of a run in one process reuses them, so a block is valid
-    only until this batch or another asks for its next.
+    states are sampled one block of ``_BLOCK`` steps at a time: a block
+    holds the states at steps bs..bs+K as a (K+1, B) array, with bs a
+    multiple of ``_BLOCK`` (C is one) and K at most ``_BLOCK`` (no steps at
+    horizon 0), and the next one starts at the state this one ends at.  The
+    buffers are one chunk of uniforms and one block of everything else, and
+    belong to the spec (``_buffer``): every batch of a run in one process
+    reuses them, so a block is valid only until this batch or another asks
+    for its next.
 
     The next state is the number of CDF entries of the current row at or
     below the uniform u.  Rows are nondecreasing, so counting only the first
