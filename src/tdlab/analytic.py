@@ -100,9 +100,14 @@ class PolicyEvalProblem:
         return self.features.n_features
 
     def mean_field(self, x: np.ndarray) -> np.ndarray:
-        """Stationary average of the per-state map; an affine contraction."""
+        """Stationary average of the per-state map; an affine contraction.
+
+        The product is summed along each row in numpy's pairwise order,
+        ``(map_matrix * x).sum(axis=1)``, not by the BLAS, so its bits do
+        not depend on the BLAS build or its thread count, and
+        ``dynamics.run_deterministic`` can repeat it on Python floats."""
         x = np.asarray(x, dtype=float)
-        return x - self.map_matrix @ x + self.map_offset
+        return x - (self.map_matrix * x).sum(axis=1) + self.map_offset
 
 
 @dataclass(frozen=True)

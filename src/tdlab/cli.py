@@ -8,7 +8,8 @@ verification.  Every command is deterministic given (config, flags).
 Every file format lives here.  JSON goes through ``_write_json``: sorted
 keys, no NaN or infinity.  Every CSV has a header, then one row per step
 or grid cell, floats as their ``repr``, so each cell reads back as the
-same double; ``_write_csv`` writes all but ``simulate``'s.  That one is
+same double.  ``_write_rows`` writes the rows of every CSV;
+``_write_csv`` writes whole files, all but ``simulate``'s.  That one is
 written a window of steps at a time, as the engine yields them, into a
 temporary file beside the output that is renamed to it when the last row
 is written: a failed run leaves no file, and a non-finite cell is a
@@ -230,22 +231,36 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+_ROWS = 1024  # most rows a CSV write joins, and a column converts per tolist
+
+
+def _write_rows(fh, header: list[str] | None, rows: Iterable) -> None:
+    """Write the ``header`` (when given) with the csv module, then ``rows`` of
+    Python ints and floats, at most ``_ROWS`` a write.  Each cell is its
+    ``str``, a float's ``repr``, so it reads back as the same double; no
+    number needs the csv module's quoting, so a row joined with commas and
+    ended by ``\r\n`` is the line ``csv.writer`` writes, without its cost
+    per cell."""
+    if header is not None:
+        csv.writer(fh).writerow(header)
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _ROWS)):
+        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in chunk))
+
+
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
-    """Every CSV: a header, then one row per step or grid cell.  The csv module
-    writes a Python float as its ``repr``, so each cell reads back exactly."""
+    """Every CSV but ``simulate``'s: a header, then one row per step or grid cell."""
     with _create(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(fh, header, rows)
 
 
 def _column_rows(*columns) -> Iterator[tuple]:
     """The rows of numpy ``columns``, as ``zip`` of their ``tolist()`` would
-    give them, converted at most 4096 rows at a time: no column is ever a
-    whole Python list."""
+    give them, converted ``_ROWS`` rows at a time, as many as
+    ``_write_rows`` joins: no column is ever a whole Python list."""
     n = min(map(len, columns))
-    for lo in range(0, n, 4096):
-        yield from zip(*(c[lo : lo + 4096].tolist() for c in columns))
+    for lo in range(0, n, _ROWS):
+        yield from zip(*(c[lo : lo + _ROWS].tolist() for c in columns))
 
 
 def _write_per_m_csv(path: Path, result) -> None:
@@ -279,7 +294,6 @@ def _write_trajectory_csv(path: Path, windows: Iterable, include_components: boo
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
             n = 0
             for rec in windows:
                 header = ["n", "state", "dist_to_target", "dist_to_comparison", "peak_deviation"]
@@ -295,9 +309,8 @@ def _write_trajectory_csv(path: Path, windows: Iterable, include_components: boo
                     raise NonFinite(
                         f"{path.name}: {header[j + 1]} is {columns[j][i]} at step {n + i}"
                     )
-                if not n:
-                    writer.writerow(header)
-                writer.writerows(_column_rows(np.arange(n, n + len(rec.states)), *columns))
+                rows = _column_rows(np.arange(n, n + len(rec.states)), *columns)
+                _write_rows(fh, None if n else header, rows)
                 n += len(rec.states)
         os.replace(tmp, path)
     except BaseException as exc:

@@ -760,6 +760,36 @@ class TestCsvWriters:
         assert path.read_bytes() == lists.read_bytes()
 
 
+class TestRowWriter:
+    VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.1 + 0.2,
+              1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+    def rows(self, n):
+        """``n`` rows of Python ints and floats, every value in every column."""
+        k = len(self.VALUES)
+        return [(i, -7 * i, 2**63 + i, *(self.VALUES[(i + j) % k] for j in range(k)), i / 3)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4097])
+    def test_same_bytes_as_the_csv_module(self, tmp_path, n):
+        header = ["m", "neg", "big", *(f"v{j}" for j in range(len(self.VALUES))), "third"]
+        rows = self.rows(n)
+        cli._write_csv(tmp_path / "rows.csv", header, iter(rows))
+        with open(tmp_path / "module.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4097])
+    def test_at_most_one_chunk_of_rows_a_write(self, n):
+        writes = []
+        cli._write_rows(SimpleNamespace(write=writes.append), None, iter(self.rows(n)))
+        lines = [w.count("\r\n") for w in writes]
+        assert sum(lines) == n and max(lines) <= cli._ROWS
+        assert len(writes) == -(-n // cli._ROWS)
+
+
 class TestOutputFormats:
     FILES = {
         "solve": ["analytic.json"],

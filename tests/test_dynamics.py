@@ -97,6 +97,67 @@ class TestDeterministic:
             assert np.linalg.norm(zs[n - n0] - x_star) <= psi * e0 + 1e-12
 
 
+def mean_field_loop(problem, schedule, start, stop, z):
+    """The comparison run as a numpy loop of ``mean_field``: its twin."""
+    out = [np.asarray(z, dtype=float)]
+    for a in schedule.steps(start, stop):
+        z = out[-1]
+        out.append(z + a * (problem.mean_field(z) - z))
+    return np.array(out)
+
+
+def matrix_product_loop(problem, schedule, start, stop, z):
+    """The comparison run with the BLAS product ``map_matrix @ z``."""
+    out = [np.asarray(z, dtype=float)]
+    M, b = problem.map_matrix, problem.map_offset
+    for a in schedule.steps(start, stop):
+        z = out[-1]
+        out.append(z + a * (z - M @ z + b - z))
+    return np.array(out)
+
+
+COMPARISON_CASES = [f"d{d}" for d in (1, 2, 5, 6, 7, 8, 9, 33)] + ["reference", "wide"]
+
+
+@pytest.fixture(params=COMPARISON_CASES)
+def comparison_problem(request, ref_problem):
+    """Instances on both sides of the float loop's feature cap and of the
+    8 terms from which numpy's pairwise sum is a tree."""
+    if request.param == "reference":
+        return ref_problem
+    if request.param == "wide":
+        return random_problem(5, s=200, d=8)
+    d = int(request.param[1:])
+    return random_problem(60 + d, s=d + 4, d=d)
+
+
+class TestComparisonTwin:
+    # steps near 1 carry a product's last bit into the iterate; small ones round it away
+    sched = StepSchedule.polynomial(d3=0.9, d2=0.05)
+
+    def start(self, problem):
+        return np.random.default_rng(problem.n_features).uniform(-3.0, 3.0, problem.n_features)
+
+    def test_equals_a_numpy_loop_of_mean_field(self, comparison_problem):
+        z0, sched = self.start(comparison_problem), self.sched
+        zs = run_deterministic(comparison_problem, sched, 3, 700, z0)
+        assert np.array_equal(zs, mean_field_loop(comparison_problem, sched, 3, 700, z0))
+
+    def test_continued_runs_equal_the_whole_run(self, comparison_problem):
+        z0, sched = self.start(comparison_problem), self.sched
+        whole = run_deterministic(comparison_problem, sched, 0, 1100, z0)
+        for split in (1, 1023, 1024, 1025):
+            head = run_deterministic(comparison_problem, sched, 0, split, z0)
+            tail = run_deterministic(comparison_problem, sched, split, 1100, head[-1])
+            assert np.array_equal(np.concatenate([head, tail[1:]]), whole), split
+
+    def test_stays_near_the_matrix_product_recursion(self, comparison_problem):
+        z0, sched = self.start(comparison_problem), self.sched
+        zs = run_deterministic(comparison_problem, sched, 0, 700, z0)
+        blas = matrix_product_loop(comparison_problem, sched, 0, 700, z0)
+        assert np.max(np.abs(zs - blas)) <= 1e-12 * max(1.0, float(np.max(np.abs(blas))))
+
+
 def assert_decomposition(problem, schedule, states, xs, tol=1e-10):
     """drift + martingale term + state-sampling term = the raw update, per step."""
     steps = schedule.steps(0, len(states) - 1)
