@@ -82,7 +82,7 @@ def run_deterministic(
         raise ValidationError(f"initial point must have shape ({d},), got {z.shape}")
     steps = schedule.steps(start, stop).tolist()
     if d > _FLOAT_MAX_D:
-        out = np.empty((len(steps) + 1, d))
+        out = np.empty((stop - start + 1, d))
         out[0] = z
         for k, a in enumerate(steps, 1):
             z = z + a * (problem.mean_field(z) - z)
