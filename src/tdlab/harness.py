@@ -34,8 +34,9 @@ so the iterates equal those of a per-step update in the (B, d) layout
 bit for bit.  The block's arrays, like the sampler's, are the spec's
 working buffers (``_buffer``), and each collector's are its total's,
 shared by the total's parts: besides the run's outputs, only the
-uniforms of one draw (``_path_segments``) and the quantile ring are wider
-than one block, and the draw never holds more bytes than the ring.
+uniforms of one window (``_path_segments``) and the error ring are wider
+than one block, and the window's uniforms never hold more bytes than a
+slot of the ring.
 
 A lane of one trajectory (``simulate``'s, or the last batch of a split
 that leaves one over) would pay numpy's fixed cost per call on arrays of
@@ -55,21 +56,18 @@ Above ``_FLOAT_MAX_D`` features the float loop is slower than numpy's
 
 A collector is one quantity the pass gathers, built from its own inputs:
 ``StartError`` (the error at n0), ``Excess`` (the largest excess over the
-radius per trajectory and epsilon, and the per-step violation counts and
-error maxima), ``Checkpoints`` (the iterates and states at given steps) and
-``NoiseSums`` (the weighted martingale noise sums for the tail-exponent
-fit, with each increment read from a table over the transitions y -> y'
-built once per run, and the sum folded once per block).  The spec carries
+radius per trajectory and epsilon), ``Checkpoints`` (the iterates and
+states at given steps) and ``NoiseSums`` (the weighted martingale noise
+sums for the tail-exponent fit, with each increment read from a table over
+the transitions y -> y' built once per run, and the sum folded once per
+block).  Every collector output is a row per trajectory.  The spec carries
 the collectors a caller lists; the ensemble allocates each one's total for
 all trajectories once, through ``empty``.  A batch feeds, block by block
-through ``update``, the ``part`` of each total for its rows: the
-per-trajectory outputs are views of the total's rows, so the batch writes
-them in place, and the per-step outputs it folds (``Excess``'s counts and
-maxima) are the total's own arrays, shared by all its parts.  Integer sums
-and maxima do not depend on the order they are taken in, so every output
-is the same for any batch split.  One experiment is one pass
-with all four (the noise sums only when D is fitted).  A collector reads
-only the block, never another collector, so which others ride along never
+through ``update``, the ``part`` of each total for its rows, whose outputs
+are views of the total's rows, so the batch writes them in place and every
+output is the same for any batch split.  One experiment is one pass with
+all four (the noise sums only when D is fitted).  A collector reads only
+the block, never another collector, so which others ride along never
 changes its values.
 
 The kernel and the sampler pay numpy's fixed cost once per call, about
@@ -83,34 +81,35 @@ costs more per trajectory-step again (83-89 ns at 2048 wide against 77 ns
 at 1024, on a shared 2-core x86-64 host).  The lanes run in lockstep,
 one window of L steps at a time (``_window``: L*n stays under
 ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple of
-``_BLOCK``, so every block starts where it would on a whole path).  A lane (a ``_Lane``) is a batch of
-trajectories: its iterates, its parts and its stream of blocks of
-states, which ``_fill_rows`` runs one window at a time.  ``simulate`` runs
-one lane of one trajectory the same way, with a ``Checkpoints`` of the
-window's steps alone, and hands over each window's states and iterates,
-with the comparison run continued over the same steps, before the next
-window runs: its memory does not grow with the horizon, but for the
-step sizes the kernel reads.  The lanes of a process take
-turns, so they share one set of sampler and kernel buffers and their
-parts share the totals' folded outputs.  Every lane runs
-window k before any runs window k+1, so a non-finite iterate is reported
-at the earliest step of the run, and at that step the lowest trajectory,
-for any batch split.
-The per-step error quantiles (``ErrQuantiles``) need every trajectory at
-once: each lane writes its errors of the window into its columns of a ring
-of (L+1, n) float32 rows, and after the window the ensemble sorts each row
-in place and takes its percentiles.  No process holds more than the ring
-of errors, whatever the horizon.
+``_BLOCK``, so every block starts where it would on a whole path).  A
+lane (a ``_Lane``) is a batch of trajectories: its iterates, its parts and
+its stream of blocks of states, which ``_fill_rows`` runs one window at a
+time.  ``simulate`` runs one lane of one trajectory the same way, with a
+``Checkpoints`` of the window's steps alone, and hands over each window's
+states and iterates, with the comparison run continued over the same
+steps, before the next window runs: its memory does not grow with the
+horizon, but for the step sizes the kernel reads.  The lanes of a process
+take turns, so they share one set of sampler and kernel buffers.  Every
+lane runs window k before any runs window k+1, so a non-finite iterate is
+reported at the earliest step of the run, and at that step the lowest
+trajectory, for any batch split.
+The per-step outputs (``StepStats``: the error quantiles and maxima, and
+the violation counts of the primary cell) need every trajectory at once:
+each lane writes its errors of the window into its columns of a ring of
+(L+1, n) float64 rows, and after the window the ensemble sorts each row in
+place, takes its percentiles and its largest entry, and counts its
+excesses.  No process holds more than the ring of errors, whatever the
+horizon.
 
 With more than one worker, each worker process owns a contiguous run of
 lanes.  The totals' per-trajectory outputs and the ring live in
 anonymous shared mappings made before the workers fork, so a worker
-inherits the spec, the totals and its lanes once, writes its rows into
-the parent's memory and sends back only its copy of the folded outputs,
-which the parent merges into the totals.  Each worker has a pipe of its own: the parent sends it each window's index and waits
-for its answer, so no worker runs window k+1 before every worker has run
-window k; the ring has two slots, so the parent reduces window k while the
-workers run window k+1.  A worker that fails answers with its error, and
+inherits the spec, the totals and its lanes once and writes its rows into
+the parent's memory.  Each worker has a pipe of its own: the parent sends
+it each window's index and waits for its answer, None, so no worker runs
+window k+1 before every worker has run window k; the ring has two slots,
+so the parent reduces window k while the workers run window k+1.  A
+worker that fails answers with its error, and
 one that dies ends its pipe, so the parent is never left waiting: the run
 raises the earliest non-finite step of any worker, else names the exit
 code of a worker that died, else re-raises the worker's error.
@@ -159,7 +158,7 @@ from .schedule import StepSchedule
 WILSON_Z = 1.959963984540054  # two-sided 95%
 _BLOCK = 64  # steps per block of the TD kernel
 _DRAW = 16 * _BLOCK  # most steps per lockstep window, and most trajectories per lane of the default split
-_RING_MAX_CELLS = 1 << 20  # cap on the steps x trajectories of one lockstep window (4 MB of float32)
+_RING_MAX_CELLS = 1 << 19  # cap on the steps x trajectories of one lockstep window (4 MB of float64)
 _TAKE_COLUMNS_MAX_S = 12  # largest state count sampled from CDF columns, not a guide table
 _GUIDE_MAX_CELLS = 1 << 20  # cap on the buckets x states of a guide table
 _NOISE_TABLE_MAX_CELLS = 1 << 22  # cap on the s^2 d^2 entries of a noise table (32 MB)
@@ -324,21 +323,16 @@ class _Block(NamedTuple):
 class _Collector:
     """One quantity an ensemble pass gathers (see the module docstring).
 
-    ``empty(lo, hi, alloc)`` is a copy with the arrays named in ``outputs``
-    sized for trajectories [lo, hi), the per-trajectory ones from
-    ``alloc(shape, dtype)`` and the ``folded`` ones (per step) private to
-    the process; ``part(lo, hi)`` is the part of such a total for a batch's
-    rows [lo, hi), whose per-trajectory outputs are views of the total's
-    rows; ``update(blk)`` reads one ``_Block``.  The parts of a total take
-    turns, so in each process they share its ``folded`` outputs, and its
-    working ``buffers`` (``_buffer``), made at the first block any of them
-    runs.  With workers, each worker folds into its own copy of the
-    ``folded`` outputs, and ``merge(*folded)`` folds each worker's copy,
-    in that order, into the parent's total once.
+    ``empty(lo, hi, alloc)`` is a copy with the per-trajectory arrays named
+    in ``outputs`` sized for trajectories [lo, hi), from ``alloc(shape,
+    dtype)``; ``part(lo, hi)`` is the part of such a total for a batch's
+    rows [lo, hi), whose outputs are views of the total's rows;
+    ``update(blk)`` reads one ``_Block``.  The parts of a total take turns,
+    so in each process they share its working ``buffers`` (``_buffer``),
+    made at the first block any of them runs.
     """
 
     outputs: tuple[str, ...]
-    folded: tuple[str, ...] = ()
 
     def _sized(self, lo: int, hi: int, **arrays: np.ndarray) -> _Collector:
         part = copy.copy(self)
@@ -349,13 +343,9 @@ class _Collector:
 
     def part(self, lo: int, hi: int) -> _Collector:
         rows = slice(lo - self.lo, hi - self.lo)
-        views = {name: getattr(self, name)[rows] for name in self.outputs if name not in self.folded}
-        part = self._sized(lo, hi, **views)
+        part = self._sized(lo, hi, **{name: getattr(self, name)[rows] for name in self.outputs})
         part.buffers = self.buffers
         return part
-
-    def merge(self) -> None:
-        """Nothing to fold: every output is per trajectory."""
 
 
 @dataclass(eq=False)
@@ -375,24 +365,16 @@ class StartError(_Collector):
 @dataclass(eq=False)
 class Excess(_Collector):
     """The largest excess of the error over the decaying radius part
-    ``decay * eps``, per trajectory and grid epsilon (``max_excess``), and
-    per step from n0, the count of excesses at the primary ``eps`` above
-    ``floor`` and the largest error (``counts``, ``err_max``)."""
+    ``decay * eps``, per trajectory and grid epsilon (``max_excess``)."""
 
     eps_grid: np.ndarray
     decay: np.ndarray
-    eps: float
-    floor: float
-    outputs = ("max_excess", "counts", "err_max")
-    folded = ("counts", "err_max")
+    outputs = ("max_excess",)
 
     def empty(self, lo: int, hi: int, alloc=np.empty) -> Excess:
         max_excess = alloc((hi - lo, len(self.eps_grid)), float)
         max_excess[...] = -np.inf
-        span = len(self.decay)
-        # not from alloc: each worker folds into its own copy, so no two write the same memory
-        counts, err_max = np.zeros(span, dtype=np.int64), np.zeros(span)
-        return self._sized(lo, hi, max_excess=max_excess, counts=counts, err_max=err_max)
+        return self._sized(lo, hi, max_excess=max_excess)
 
     def update(self, blk: _Block) -> None:
         err = blk.err
@@ -401,13 +383,6 @@ class Excess(_Collector):
         for i, eps in enumerate(self.eps_grid):
             np.subtract(err, (self.decay[idx] * eps)[:, None], out=excess)
             np.maximum(self.max_excess[:, i], excess.max(axis=0), out=self.max_excess[:, i])
-        np.subtract(err, (self.eps * self.decay[idx])[:, None], out=excess)
-        self.counts[idx] += np.count_nonzero(excess > self.floor, axis=1)
-        np.maximum(self.err_max[idx], err.max(axis=1), out=self.err_max[idx])
-
-    def merge(self, counts: np.ndarray, err_max: np.ndarray) -> None:
-        self.counts += counts
-        np.maximum(self.err_max, err_max, out=self.err_max)
 
 
 @dataclass(eq=False)
@@ -548,33 +523,43 @@ def _err_quantiles(window: np.ndarray) -> dict[str, np.ndarray]:
 
 
 @dataclass(eq=False)
-class ErrQuantiles:
-    """The 25/50/75/90th percentiles over all trajectories of the error at
-    each step n0..horizon (``q``), taken one lockstep window at a time.
+class StepStats:
+    """The per-step outputs over all trajectories at each step n0..horizon,
+    taken one lockstep window at a time: the 25/50/75/90th percentiles of
+    the error (``q``), the largest error (``err_max``) and the count of
+    excesses ``err - eps * decay[m]`` above ``floor`` (``counts``).
 
     It is not a collector: its values depend on every trajectory at once,
-    so no batch alone can give them, and there is nothing to merge.
-    ``ring(n, W, slots, alloc)`` gives it a ring of (slots, W+1, n) float32
-    errors for windows of W steps: window k (steps kW+1..(k+1)W, and step 0
-    as well in window 0) writes step kW + r to row r of slot k % slots.  A
-    batch's ``part`` is a view of its columns, which ``update`` fills block
-    by block.  After every batch has run window k, ``reduce(k)`` takes the
-    percentiles of the window's rows (``_err_quantiles``), or raises
-    ``NonFinite`` at the earliest step, and then the lowest trajectory, whose
-    distance overflows the ring's float32.  Each row holds
-    the numbers of one step's column of the whole (n, span) error matrix,
-    so the values are those of one whole-matrix ``np.percentile``.
+    so no batch alone can give them.  ``ring(n, W, slots, alloc)`` gives it
+    a ring of (slots, W+1, n) float64 errors for windows of W steps: window
+    k (steps kW+1..(k+1)W, and step 0 as well in window 0) writes step kW +
+    r to row r of slot k % slots.  A batch's ``part`` is a view of its
+    columns, which ``update`` fills block by block.  After every batch has
+    run window k, ``reduce(k)`` raises ``NonFinite`` at the earliest step,
+    and then the lowest trajectory, whose distance overflows; else it sorts
+    each row in place, takes its percentiles (``_err_quantiles``) and its
+    last entry, the largest, and then turns the rows into their excesses in
+    place and counts them, ``_BLOCK`` rows at a time, so no temporary is a
+    window wide.  Each row holds the numbers of one step's column of the
+    whole (n, span) error matrix, so the values are those of that matrix's
+    ``np.percentile``, ``max`` and ``count_nonzero`` along the trajectories.
     """
 
     n0: int
     horizon: int
+    decay: np.ndarray
+    eps: float
+    floor: float
 
     def ring(self, n: int, W: int, slots: int, alloc=np.empty) -> None:
         self.W = W
-        self.rows = alloc((slots, W + 1, n), np.float32)
-        self.q = {f"q{p}": np.empty(self.horizon - self.n0 + 1) for p in _PERCENTILES}
+        self.rows = alloc((slots, W + 1, n), float)
+        span = self.horizon - self.n0 + 1
+        self.q = {f"q{p}": np.empty(span) for p in _PERCENTILES}
+        self.err_max = np.empty(span)
+        self.counts = np.empty(span, dtype=np.int64)
 
-    def part(self, lo: int, hi: int) -> ErrQuantiles:
+    def part(self, lo: int, hi: int) -> StepStats:
         part = copy.copy(self)
         part.rows = self.rows[..., lo:hi]
         return part
@@ -587,13 +572,21 @@ class ErrQuantiles:
     def reduce(self, k: int) -> None:
         W = self.W
         first, last = max(self.n0, k * W + (k > 0)), min((k + 1) * W, self.horizon)
-        if first <= last:
-            window = self.rows[k % len(self.rows), first - k * W : last - k * W + 1]
-            if not np.isfinite(window.max()):  # the distances are >= 0 or NaN
-                r, t = np.argwhere(~np.isfinite(window))[0]
-                raise NonFinite(f"the distance to x* of trajectory {t} overflows at step {first + r}")
-            for key, q in _err_quantiles(window).items():
-                self.q[key][first - self.n0 : last - self.n0 + 1] = q
+        if first > last:
+            return
+        window = self.rows[k % len(self.rows), first - k * W : last - k * W + 1]
+        if not np.isfinite(window.max()):  # the distances are >= 0 or NaN
+            r, t = np.argwhere(~np.isfinite(window))[0]
+            raise NonFinite(f"the distance to x* of trajectory {t} overflows at step {first + r}")
+        steps = slice(first - self.n0, last - self.n0 + 1)
+        for key, q in _err_quantiles(window).items():
+            self.q[key][steps] = q
+        self.err_max[steps] = window[:, -1]
+        radius, counts = self.eps * self.decay[steps], self.counts[steps]
+        for b in range(0, len(window), _BLOCK):  # the sorted rows are spent: their excesses, in place
+            rows = window[b : b + _BLOCK]
+            rows -= radius[b : b + _BLOCK, None]
+            counts[b : b + _BLOCK] = np.count_nonzero(rows > self.floor, axis=1)
 
 
 class _Guide(NamedTuple):
@@ -653,23 +646,21 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     """The states of trajectories [lo, hi) at steps 0..horizon, by inverse
     CDF on each trajectory's own stream, one block at a time.
 
-    The uniforms are drawn in chunks of C = ``_window(2B)`` steps, capped at
-    the window, so that B*C*8 bytes of float64 stay within one slot of the
-    ring, whose float32 errors are half as wide: each window of
-    ``_windows`` is drawn C steps at a time, its last chunk shorter.  The
-    first chunk draws one more uniform per trajectory, which picks the
-    start state (drawn even when it is fixed), and chunked draws continue
-    the stream exactly as one long draw would.  Each trajectory's generator
-    is dropped after its last draw, and when the whole path is one draw, as
-    soon as it has drawn, so the lane never holds them all at once.  The
-    states are sampled one block of ``_BLOCK`` steps at a time: a block
-    holds the states at steps bs..bs+K as a (K+1, B) array, with bs a
-    multiple of ``_BLOCK`` (C is one) and K at most ``_BLOCK`` (no steps at
-    horizon 0), and the next one starts at the state this one ends at.  The
-    buffers are one chunk of uniforms and one block of everything else, and
-    belong to the spec (``_buffer``): every batch of a run in one process
-    reuses them, so a block is valid only until this batch or another asks
-    for its next.
+    The uniforms of each window of ``_windows`` are drawn in one call per
+    trajectory: the lane's B trajectories are at most the run's n, so the
+    window's B*W*8 bytes stay within one slot of the ring.  The first
+    window draws one more uniform per trajectory, which picks the start
+    state (drawn even when it is fixed), and draws continue the stream
+    exactly as one long draw would.  Each trajectory's generator is dropped
+    after its last draw, and when the whole path is one draw, as soon as it
+    has drawn, so the lane never holds them all at once.  The states are
+    sampled one block of ``_BLOCK`` steps at a time: a block holds the
+    states at steps bs..bs+K as a (K+1, B) array, with bs a multiple of
+    ``_BLOCK`` (W is one) and K at most ``_BLOCK`` (no steps at horizon 0),
+    and the next one starts at the state this one ends at.  The buffers are
+    one window of uniforms and one block of everything else, and belong to
+    the spec (``_buffer``): every batch of a run in one process reuses them,
+    so a block is valid only until this batch or another asks for its next.
 
     The next state is the number of CDF entries of the current row at or
     below the uniform u.  Rows are nondecreasing, so counting only the first
@@ -690,11 +681,10 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     s = spec.phi.shape[0]
     starts = _windows(spec)
     W = starts.step
-    C = min(_window(2 * B), W)  # steps per draw of uniforms
     gens = (stream(spec.master_seed, i) for i in range(lo, hi))
-    if T > C:  # more than one draw: each stream is kept until its last
+    if T > W:  # more than one draw: each stream is kept until its last
         gens = list(gens)
-    u = _buffer(spec.buffers, "u", (B, 1 + C), float)  # column 0 is the start-state draw
+    u = _buffer(spec.buffers, "u", (B, 1 + W), float)  # column 0 is the start-state draw
     ut = _buffer(spec.buffers, "ut", (_BLOCK, B), float)
     columns = s <= _TAKE_COLUMNS_MAX_S
     if B == 1:  # one bisect per step, on each row's entries read as Python floats
@@ -718,14 +708,11 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
     end = np.empty(B, dtype=np.intp)  # the state the last block ended at
     for start in starts:
         L = min(W, T - start)
+        for g, row in zip(gens, u):
+            g.random(out=row[0 if start == 0 else 1 : 1 + L])
+        if start + L == T:
+            gens = ()  # the streams are spent
         for b in range(0, max(L, 1), _BLOCK):  # at horizon 0, one block of no steps
-            c = b % C  # the block's first column of the chunk of uniforms drawn last
-            if c == 0:  # draw the next chunk
-                M = min(C, L - b)
-                for g, row in zip(gens, u):
-                    g.random(out=row[0 if start + b == 0 else 1 : 1 + M])
-                if start + b + M == T:
-                    gens = ()  # the streams are spent
             K = min(_BLOCK, L - b)
             if start + b > 0:
                 Y[0] = end
@@ -735,7 +722,7 @@ def _path_segments(spec: _EnsembleSpec, lo: int, hi: int) -> Iterator[np.ndarray
                 Y[0] = np.minimum((u[:, 0] * s).astype(np.intp), s - 1)
             else:
                 Y[0] = np.minimum(np.searchsorted(spec.cum_pi, u[:, 0], side="right"), s - 1)
-            ut[:K] = u[:, 1 + c : 1 + c + K].T
+            ut[:K] = u[:, 1 + b : 1 + b + K].T
             if B == 1:
                 y = int(Y[0, 0])
                 Y[1 : K + 1, 0] = [y := bisect_right(cdf_rows[y], v) for v in ut[:K, 0].tolist()]
@@ -824,14 +811,14 @@ def _fsum(p: Iterable[float]) -> float:
 
 class _Lane:
     """Trajectories [lo, hi) of a lockstep run: the ``parts`` of the collector
-    ``totals`` they fill and, with ``quantiles``, the ring's part as well
+    ``totals`` they fill and, with ``stats``, the ring's part as well
     (together, the ``feeds``); their iterates ``x`` (d, B) at step ``at``;
     and their ``blocks`` of states still to come (``_path_segments``)."""
 
-    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, totals: tuple, quantiles=None):
+    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, totals: tuple, stats=None):
         self.lo, self.hi = lo, hi
         self.parts = tuple(t.part(lo, hi) for t in totals)
-        self.feeds = self.parts if quantiles is None else (*self.parts, quantiles.part(lo, hi))
+        self.feeds = self.parts if stats is None else (*self.parts, stats.part(lo, hi))
         self.x = np.repeat(spec.initial_x[:, None], hi - lo, axis=1)
         self.at = 0
         self.blocks = _path_segments(spec, lo, hi)
@@ -951,31 +938,27 @@ def _shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 def _work(spec: _EnsembleSpec, lanes: list[_Lane], conn, parent_ends: list) -> None:
     """A worker process: run ``lanes`` one window each time the parent sends
-    on ``conn``, and answer None, after the last window the folded outputs
-    of each collector, which its lanes' parts share, or the error that
-    stopped it.  It first closes the parent's ends of the pipes it
-    inherited, so it ends if the parent does."""
+    on ``conn``, and answer None, or the error that stopped it.  It first
+    closes the parent's ends of the pipes it inherited, so it ends if the
+    parent does."""
     for end in parent_ends:
         end.close()
-    windows = len(_windows(spec))
     try:
-        for k in range(windows):
+        for _ in _windows(spec):
             conn.recv()
             _run_window(spec, lanes)
-            conn.send(None if k < windows - 1 else [
-                [getattr(part, name) for name in part.folded] for part in lanes[0].parts
-            ])
+            conn.send(None)
     except (EOFError, BrokenPipeError):  # the parent is gone
         pass
     except Exception as exc:  # the parent raises it
         conn.send(exc)
 
 
-def _run_pool(spec: _EnsembleSpec, lanes: list[_Lane], workers: int, quantiles: ErrQuantiles | None) -> list:
+def _run_pool(spec: _EnsembleSpec, lanes: list[_Lane], workers: int, stats: StepStats | None) -> None:
     """Run ``lanes`` in lockstep on ``workers`` forked processes, each with a
-    contiguous run of them and a pipe of its own; the folded outputs of
-    every worker.  The parent sends window k to every worker, reduces
-    ``quantiles`` of window k-1 and then waits for each one's answer.
+    contiguous run of them and a pipe of its own.  The parent sends window
+    k to every worker, reduces ``stats`` of window k-1 and then waits for
+    each one's answer.
 
     If a window fails, the run raises the earliest non-finite iterate of any
     worker, else a ``WorkerDied`` naming the exit code of the first worker
@@ -999,18 +982,17 @@ def _run_pool(spec: _EnsembleSpec, lanes: list[_Lane], workers: int, quantiles: 
             for conn in conns:
                 with contextlib.suppress(BrokenPipeError):  # a dead worker shows at recv
                     conn.send(k)
-            if k and quantiles is not None:
-                quantiles.reduce(k - 1)
+            if k and stats is not None:
+                stats.reduce(k - 1)
             replies = [_reply(conn, proc) for conn, proc in zip(conns, procs)]
             errors = [r for r in replies if isinstance(r, BaseException)]
             if errors:
                 non_finite = [e for e in errors if isinstance(e, NonFinite)]
                 dead = [e for e in errors if isinstance(e, WorkerDied)]
                 raise min(non_finite, key=lambda exc: exc.at) if non_finite else (dead or errors)[0]
-        if quantiles is not None:
-            quantiles.reduce(windows - 1)
+        if stats is not None:
+            stats.reduce(windows - 1)
         ended = True
-        return replies
     finally:
         for conn in conns:
             conn.close()
@@ -1049,17 +1031,17 @@ def _run_ensemble(
     n: int,
     batch_size: int | None,
     jobs: int,
-    quantiles: ErrQuantiles | None = None,
+    stats: StepStats | None = None,
 ) -> tuple[_Collector, ...]:
     """The spec's collectors over trajectories [0, n), in the lanes of
     ``_split`` (one per worker within its caps, or lanes of ``batch_size``
     when it is given) run in lockstep windows on at most ``jobs`` worker
-    processes and never more workers than lanes; with ``quantiles``, also
-    the per-step error quantiles, into it.  Each lane writes its rows and
-    folds its per-step outputs into the totals in place.  With workers, the
-    totals' rows and the ring are shared mappings and the workers fork, so
-    the spec, the totals and the lanes reach a worker once; each worker's
-    folded outputs are merged into the totals at the end."""
+    processes and never more workers than lanes; with ``stats``, also the
+    per-step outputs, into it.  Each lane writes its rows of the totals and
+    of the ring in place.  With workers, the totals' rows and the ring are
+    shared mappings and the workers fork, so the spec, the totals and the
+    lanes reach a worker once, and nothing comes back but each window's
+    answer."""
     if jobs < 1:
         raise ValidationError(f"jobs: must be >= 1, got {jobs}")
     batches = _split(n, spec.phi.shape[1], jobs, batch_size)
@@ -1067,18 +1049,16 @@ def _run_ensemble(
     spec = replace(spec, window=_window(n))
     alloc = _shared_empty if workers > 1 else np.empty
     totals = tuple(c.empty(0, n, alloc) for c in spec.collectors)
-    if quantiles is not None:
-        quantiles.ring(n, _windows(spec).step, min(workers, 2), alloc)
-    lanes = [_Lane(spec, lo, hi, totals, quantiles) for lo, hi in batches]
+    if stats is not None:
+        stats.ring(n, _windows(spec).step, min(workers, 2), alloc)
+    lanes = [_Lane(spec, lo, hi, totals, stats) for lo, hi in batches]
     if workers > 1:
-        for folded in _run_pool(spec, lanes, workers, quantiles):
-            for total, out in zip(totals, folded):
-                total.merge(*out)
+        _run_pool(spec, lanes, workers, stats)
     else:
         for k in range(len(_windows(spec))):
             _run_window(spec, lanes)
-            if quantiles is not None:
-                quantiles.reduce(k)
+            if stats is not None:
+                stats.reduce(k)
     return totals
 
 
@@ -1318,9 +1298,10 @@ def run_alltime_experiment(
     sums and the fit: every tail is 0 and every bound is 1 - p_init.
     The same pass collects the errors at the default convergence
     checkpoints, reduced into ``diagnostics``, and the per-step error
-    quantiles, window by window (``ErrQuantiles``).  A tail constant, given or
-    fitted, needs n0 >= 1, and n0 must be feasible; both are checked before
-    the ensemble runs.  Every grid cell's floor and tail come from
+    quantiles, maxima and primary-cell violation counts, window by window
+    (``StepStats``).  A tail constant, given or fitted, needs n0 >= 1, and
+    n0 must be feasible; both are checked before the ensemble runs.  Every
+    grid cell's floor and tail come from
     ``evaluate_grid``; the run adds its violations and Wilson interval from
     ``Excess``.  The primary cell is the ``primary`` row of the grid.
     """
@@ -1349,7 +1330,7 @@ def run_alltime_experiment(
 
     collectors = [
         StartError(),
-        Excess(eps_arr, decay, config.epsilon, primary_floor),
+        Excess(eps_arr, decay),
         Checkpoints(checkpoints, dims),
     ]
     if need_fit:
@@ -1359,9 +1340,9 @@ def run_alltime_experiment(
         collectors.append(
             NoiseSums(fit_ms - 1, problem.gamma, problem.phi, problem.next_phi, analytic.poisson)
         )
-    quantiles = ErrQuantiles(n0, horizon)
+    stats = StepStats(n0, horizon, decay, config.epsilon, primary_floor)
     spec = _base_spec(config, analytic, horizon, tuple(collectors))
-    totals = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs, quantiles)
+    totals = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs, stats)
     out = {type(c): c for c in totals}
     err_n0, max_excess = out[StartError].err, out[Excess].max_excess
 
@@ -1425,11 +1406,11 @@ def run_alltime_experiment(
         D_used=d_used,
         D_source=d_source,
         fitted=fitted,
-        per_m_violation_counts=out[Excess].counts,
-        per_m_err_max=out[Excess].err_max,
+        per_m_violation_counts=stats.counts,
+        per_m_err_max=stats.err_max,
         radius=decay * config.epsilon + primary.floor,
         grid=grid_rows,
-        err_quantiles=quantiles.q,
+        err_quantiles=stats.q,
         diagnostics=_diagnostics(checkpoints, out[Checkpoints].x, analytic.x_star, sched),
         wall_time=time.monotonic() - t0,
     )

@@ -30,10 +30,10 @@ and never through the collector's block-wise ``update``.  The blocked
 kernel and its collectors are checked against it.
 
 ``ErrMatrix`` is a collector of every error from n0 on, as an (n, span)
-float32 matrix.  The ensemble no longer holds one: it takes the per-step
-quantiles one window at a time.  The kernel twins check every error
-against the reference kernel's, and the quantiles against one percentile
-of the whole matrix.
+float64 matrix.  The ensemble no longer holds one: it takes the per-step
+quantiles, maxima and counts one window at a time.  The kernel twins check
+every error against the reference kernel's, and the per-step outputs
+against one percentile, maximum and count of the whole matrix.
 
 ``_run_chunk`` runs one batch on its own, as one ``harness._Lane`` taken
 window by window through ``_fill_rows``, into new copies of the spec's
@@ -219,13 +219,13 @@ def reference_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class ErrMatrix(_Collector):
-    """The error at every step from n0, in float32; ``span`` steps."""
+    """The error at every step from n0; ``span`` steps."""
 
     span: int
     outputs = ("matrix",)
 
     def empty(self, lo: int, hi: int, alloc=np.empty) -> "ErrMatrix":
-        return self._sized(lo, hi, matrix=alloc((hi - lo, self.span), np.float32))
+        return self._sized(lo, hi, matrix=alloc((hi - lo, self.span), float))
 
     def update(self, blk: _Block) -> None:
         i0 = blk.m0 - blk.n0
@@ -311,8 +311,6 @@ def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:
                 np.maximum(
                     c.max_excess, err[:, None] - c.decay[idx] * c.eps_grid[None, :], out=c.max_excess
                 )
-                c.counts[idx] += int(np.count_nonzero(err - c.eps * c.decay[idx] > c.floor))
-                c.err_max[idx] = max(c.err_max[idx], float(err.max()))
 
     if n0 == 0:
         collect(0, x)

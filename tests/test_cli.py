@@ -827,7 +827,7 @@ class TestOutputFormats:
 class TestDistanceOverflow:
     @pytest.mark.parametrize("D_const", [None, 5.0], ids=["fitted", "given"])
     def test_experiment_names_the_first_overflowing_step(self, tmp_path, capsys, D_const):
-        # the iterates stay finite, but their distances to x* overflow the float32 ring;
+        # the iterates stay finite, but their distances to x* overflow;
         # a numpy RuntimeWarning would fail the test, as pytest turns it into an error
         given = {} if D_const is None else {"D_const": D_const}
         config = reference_config(

@@ -3,12 +3,12 @@
 ``harness._run_ensemble`` allocates each collector's total once.  A batch's
 part holds views of the total's rows, so at jobs = 1 no rows are copied; at
 jobs = 2 the rows live in anonymous shared mappings that forked workers
-write, and a worker sends back, once, only the per-step outputs its batches
-fold.  Every batch runs window k before any runs window k+1, so a
-non-finite iterate is reported at the earliest step, and at that step the
-lowest trajectory, for any batch split and worker count.  The per-step error quantiles, reduced
-one window at a time from a ring, equal one percentile of the whole error
-matrix, and the memory of a run does not grow with its horizon.  No worker
+write, and a worker answers each window with None.  Every batch runs window
+k before any runs window k+1, so a non-finite iterate is reported at the
+earliest step, and at that step the lowest trajectory, for any batch split
+and worker count.  The per-step outputs, reduced one window at a time from
+a ring, equal one percentile, maximum and count of the whole error matrix,
+and the memory of a run does not grow with its horizon.  No worker
 process outlives a run, whether it ends normally, fails or dies.
 """
 
@@ -29,13 +29,14 @@ import pytest
 
 from tdlab import NonFinite, StepSchedule, solve_problem
 from tdlab import harness
+from tdlab.bounds import decay_curve
 from tdlab.harness import (
     _BLOCK,
     Checkpoints,
-    ErrQuantiles,
     Excess,
     ExperimentConfig,
     StartError,
+    StepStats,
     _base_spec,
     _buffer,
     _run_ensemble,
@@ -48,10 +49,6 @@ from tdlab.instances import reference_config_dict
 from conftest import random_problem
 from oracles import ErrMatrix
 from test_kernel import KINDS, by_kind, divergent_paths, full_spec
-
-
-def row_outputs(kind):
-    return [name for name in kind.outputs if name not in kind.folded]
 
 
 class TestInPlace:
@@ -71,19 +68,17 @@ class TestInPlace:
         for parts in seen:
             for part in parts:
                 total = totals[type(part)]
-                for name in row_outputs(type(part)):
+                for name in type(part).outputs:
                     view, whole = getattr(part, name), getattr(total, name)
                     assert view.shape == whole[part.lo : part.hi].shape, name
                     assert np.shares_memory(view, whole[part.lo : part.hi]), name
                     assert not np.shares_memory(view, whole[: part.lo]), name
                     assert not np.shares_memory(view, whole[part.hi :]), name
-                for name in type(part).folded:
-                    assert getattr(part, name) is getattr(total, name), name
 
     def test_tasks_and_returns_carry_no_rows(self, ref_problem, ref_analytic, monkeypatch):
-        # at horizon 4000 one batch's error rows take 512 * 3991 * 4 bytes, about 8 MB;
-        # the workers inherit the spec and their batches at fork, and the parent sends
-        # each of them only the index of each window
+        # at horizon 4000 one batch's error rows take 512 * 3991 * 8 bytes, about 16 MB;
+        # the workers inherit the spec and their batches at fork, the parent sends each
+        # of them only the index of each window, and each answers None
         sent, replies = [], []
         send, recv = Connection.send, Connection.recv
 
@@ -99,35 +94,25 @@ class TestInPlace:
         monkeypatch.setattr(Connection, "send", recording_send)
         monkeypatch.setattr(Connection, "recv", recording_recv)
 
-        def returned(horizon, kinds):
+        def returned(horizon, n):
+            # every collector kind, and the per-step outputs from the ring
             spec = full_spec(ref_problem, ref_analytic, 10, horizon)
-            spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) in kinds))
+            assert {type(c) for c in spec.collectors} == set(KINDS)
             replies.clear()
-            _run_ensemble(spec, 1024, 512, 2)
-            assert len(replies) == 2 * windows(horizon)  # one answer per worker and window
+            _run_ensemble(spec, n, 512, 2, step_stats(spec, ref_analytic, 0.0))
+            assert len(replies) == 2 * windows(horizon, n)  # one answer per worker and window
             return max(replies)
 
-        def windows(horizon):
-            return -(-horizon // _window(1024))
+        def windows(horizon, n):
+            return -(-horizon // _window(n))
 
-        rows_only = set(KINDS) - {Excess}
-        assert returned(1000, rows_only) == returned(4000, rows_only) < 1024
-        span = 4000 - 10 + 1
-        folded = pickle.dumps((np.zeros(span, dtype=np.int64), np.zeros(span)))
-        assert returned(4000, set(KINDS)) < len(folded) + 1024 < 512 * span * 4 // 100
-        assert len(sent) == 2 * (windows(1000) + 2 * windows(4000))
+        assert _window(1024) == 512
+        for horizon in (1000, 4000):
+            assert returned(horizon, 1024) < 256  # every answer, the last window's included
+        # each worker runs two lanes of 512, and still answers once a window
+        assert returned(1000, 2048) < 256
+        assert len(sent) == 2 * (windows(1000, 1024) + windows(4000, 1024) + windows(1000, 2048))
         assert max(sent) < 256  # a message is a window index
-
-        # each worker runs two lanes of 512, which share one set of folded outputs, so it
-        # answers with that one set, not one per lane
-        spec = full_spec(ref_problem, ref_analytic, 10, 1000)
-        spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) is Excess))
-        replies.clear()
-        _run_ensemble(spec, 2048, 512, 2)
-        span = 1000 - 10 + 1
-        one_set = pickle.dumps([[np.zeros(span, dtype=np.int64), np.zeros(span)]])
-        assert len(replies) == 2 * -(-1000 // _window(2048))
-        assert max(replies) < len(one_set) + 256
 
 
 def failing_spec(ref_problem, ref_analytic):
@@ -202,27 +187,39 @@ def ring_config(problem, n, n0, horizon, batch_size):
     )
 
 
-def matrix_quantiles(spec, n, batch_size):
-    """np.percentile over the whole (n, span) error matrix of the oracle collector."""
+def error_matrix(spec, n, batch_size):
+    """The whole (n, span) error matrix of the oracle collector."""
     matrix = ErrMatrix(spec.horizon - spec.n0 + 1)
     (full,) = _run_ensemble(replace(spec, collectors=(matrix,)), n, batch_size, 1)
-    return np.percentile(full.matrix, [25, 50, 75, 90], axis=0)
+    return full.matrix
+
+
+def matrix_quantiles(spec, n, batch_size):
+    """np.percentile over the whole (n, span) error matrix of the oracle collector."""
+    return np.percentile(error_matrix(spec, n, batch_size), [25, 50, 75, 90], axis=0)
+
+
+def step_stats(spec, analytic, floor):
+    """A ``StepStats`` over the spec's steps at epsilon 0.5, on the decay of
+    the harmonic schedule 0.5 that ``ring_config`` and ``full_spec`` use."""
+    decay = decay_curve(analytic.constants, StepSchedule.harmonic(0.5), spec.n0, spec.horizon)
+    return StepStats(spec.n0, spec.horizon, decay, 0.5, floor)
+
+
+RING_CASES = [
+    (1200, 70, 2000, 256),  # L = 384 < _DRAW; 1200 = 4 * 256 + 176; n0 and the horizon off windows
+    (1200, 384, 769, 256),  # n0 on a window boundary, the horizon one step into a third window
+    (40, 70, 700, 16),  # the horizon shorter than one window (L = 1024)
+]
 
 
 class TestErrRing:
-    @pytest.mark.parametrize(
-        "n, n0, horizon, batch_size",
-        [
-            (1200, 70, 2000, 256),  # L = 832 < _DRAW; 1200 = 4 * 256 + 176; n0 and the horizon off windows
-            (1200, 832, 1665, 256),  # n0 on a window boundary, the horizon one step into a third window
-            (40, 70, 700, 16),  # the horizon shorter than one window (L = 1024)
-        ],
-    )
+    @pytest.mark.parametrize("n, n0, horizon, batch_size", RING_CASES)
     def test_experiment_quantiles_equal_one_percentile(
         self, ref_problem, ref_analytic, n, n0, horizon, batch_size
     ):
         cfg = ring_config(ref_problem, n, n0, horizon, batch_size)
-        assert _window(n) == (832 if n == 1200 else 1024)
+        assert _window(n) == (384 if n == 1200 else 1024)
         want = matrix_quantiles(_base_spec(cfg, ref_analytic, horizon), n, batch_size)
         for jobs in (1, 2):
             got = run_alltime_experiment(cfg, jobs=jobs, analytic=ref_analytic).err_quantiles
@@ -237,13 +234,28 @@ class TestErrRing:
         n, horizon = 600, 1700
         spec = full_spec(ref_problem, ref_analytic, 0, horizon)
         want = matrix_quantiles(spec, n, 256)
-        quantiles = ErrQuantiles(0, horizon)
-        _run_ensemble(spec, n, 256, jobs, quantiles)
-        for q, w in zip(quantiles.q.values(), want):
+        stats = step_stats(spec, ref_analytic, 0.0)
+        _run_ensemble(spec, n, 256, jobs, stats)
+        for q, w in zip(stats.q.values(), want):
             assert np.array_equal(q, w)
 
+    @pytest.mark.parametrize("n, n0, horizon, batch_size", [*RING_CASES, (600, 0, 1700, 256)])
+    def test_counts_and_maxima_equal_the_matrix(self, ref_problem, ref_analytic, n, n0, horizon, batch_size):
+        spec = _base_spec(ring_config(ref_problem, n, n0, horizon, batch_size), ref_analytic, horizon)
+        M = error_matrix(spec, n, batch_size)
+        decay = step_stats(spec, ref_analytic, 0.0).decay
+        # a floor at the median excess, so about half the (trajectory, step) cells count
+        floor = float(np.median(M - 0.5 * decay))
+        for jobs in (1, 2):
+            stats = step_stats(spec, ref_analytic, floor)
+            _run_ensemble(spec, n, batch_size, jobs, stats)
+            assert np.array_equal(stats.counts, np.count_nonzero(M - 0.5 * decay > floor, axis=0))
+            assert np.array_equal(stats.err_max, M.max(axis=0))
+            assert 0 < stats.counts.sum() < M.size
+            assert multiprocessing.active_children() == []
+
     def test_peak_does_not_grow_with_the_horizon(self, ref_problem, ref_analytic):
-        # an (n, span) float32 matrix would add 256 * 6000 * 4 bytes, about 6 MB
+        # an (n, span) float64 matrix would add 256 * 6000 * 8 bytes, about 12 MB
         def peak(horizon):
             tracemalloc.start()
             try:
@@ -284,7 +296,7 @@ class TestLockstep:
 
     def test_batches_share_the_sampler_buffers(self, ref_problem, ref_analytic):
         # the batches take turns, so four batches of 512 need the sampler buffers of one;
-        # at windows of 512 steps, a 2048-wide batch's buffers take about 25 MB
+        # at windows of 256 steps, a 2048-wide batch's buffers take about 17 MB
         spec = _base_spec(ring_config(ref_problem, 2048, 10, 600, 512), ref_analytic, 600, (StartError(),))
 
         def peak(batch_size):
@@ -295,7 +307,7 @@ class TestLockstep:
             finally:
                 tracemalloc.stop()
 
-        assert _window(2048) == 512
+        assert _window(2048) == 256
         assert 2 * peak(512) < peak(2048)
 
     def test_worker_error_is_raised_without_a_hang(self, ref_problem, ref_analytic, monkeypatch):
@@ -317,8 +329,8 @@ class TestLockstep:
             if k == 1:
                 raise MemoryError("no room for the quantiles")
 
-        monkeypatch.setattr(ErrQuantiles, "reduce", failing)
-        cfg = ring_config(ref_problem, 1200, 70, 2000, 256)  # three windows: the workers run the third
+        monkeypatch.setattr(StepStats, "reduce", failing)
+        cfg = ring_config(ref_problem, 1200, 70, 2000, 256)  # six windows: the workers run the third
         with pytest.raises(MemoryError, match="no room for the quantiles"):
             run_alltime_experiment(cfg, jobs=2, analytic=ref_analytic)
         assert multiprocessing.active_children() == []
@@ -400,22 +412,22 @@ class TestBlockBuffers:
         spec = replace(spec, collectors=tuple(
             c for c in spec.collectors if type(c) in (StartError, Excess, Checkpoints)
         ))
-        quantiles = ErrQuantiles(n0, horizon)
+        stats = step_stats(spec, ref_analytic, 0.0)
         tracemalloc.start()
         try:
-            totals = _run_ensemble(spec, n, n, 1, quantiles)
+            totals = _run_ensemble(spec, n, n, 1, stats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         W = _window(n)
         assert W == 1024 and horizon > 2 * W
         u = n * (1 + W) * 8
-        ring = quantiles.rows.nbytes + sum(q.nbytes for q in quantiles.q.values())
+        ring = stats.rows.nbytes + sum(a.nbytes for a in (*stats.q.values(), stats.err_max, stats.counts))
         outputs = sum(getattr(t, name).nbytes for t in totals for name in t.outputs)
         d = ref_problem.n_features
         block = (4 * d + 5) * (_BLOCK + 1) * n * 8  # F, X, AF, distances (d each); R, ut, Y, err, excess
-        # the percentile's copy of one window's rows, the 512 streams and smaller temporaries
-        allowance = quantiles.rows.nbytes + 2 * 2**20
+        # the 512 streams and smaller temporaries
+        allowance = 2 * 2**20
         assert peak < u + ring + outputs + block + allowance
 
     @pytest.mark.parametrize("segments", ["blocks"])
@@ -460,12 +472,12 @@ def recorded_runs(monkeypatch):
     return lanes, starts
 
 
-def outputs_bytes(spec, n, batch_size, jobs):
-    """The bytes and dtype of every collector output and ring quantile of a run."""
-    quantiles = ErrQuantiles(spec.n0, spec.horizon)
-    totals = _run_ensemble(spec, n, batch_size, jobs, quantiles)
+def outputs_bytes(spec, analytic, n, batch_size, jobs):
+    """The bytes and dtype of every collector output and per-step output of a run."""
+    stats = step_stats(spec, analytic, 0.0)
+    totals = _run_ensemble(spec, n, batch_size, jobs, stats)
     out = {(type(t).__name__, name): getattr(t, name) for t in totals for name in t.outputs}
-    out.update(quantiles.q)
+    out.update(stats.q, err_max=stats.err_max, counts=stats.counts)
     return {key: (a.dtype, a.tobytes()) for key, a in out.items()}
 
 
@@ -489,9 +501,9 @@ class TestDefaultSplit:
     @pytest.mark.parametrize(
         "instance, n, horizon, batch_size",
         [
-            ("ref", 1000, 1100, None),  # one lane of 1000, uniforms drawn 512 steps at a time
+            ("ref", 1000, 1100, None),  # one lane of 1000, in windows of 512 steps, one draw each
             ("s40-d8", 2000, 300, None),  # four lanes of 500, two per worker at jobs 2
-            ("ref", 1200, 1700, 1200),  # windows of 832 steps, draws of 384: one short draw a window
+            ("ref", 1200, 1700, 1200),  # one lane of every trajectory, windows of 384 steps, the last short
         ],
     )
     def test_equals_batches_of_512(self, ref_problem, ref_analytic, instance, n, horizon, batch_size):
@@ -501,15 +513,15 @@ class TestDefaultSplit:
             problem = random_problem(5, s=40, d=8)
             analytic = solve_problem(problem)
         spec = full_spec(problem, analytic, 10, horizon)
-        want = outputs_bytes(spec, n, 512, 1)
+        want = outputs_bytes(spec, analytic, n, 512, 1)
         for jobs in (1, 2):
-            assert outputs_bytes(spec, n, batch_size, jobs) == want
+            assert outputs_bytes(spec, analytic, n, batch_size, jobs) == want
 
     def test_jobs_2_forks_two_workers_at_512(self, ref_problem, ref_analytic, monkeypatch):
         spec = full_spec(ref_problem, ref_analytic, 10, 300)
-        want = outputs_bytes(spec, 512, None, 1)
+        want = outputs_bytes(spec, ref_analytic, 512, None, 1)
         lanes, starts = recorded_runs(monkeypatch)
-        assert outputs_bytes(spec, 512, None, 2) == want
+        assert outputs_bytes(spec, ref_analytic, 512, None, 2) == want
         assert lanes == [(0, 256), (256, 512)] and len(starts) == 2
         assert multiprocessing.active_children() == []
 

@@ -211,10 +211,7 @@ class TestAllTimeExperiment:
             epsilon=0.045, initial_x=far, batch_size=64,
         )
         spec = _base_spec(cfg, ref_analytic, cfg.horizon, (Excess(
-            np.array([cfg.epsilon]),
-            decay_curve(c, sched, cfg.n0, cfg.horizon),
-            cfg.epsilon,
-            floor_term(c, sched, cfg.n0, cfg.epsilon, cfg.delta),
+            np.array([cfg.epsilon]), decay_curve(c, sched, cfg.n0, cfg.horizon)
         ),))
         (out,) = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
         excess = out.max_excess[:, 0]

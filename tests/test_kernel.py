@@ -65,7 +65,7 @@ def full_spec(problem, analytic, n0, horizon, fit_ms=None, diag_ms=None, policy=
     decay = decay_curve(analytic.constants, config.schedule, n0, horizon)
     collectors = (
         StartError(),
-        Excess(np.array([0.05, 0.2, 0.6]), decay, 0.2, np.inf),
+        Excess(np.array([0.05, 0.2, 0.6]), decay),
         ErrMatrix(horizon - n0 + 1),
         Checkpoints(np.asarray(diag_ms, dtype=np.int64), problem.n_features),
         NoiseSums(
@@ -84,13 +84,6 @@ def by_kind(parts):
 def assert_twins(spec, lo, B):
     states = sample_paths(spec, lo, lo + B)
     want = by_kind(reference_chunk(spec, lo, states))
-    # a floor at the median excess, so about half the (step, trajectory) cells count
-    ex = want[Excess]
-    floor = float(np.median(want[ErrMatrix].matrix - ex.eps * ex.decay[None, :]))
-    spec = replace(spec, collectors=tuple(
-        replace(c, floor=floor) if isinstance(c, Excess) else c for c in spec.collectors
-    ))
-    want = by_kind(reference_chunk(spec, lo, states))
     got = by_kind(_run_chunk((spec, lo, lo + B)))
     assert set(got) == set(want) == set(KINDS)
     assert bool(got[NoiseSums].table) == (harness._NOISE_TABLE_MAX_CELLS > 0)
@@ -104,7 +97,6 @@ def assert_twins(spec, lo, B):
                 assert np.max(np.abs(a - b), initial=0.0) <= 1e-12, name
             else:  # integers, and the iterates and errors bit for bit
                 assert np.array_equal(a, b), name
-    assert 0 < want[Excess].counts.sum() < want[ErrMatrix].matrix.size
     # the other side of the noise-table cap gives the same sums, bit for bit
     (noise,) = [c for c in spec.collectors if isinstance(c, NoiseSums)]
     twin = copy.copy(noise)
@@ -230,7 +222,7 @@ class TestExcessMemory:
         # one (K', B) buffer for all epsilons, not a (K', B, n_eps) temporary
         err = np.random.default_rng(0).random((_BLOCK, 512))
         decay = np.linspace(1.0, 0.5, _BLOCK)
-        ex = Excess(np.linspace(0.1, 0.5, 5), decay, 0.3, 0.1).empty(0, err.shape[1])
+        ex = Excess(np.linspace(0.1, 0.5, 5), decay).empty(0, err.shape[1])
         blk = harness._Block(0, None, None, None, 0, 0, None, err)
         tracemalloc.start()
         try:

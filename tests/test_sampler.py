@@ -289,6 +289,27 @@ class TestSegments:
             start += len(seg) - 1
         assert lengths == [_BLOCK] * (2 * _DRAW // _BLOCK) + [1]  # one block per segment
 
+    @pytest.mark.parametrize("window, B", [(_DRAW, 600), (3 * _BLOCK, 5)])
+    def test_one_draw_per_window(self, ref_problem, ref_analytic, monkeypatch, window, B):
+        # each trajectory draws a window's uniforms in one call, the first with its start state's,
+        # however wide the lane
+        draws = []
+        real = harness.stream
+
+        class Recorded:
+            def __init__(self, seed, index):
+                self.gen = real(seed, index)
+
+            def random(self, out):
+                draws.append(len(out))
+                return self.gen.random(out=out)
+
+        monkeypatch.setattr(harness, "stream", Recorded)
+        T = 2 * _DRAW + 1
+        spec = replace(path_spec(ref_problem, ref_analytic, T), window=window)
+        assert np.array_equal(sample_paths(spec, 0, B), reference_paths(spec, 0, B))
+        assert draws == [min(window, T - t) + (t == 0) for t in range(0, T, window) for _ in range(B)]
+
 
 class TestMemory:
     def test_guide_tables_stay_under_the_cell_cap(self):
