@@ -32,11 +32,10 @@ of those at steps from n0 on, and hands the block (a ``_Block``) to every
 collector.  Feature-axis sums follow numpy's pairwise order (``_dsum``),
 so the iterates equal those of a per-step update in the (B, d) layout
 bit for bit.  The block's arrays, like the sampler's, are the spec's
-working buffers (``_buffer``), and each collector's are its total's,
-shared by the total's parts: besides the run's outputs, only the
-uniforms of one window (``_path_segments``) and the error ring are wider
-than one block, and the window's uniforms never hold more bytes than a
-slot of the ring.
+working buffers (``_buffer``), and each collector keeps its own: besides
+the run's outputs, only the uniforms of one window (``_path_segments``)
+and the error ring are wider than one block, and the window's uniforms
+never hold more bytes than a slot of the ring.
 
 A lane of one trajectory (``simulate``'s, or the last batch of a split
 that leaves one over) would pay numpy's fixed cost per call on arrays of
@@ -60,15 +59,16 @@ radius per trajectory and epsilon), ``Checkpoints`` (the iterates and
 states at given steps) and ``NoiseSums`` (the weighted martingale noise
 sums for the tail-exponent fit, with each increment read from a table over
 the transitions y -> y' built once per run, and the sum folded once per
-block).  Every collector output is a row per trajectory.  The spec carries
-the collectors a caller lists; the ensemble allocates each one's total for
-all trajectories once, through ``empty``.  A batch feeds, block by block
-through ``update``, the ``part`` of each total for its rows, whose outputs
-are views of the total's rows, so the batch writes them in place and every
-output is the same for any batch split.  One experiment is one pass with
-all four (the noise sums only when D is fitted).  A collector reads only
-the block, never another collector, so which others ride along never
-changes its values.
+block).  Every collector output is a row per trajectory.  A caller keeps
+the collectors it lists and hands them to the ensemble, which sizes each
+one's outputs for all n trajectories once, through ``size``.  Every lane
+feeds the same collectors, block by block through ``update``, and a block
+names the lane's ``rows``, so the lane writes its rows of each output in
+place and every output is the same for any batch split.  One experiment
+is one pass with ``StartError``, ``Excess`` and, only when D is fitted,
+``NoiseSums``; its convergence diagnostics are read off the per-step
+quantiles below.  A collector reads only the block, never another
+collector, so which others ride along never changes its values.
 
 The kernel and the sampler pay numpy's fixed cost once per call, about
 ten calls a step per lane, whatever the lane's width, so a run takes as
@@ -82,10 +82,11 @@ at 1024, on a shared 2-core x86-64 host).  The lanes run in lockstep,
 one window of L steps at a time (``_window``: L*n stays under
 ``_RING_MAX_CELLS`` for n trajectories, and L is a multiple of
 ``_BLOCK``, so every block starts where it would on a whole path).  A
-lane (a ``_Lane``) is a batch of trajectories: its iterates, its parts and
-its stream of blocks of states, which ``_fill_rows`` runs one window at a
-time.  ``simulate`` runs one lane of one trajectory the same way, with a
-``Checkpoints`` of the window's steps alone, and hands over each window's
+lane (a ``_Lane``) is a batch of trajectories: its rows of the outputs,
+its iterates and its stream of blocks of states, which ``_fill_rows`` runs
+one window at a time.  ``simulate`` runs one lane of one trajectory the
+same way, writing row 0 of a one-row ``Checkpoints`` of the window's
+steps alone, and hands over each window's
 states and iterates, with the comparison run continued over the same
 steps, before the next window runs: its memory does not grow with the
 horizon, but for the step sizes the kernel reads.  The lanes of a process
@@ -102,17 +103,17 @@ excesses.  No process holds more than the ring of errors, whatever the
 horizon.
 
 With more than one worker, each worker process owns a contiguous run of
-lanes.  The totals' per-trajectory outputs and the ring live in
+lanes.  The collectors' per-trajectory outputs and the ring live in
 anonymous shared mappings made before the workers fork, so a worker
-inherits the spec, the totals and its lanes once and writes its rows into
-the parent's memory.  Each worker has a pipe of its own: the parent sends
-it each window's index and waits for its answer, None, so no worker runs
-window k+1 before every worker has run window k; the ring has two slots,
-so the parent reduces window k while the workers run window k+1.  A
-worker that fails answers with its error, and
-one that dies ends its pipe, so the parent is never left waiting: the run
-raises the earliest non-finite step of any worker, else names the exit
-code of a worker that died, else re-raises the worker's error.
+inherits the spec, the collectors and its lanes once and writes its rows
+into the parent's memory.  Each worker has a pipe of its own: the parent
+sends it each window's index and waits for its answer, None, so no worker
+runs window k+1 before every worker has run window k; the ring has two
+slots, so the parent reduces window k while the workers run window k+1.
+A worker that fails answers with its error, and one that dies ends its
+pipe, so the parent is never left waiting: the run raises the earliest
+non-finite step of any worker, else names the exit code of a worker that
+died, else re-raises the worker's error.
 
 Reproducibility contract: every result is a pure function of the
 experiment configuration, including the master seed.  Each trajectory
@@ -128,7 +129,6 @@ statistically, monotone across the grids.
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import time
 from bisect import bisect_right
@@ -271,8 +271,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _EnsembleSpec:
-    """The dynamics a batch runs, and its collectors; a pool worker inherits
-    it once, at fork."""
+    """The dynamics a batch runs; a pool worker inherits it once, at fork."""
 
     cum_rows: np.ndarray
     cum_pi: np.ndarray
@@ -287,7 +286,6 @@ class _EnsembleSpec:
     master_seed: int
     n0: int
     horizon: int
-    collectors: tuple[_Collector, ...] = ()
     window: int = _DRAW  # steps per lockstep window (``_windows``)
 
     @cached_property
@@ -305,11 +303,13 @@ class _EnsembleSpec:
 
 
 class _Block(NamedTuple):
-    """One kernel block over steps bs..bs+K: the states ``Y`` (K+1, B), the
-    step sizes ``a`` (K,) and the iterates ``X`` (d, K+1, B); then ``xs``
-    (d, K', B), the iterates of the block's steps m0.. at or after n0, and
-    ``err`` (K', B), their distances to x*."""
+    """One kernel block of the lane whose B trajectories fill the output
+    ``rows``, over steps bs..bs+K: the states ``Y`` (K+1, B), the step sizes
+    ``a`` (K,) and the iterates ``X`` (d, K+1, B); then ``xs`` (d, K', B),
+    the iterates of the block's steps m0.. at or after n0, and ``err``
+    (K', B), their distances to x*."""
 
+    rows: slice
     bs: int
     Y: np.ndarray
     a: np.ndarray
@@ -323,43 +323,28 @@ class _Block(NamedTuple):
 class _Collector:
     """One quantity an ensemble pass gathers (see the module docstring).
 
-    ``empty(lo, hi, alloc)`` is a copy with the per-trajectory arrays named
-    in ``outputs`` sized for trajectories [lo, hi), from ``alloc(shape,
-    dtype)``; ``part(lo, hi)`` is the part of such a total for a batch's
-    rows [lo, hi), whose outputs are views of the total's rows;
-    ``update(blk)`` reads one ``_Block``.  The parts of a total take turns,
-    so in each process they share its working ``buffers`` (``_buffer``),
-    made at the first block any of them runs.
+    ``size(n, alloc)`` allocates its per-trajectory outputs, a row per
+    trajectory, for all n trajectories from ``alloc(shape, dtype)``;
+    ``update(blk)`` reads one ``_Block`` and writes its ``rows`` of them.
+    The lanes of a run take turns, so in each process they share the
+    collector's working ``buffers`` (``_buffer``).
     """
 
-    outputs: tuple[str, ...]
-
-    def _sized(self, lo: int, hi: int, **arrays: np.ndarray) -> _Collector:
-        part = copy.copy(self)
-        part.lo, part.hi = lo, hi
-        part.buffers = {}
-        vars(part).update(arrays)
-        return part
-
-    def part(self, lo: int, hi: int) -> _Collector:
-        rows = slice(lo - self.lo, hi - self.lo)
-        part = self._sized(lo, hi, **{name: getattr(self, name)[rows] for name in self.outputs})
-        part.buffers = self.buffers
-        return part
+    @cached_property
+    def buffers(self) -> dict[tuple[str, np.dtype], np.ndarray]:
+        return {}
 
 
 @dataclass(eq=False)
 class StartError(_Collector):
     """The error at step n0."""
 
-    outputs = ("err",)
-
-    def empty(self, lo: int, hi: int, alloc=np.empty) -> StartError:
-        return self._sized(lo, hi, err=alloc((hi - lo,), float))
+    def size(self, n: int, alloc=np.empty) -> None:
+        self.err = alloc((n,), float)
 
     def update(self, blk: _Block) -> None:
         if blk.m0 == blk.n0:
-            self.err[:] = blk.err[0]
+            self.err[blk.rows] = blk.err[0]
 
 
 @dataclass(eq=False)
@@ -369,12 +354,10 @@ class Excess(_Collector):
 
     eps_grid: np.ndarray
     decay: np.ndarray
-    outputs = ("max_excess",)
 
-    def empty(self, lo: int, hi: int, alloc=np.empty) -> Excess:
-        max_excess = alloc((hi - lo, len(self.eps_grid)), float)
-        max_excess[...] = -np.inf
-        return self._sized(lo, hi, max_excess=max_excess)
+    def size(self, n: int, alloc=np.empty) -> None:
+        self.max_excess = alloc((n, len(self.eps_grid)), float)
+        self.max_excess[...] = -np.inf
 
     def update(self, blk: _Block) -> None:
         err = blk.err
@@ -382,7 +365,8 @@ class Excess(_Collector):
         excess = _buffer(self.buffers, "excess", err.shape, float)  # reused for every epsilon
         for i, eps in enumerate(self.eps_grid):
             np.subtract(err, (self.decay[idx] * eps)[:, None], out=excess)
-            np.maximum(self.max_excess[:, i], excess.max(axis=0), out=self.max_excess[:, i])
+            peak = self.max_excess[blk.rows, i]
+            np.maximum(peak, excess.max(axis=0), out=peak)
 
 
 @dataclass(eq=False)
@@ -392,17 +376,16 @@ class Checkpoints(_Collector):
 
     ms: np.ndarray
     dim: int
-    outputs = ("x", "y")
 
-    def empty(self, lo: int, hi: int, alloc=np.empty) -> Checkpoints:
-        shape = (hi - lo, len(self.ms))
-        return self._sized(lo, hi, x=alloc((*shape, self.dim), float), y=alloc(shape, np.intp))
+    def size(self, n: int, alloc=np.empty) -> None:
+        self.x = alloc((n, len(self.ms), self.dim), float)
+        self.y = alloc((n, len(self.ms)), np.intp)
 
     def update(self, blk: _Block) -> None:
         ms, m0 = self.ms, blk.m0
         a, b = np.searchsorted(ms, [m0, m0 + blk.xs.shape[1]])
-        self.x[:, a:b] = blk.xs[:, ms[a:b] - m0].transpose(2, 1, 0)
-        self.y[:, a:b] = blk.Y[ms[a:b] - blk.bs].T
+        self.x[blk.rows, a:b] = blk.xs[:, ms[a:b] - m0].transpose(2, 1, 0)
+        self.y[blk.rows, a:b] = blk.Y[ms[a:b] - blk.bs].T
 
 
 @dataclass(eq=False)
@@ -424,6 +407,8 @@ class NoiseSums(_Collector):
     over j is taken in the fixed order of ``_dsum``, so it is the same for
     any batch size.  A block is split after each step of ``ms`` in it, where
     the norm is taken, and the part that starts at n0 starts from S = 0.
+    The running sums S are a (d, n) working array, not an output: each lane
+    keeps its columns, ``[:, rows]``, and a forked worker holds its own copy.
     """
 
     ms: np.ndarray
@@ -431,7 +416,6 @@ class NoiseSums(_Collector):
     phi: np.ndarray
     next_phi: np.ndarray
     poisson: PoissonSolution
-    outputs = ("norms",)
 
     def __post_init__(self) -> None:
         s, d = self.phi.shape
@@ -439,8 +423,9 @@ class NoiseSums(_Collector):
         if s * s * d * d <= _NOISE_TABLE_MAX_CELLS:
             self.table = noise_table(self.phi, self.next_phi, self.gamma, self.poisson)
 
-    def empty(self, lo: int, hi: int, alloc=np.empty) -> NoiseSums:
-        return self._sized(lo, hi, norms=alloc((hi - lo, len(self.ms)), float), S=None)
+    def size(self, n: int, alloc=np.empty) -> None:
+        self.norms = alloc((n, len(self.ms)), float)
+        self.S = np.empty((self.phi.shape[1], n))
 
     def _rows(self, y, y_next) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The rows of (C, c) at the transitions y -> y', as ``noise_rows``.
@@ -461,7 +446,7 @@ class NoiseSums(_Collector):
         """xi for the states ``Y`` (K+1, B) and iterates ``X`` (d, K, B) before
         each step; shape (d, K, B).  Without a table the rows are formed on
         tiles of ``_BLOCK`` trajectories, whose arrays stay in cache.  The
-        result is the part's buffer ``xi``."""
+        result is the buffer ``xi``."""
         B = X.shape[-1]
         width = B if self.table is not None else _BLOCK
         xi = _buffer(self.buffers, "xi", X.shape, float)
@@ -484,18 +469,19 @@ class NoiseSums(_Collector):
         ends = (self.ms[lo:hi] + 1 - first).tolist()  # fold up to and including each step of ms
         if not ends or ends[-1] < len(a):
             ends.append(len(a))
+        S = self.S[:, blk.rows]
         p = 0
         for k, q in enumerate(ends):
             keep = np.cumprod(1.0 - a[p:q][::-1])[::-1]  # keep[j] = prod over p+j <= i < q of (1 - a_i)
             xi[:, p:q] *= a[p:q, None] * np.append(keep[1:], 1.0)[:, None]  # w_j a_j xi_j
-            part = _dsum(xi[:, p:q].swapaxes(0, 1))
+            fold = _dsum(xi[:, p:q].swapaxes(0, 1))
             if first + p == n0:
-                self.S = part
+                S[...] = fold
             else:
-                self.S *= keep[0]
-                self.S += part
+                S *= keep[0]
+                S += fold
             if lo + k < hi:
-                self.norms[:, lo + k] = np.sqrt(_dsum(self.S * self.S))
+                self.norms[blk.rows, lo + k] = np.sqrt(_dsum(S * S))
             p = q
 
 
@@ -533,10 +519,10 @@ class StepStats:
     so no batch alone can give them.  ``ring(n, W, slots, alloc)`` gives it
     a ring of (slots, W+1, n) float64 errors for windows of W steps: window
     k (steps kW+1..(k+1)W, and step 0 as well in window 0) writes step kW +
-    r to row r of slot k % slots.  A batch's ``part`` is a view of its
-    columns, which ``update`` fills block by block.  After every batch has
-    run window k, ``reduce(k)`` raises ``NonFinite`` at the earliest step,
-    and then the lowest trajectory, whose distance overflows; else it sorts
+    r to row r of slot k % slots.  ``update`` fills a block's columns, its
+    ``rows`` of the trajectories.  After every batch has run window k,
+    ``reduce(k)`` raises ``NonFinite`` at the earliest step, and then the
+    lowest trajectory, whose distance overflows; else it sorts
     each row in place, takes its percentiles (``_err_quantiles``) and its
     last entry, the largest, and then turns the rows into their excesses in
     place and counts them, ``_BLOCK`` rows at a time, so no temporary is a
@@ -559,15 +545,10 @@ class StepStats:
         self.err_max = np.empty(span)
         self.counts = np.empty(span, dtype=np.int64)
 
-    def part(self, lo: int, hi: int) -> StepStats:
-        part = copy.copy(self)
-        part.rows = self.rows[..., lo:hi]
-        return part
-
     def update(self, blk: _Block) -> None:
         k = blk.bs // self.W
         r = blk.m0 - k * self.W
-        self.rows[k % len(self.rows), r : r + len(blk.err)] = blk.err
+        self.rows[k % len(self.rows), r : r + len(blk.err), blk.rows] = blk.err
 
     def reduce(self, k: int) -> None:
         W = self.W
@@ -754,7 +735,8 @@ def _buffer(buffers: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarr
     kept by name and dtype, so a name asked for in two dtypes is two
     buffers.  The batches of a run take turns, so one set per process
     serves them all: the spec's (``_EnsembleSpec.buffers``) for the sampler
-    and the kernel, and each collector total's for its parts."""
+    and the kernel, and each collector's (``_Collector.buffers``) for its
+    own."""
     dtype = np.dtype(dtype)
     size = math.prod(shape)
     buf = buffers.get((name, dtype))
@@ -810,15 +792,16 @@ def _fsum(p: Iterable[float]) -> float:
 
 
 class _Lane:
-    """Trajectories [lo, hi) of a lockstep run: the ``parts`` of the collector
-    ``totals`` they fill and, with ``stats``, the ring's part as well
-    (together, the ``feeds``); their iterates ``x`` (d, B) at step ``at``;
-    and their ``blocks`` of states still to come (``_path_segments``)."""
+    """Trajectories [lo, hi) of a lockstep run: the collectors, and the ring,
+    they ``feeds``, and the ``rows`` of them they write, [lo, hi) unless the
+    caller points them elsewhere; their iterates ``x`` (d, B) at step
+    ``at``; and their ``blocks`` of states still to come
+    (``_path_segments``)."""
 
-    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, totals: tuple, stats=None):
-        self.lo, self.hi = lo, hi
-        self.parts = tuple(t.part(lo, hi) for t in totals)
-        self.feeds = self.parts if stats is None else (*self.parts, stats.part(lo, hi))
+    def __init__(self, spec: _EnsembleSpec, lo: int, hi: int, feeds: tuple):
+        self.lo = lo
+        self.rows = slice(lo, hi)
+        self.feeds = feeds
         self.x = np.repeat(spec.initial_x[:, None], hi - lo, axis=1)
         self.at = 0
         self.blocks = _path_segments(spec, lo, hi)
@@ -836,9 +819,10 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
     """Run the next window of the batch ``lane``: the online TD(0) update of
     its trajectories along each (K+1, B) block of states from
     ``lane.blocks``, time-blocked over a (d, B) layout as the module
-    docstring describes, writing its rows of the totals and of the ring in
-    place.  A block's arrays are the spec's buffers (``_buffer``), so the
-    iterates after each block are copied into the lane's own ``x``.
+    docstring describes, writing its ``rows`` of the collectors' outputs and
+    of the ring in place.  A block's arrays are the spec's buffers
+    (``_buffer``), so the iterates after each block are copied into the
+    lane's own ``x``.
 
     A lane of one trajectory with at most ``_FLOAT_MAX_D`` features runs
     each block's steps on Python floats instead: the same products, sums
@@ -846,7 +830,7 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
     order, written into the block's iterates once, before the finite
     check, so every output is the same bit for bit."""
     n0 = spec.n0
-    lo, B = lane.lo, lane.hi - lane.lo
+    lo, B = lane.lo, lane.x.shape[1]
     d = spec.phi.shape[1]
     buffers = spec.buffers
     phi_t = np.ascontiguousarray(spec.phi.T)
@@ -903,9 +887,9 @@ def _fill_rows(spec: _EnsembleSpec, lane: _Lane) -> None:
                 diff *= diff
                 err = _dsum(diff, out=_buffer(buffers, "err", diff.shape[1:], float))
                 np.sqrt(err, out=err)
-                blk = _Block(bs, Y, a, X, n0, bs + j, X[:, j:], err)
-                for part in lane.feeds:
-                    part.update(blk)
+                blk = _Block(lane.rows, bs, Y, a, X, n0, bs + j, X[:, j:], err)
+                for feed in lane.feeds:
+                    feed.update(blk)
             lane.at = bs + K
             if lane.at >= stop:
                 return
@@ -1028,18 +1012,20 @@ def _split(n: int, d: int, jobs: int, batch_size: int | None) -> list[tuple[int,
 
 def _run_ensemble(
     spec: _EnsembleSpec,
+    collectors: tuple[_Collector, ...],
     n: int,
     batch_size: int | None,
     jobs: int,
     stats: StepStats | None = None,
-) -> tuple[_Collector, ...]:
-    """The spec's collectors over trajectories [0, n), in the lanes of
+) -> None:
+    """Fill ``collectors`` over trajectories [0, n), in the lanes of
     ``_split`` (one per worker within its caps, or lanes of ``batch_size``
     when it is given) run in lockstep windows on at most ``jobs`` worker
     processes and never more workers than lanes; with ``stats``, also the
-    per-step outputs, into it.  Each lane writes its rows of the totals and
-    of the ring in place.  With workers, the totals' rows and the ring are
-    shared mappings and the workers fork, so the spec, the totals and the
+    per-step outputs, into it.  Each collector is sized for the n
+    trajectories once, and each lane writes its rows of the outputs and of
+    the ring in place.  With workers, the outputs and the ring are shared
+    mappings and the workers fork, so the spec, the collectors and the
     lanes reach a worker once, and nothing comes back but each window's
     answer."""
     if jobs < 1:
@@ -1048,10 +1034,13 @@ def _run_ensemble(
     workers = min(jobs, len(batches))
     spec = replace(spec, window=_window(n))
     alloc = _shared_empty if workers > 1 else np.empty
-    totals = tuple(c.empty(0, n, alloc) for c in spec.collectors)
+    for c in collectors:
+        c.size(n, alloc)
+    feeds = tuple(collectors)
     if stats is not None:
         stats.ring(n, _windows(spec).step, min(workers, 2), alloc)
-    lanes = [_Lane(spec, lo, hi, totals, stats) for lo, hi in batches]
+        feeds += (stats,)
+    lanes = [_Lane(spec, lo, hi, feeds) for lo, hi in batches]
     if workers > 1:
         _run_pool(spec, lanes, workers, stats)
     else:
@@ -1059,15 +1048,9 @@ def _run_ensemble(
             _run_window(spec, lanes)
             if stats is not None:
                 stats.reduce(k)
-    return totals
 
 
-def _base_spec(
-    config: ExperimentConfig,
-    analytic: AnalyticSolution,
-    horizon: int,
-    collectors: tuple[_Collector, ...] = (),
-) -> _EnsembleSpec:
+def _base_spec(config: ExperimentConfig, analytic: AnalyticSolution, horizon: int) -> _EnsembleSpec:
     problem = config.problem
     return _EnsembleSpec(
         cum_rows=problem.chain.cumulative_rows(),
@@ -1083,7 +1066,6 @@ def _base_spec(
         master_seed=config.master_seed,
         n0=config.n0,
         horizon=horizon,
-        collectors=collectors,
     )
 
 
@@ -1107,14 +1089,10 @@ def estimate_p_init(
     Simulates from step 0 to n0 with the same streams the full experiment
     uses, so the estimate matches the full run exactly.
     """
-    spec = _base_spec(config, analytic, config.n0, (StartError(),))
-    (start,) = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
+    n, start = config.n_trajectories, StartError()
+    _run_ensemble(_base_spec(config, analytic, config.n0), (start,), n, config.batch_size, jobs)
     exceed = int(np.count_nonzero(start.err > config.epsilon))
-    return PInitEstimate(
-        value=exceed / config.n_trajectories,
-        interval=wilson_interval(exceed, config.n_trajectories),
-        n_trajectories=config.n_trajectories,
-    )
+    return PInitEstimate(value=exceed / n, interval=wilson_interval(exceed, n), n_trajectories=n)
 
 
 def simulate_trajectory(
@@ -1127,8 +1105,8 @@ def simulate_trajectory(
     The engine runs one lane of that trajectory alone, window by window,
     with n0 = 0 on its own stream ``rng.stream(master_seed, index)``, so the
     start state, the states and the iterates are those of row ``index`` of
-    any batched run; the lane feeds a ``Checkpoints`` of every step of the
-    window, a new one each window.  The comparison run is the averaged
+    any batched run; the lane writes row 0 of a one-row ``Checkpoints`` of
+    every step of the window, a new one each window.  The comparison run is the averaged
     recursion from the same start, continued from the last iterate of the
     window before.  Distances are taken per window, and the running peak of
     the gap carries across windows.  Overflow in them is left as infinity
@@ -1138,12 +1116,14 @@ def simulate_trajectory(
     T, d = config.horizon, config.problem.n_features
     spec = _base_spec(config, analytic, T)
     lane = _Lane(spec, index, index + 1, ())
+    lane.rows = slice(0, 1)
     starts = _windows(spec)
     z, peak = config.initial_x, 0.0
     for start in starts:
         stop = min(start + starts.step, T)
         first = start + 1 if start else 0  # window k > 0 starts after the step window k-1 ends at
-        chk = Checkpoints(np.arange(first, stop + 1), d).empty(index, index + 1)
+        chk = Checkpoints(np.arange(first, stop + 1), d)
+        chk.size(1)
         lane.feeds = (chk,)
         _fill_rows(spec, lane)
         xs = chk.x[0]
@@ -1296,10 +1276,10 @@ def run_alltime_experiment(
     Without a supplied constant, a noiseless problem (``increment_scale``
     0, so every martingale increment is identically 0) skips the noise
     sums and the fit: every tail is 0 and every bound is 1 - p_init.
-    The same pass collects the errors at the default convergence
-    checkpoints, reduced into ``diagnostics``, and the per-step error
-    quantiles, maxima and primary-cell violation counts, window by window
-    (``StepStats``).  A tail constant, given or fitted, needs n0 >= 1, and
+    The same pass takes the per-step error quantiles, maxima and
+    primary-cell violation counts, window by window (``StepStats``), and
+    ``diagnostics`` reads the quartiles at the default convergence
+    checkpoints off them.  A tail constant, given or fitted, needs n0 >= 1, and
     n0 must be feasible; both are checked before the ensemble runs.  Every
     grid cell's floor and tail come from
     ``evaluate_grid``; the run adds its violations and Wilson interval from
@@ -1321,38 +1301,29 @@ def run_alltime_experiment(
     delta_grid = list(config.delta_grid) if config.delta_grid else []
     if config.delta not in delta_grid:
         delta_grid = [config.delta] + delta_grid
-    eps_arr = np.asarray(eps_grid)
 
     decay = decay_curve(constants, sched, n0, horizon)
     primary_floor = floor_term(constants, sched, n0, config.epsilon, config.delta)
     need_fit = d_source == "fitted"
-    checkpoints = np.unique(np.geomspace(max(n0, 1), horizon, 8).astype(np.int64))
+    n = config.n_trajectories
 
-    collectors = [
-        StartError(),
-        Excess(eps_arr, decay),
-        Checkpoints(checkpoints, dims),
-    ]
+    start, excess = StartError(), Excess(np.asarray(eps_grid), decay)
+    collectors = (start, excess)
     if need_fit:
         # tail indices m in [n0+1, horizon]; the sum bounded at m ends at m-1, where it is recorded
         fit_ms = np.unique(np.geomspace(n0 + 1, horizon, 16).astype(np.int64))
         fit_ms = fit_ms[fit_ms > n0]
-        collectors.append(
-            NoiseSums(fit_ms - 1, problem.gamma, problem.phi, problem.next_phi, analytic.poisson)
-        )
+        noise = NoiseSums(fit_ms - 1, problem.gamma, problem.phi, problem.next_phi, analytic.poisson)
+        collectors += (noise,)
     stats = StepStats(n0, horizon, decay, config.epsilon, primary_floor)
-    spec = _base_spec(config, analytic, horizon, tuple(collectors))
-    totals = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs, stats)
-    out = {type(c): c for c in totals}
-    err_n0, max_excess = out[StartError].err, out[Excess].max_excess
+    _run_ensemble(_base_spec(config, analytic, horizon), collectors, n, config.batch_size, jobs, stats)
 
-    n = config.n_trajectories
-    p_init_exceed = int(np.count_nonzero(err_n0 > config.epsilon))
+    p_init_exceed = int(np.count_nonzero(start.err > config.epsilon))
 
     fitted: TailFit | None = None
     d_used = None if config.D_const is None else float(config.D_const)
     if need_fit:
-        noise_sums = out[NoiseSums].norms
+        noise_sums = noise.norms
         fit_deltas = np.unique(np.quantile(noise_sums.ravel(), DEFAULT_FIT_QUANTILES))
         fit_deltas = fit_deltas[fit_deltas > 0.0].tolist()
         fitted = fit_tail_exponent(
@@ -1373,11 +1344,11 @@ def run_alltime_experiment(
         p_init_source="fitted-ensemble" if need_fit else "empirical",
     )
 
-    p_inits = [int(np.count_nonzero(err_n0 > eps)) / n for eps in eps_grid]
+    p_inits = [int(np.count_nonzero(start.err > eps)) / n for eps in eps_grid]
     cells = evaluate_grid(query, dims, sched, constants, eps_grid, delta_grid, p_inits)
     grid_rows: list[GridRow] = []
     for i, cell in enumerate(cells):
-        vio = int(np.count_nonzero(max_excess[:, i // len(delta_grid)] > cell.floor))
+        vio = int(np.count_nonzero(excess.max_excess[:, i // len(delta_grid)] > cell.floor))
         grid_rows.append(
             GridRow(
                 epsilon=cell.epsilon,
@@ -1411,7 +1382,7 @@ def run_alltime_experiment(
         radius=decay * config.epsilon + primary.floor,
         grid=grid_rows,
         err_quantiles=stats.q,
-        diagnostics=_diagnostics(checkpoints, out[Checkpoints].x, analytic.x_star, sched),
+        diagnostics=_diagnostics(stats, sched, n),
         wall_time=time.monotonic() - t0,
     )
 
@@ -1429,15 +1400,14 @@ class Diagnostics:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
 
 
-def _diagnostics(
-    ms: np.ndarray, iterates: np.ndarray, x_star: np.ndarray, schedule: StepSchedule
-) -> Diagnostics:
-    """Reduce the errors of the (trajectories, checkpoints, d) iterates to
-    quartiles and, for a harmonic schedule, the log-log slope of the median."""
-    errors = np.linalg.norm(iterates - x_star, axis=2)
-    med = np.median(errors, axis=0)
-    q25 = np.percentile(errors, 25, axis=0)
-    q75 = np.percentile(errors, 75, axis=0)
+def _diagnostics(stats: StepStats, schedule: StepSchedule, n: int) -> Diagnostics:
+    """The error quartiles over the n trajectories at the 8 geometric steps
+    from max(n0, 1) to the horizon, read off the per-step quantiles of
+    ``stats``, and, for a harmonic schedule, the log-log slope of the
+    median."""
+    ms = np.unique(np.geomspace(max(stats.n0, 1), stats.horizon, 8).astype(np.int64))
+    at = ms - stats.n0
+    med, q25, q75 = (stats.q[key][at] for key in ("q50", "q25", "q75"))
     slope = None
     if schedule.kind == "harmonic" and len(ms) >= 2 and np.all(med > 0):
         slope = float(np.polyfit(np.log(ms.astype(float)), np.log(med), 1)[0])
@@ -1447,6 +1417,6 @@ def _diagnostics(
         q25=q25,
         q75=q75,
         loglog_slope=slope,
-        n_trajectories=len(errors),
+        n_trajectories=n,
     )
 

@@ -8,9 +8,9 @@ worker processes with identical results.
 Draw protocol used by the simulation engine: one uniform for the
 initial state (consumed even when the initial state is fixed, to keep
 stream alignment policy-independent), then one uniform per transition.
-The engine draws them a chunk of steps at a time; consecutive
-``Generator.random`` calls continue a stream exactly where the last one
-stopped, so the chunk-wise draws equal one long draw bit for bit.
+The engine draws a trajectory's uniforms in one call per lockstep window;
+consecutive ``Generator.random`` calls continue a stream exactly where the
+last one stopped, so the window-wise draws equal one long draw bit for bit.
 """
 
 from __future__ import annotations

@@ -25,6 +25,13 @@ def scalar_analytic(scalar):
     return solve_problem(scalar)
 
 
+@pytest.fixture(scope="session")
+def wide():
+    """The s = 200, d = 8 instance and its solution."""
+    problem = random_problem(5, s=200, d=8)
+    return problem, solve_problem(problem)
+
+
 @pytest.fixture
 def no_noise_table(monkeypatch):
     """Noise sums from per-state gathers, the path above the noise-table cap."""

@@ -36,9 +36,10 @@ every error against the reference kernel's, and the per-step outputs
 against one percentile, maximum and count of the whole matrix.
 
 ``_run_chunk`` runs one batch on its own, as one ``harness._Lane`` taken
-window by window through ``_fill_rows``, into new copies of the spec's
-collectors sized for its rows.  The ensemble does not run a batch that
-way: its batches write their rows into the run's totals.
+window by window through ``_fill_rows``, into collectors sized for the
+batch alone: the lane's rows are pointed at rows 0..B of them.  The
+ensemble does not run a batch that way: its lanes write their own rows of
+collectors sized for every trajectory.
 
 ``join_windows`` joins the records ``harness.simulate_trajectory`` yields,
 one per window, into one record over steps 0..horizon, for the tests that
@@ -49,9 +50,10 @@ the distances and the running peak over whole arrays.  The windowed
 record is checked against it bit for bit.
 
 ``convergence_diagnostics`` is a pass with only the checkpoint collector,
-at the experiment's default checkpoints or any others in [n0, horizon]:
-the twin of the checkpoint diagnostics the experiment gathers in its own
-pass.
+at the experiment's default checkpoints or any others in [n0, horizon],
+whose iterates it reduces to the distances' median and quartiles with
+numpy's ``linalg.norm``, ``median`` and ``percentile``: the twin of the
+diagnostics the experiment reads off its per-step quantiles.
 
 ``martingale_tail`` is the per-step tail bound for one step's weight, the
 twin of the vectorised terms of ``bounds``.  ``state_map``,
@@ -91,7 +93,6 @@ from tdlab.harness import (
     _base_spec,
     _Block,
     _Collector,
-    _diagnostics,
     _EnsembleSpec,
     _fill_rows,
     _Lane,
@@ -222,14 +223,13 @@ class ErrMatrix(_Collector):
     """The error at every step from n0; ``span`` steps."""
 
     span: int
-    outputs = ("matrix",)
 
-    def empty(self, lo: int, hi: int, alloc=np.empty) -> "ErrMatrix":
-        return self._sized(lo, hi, matrix=alloc((hi - lo, self.span), float))
+    def size(self, n: int, alloc=np.empty) -> None:
+        self.matrix = alloc((n, self.span), float)
 
     def update(self, blk: _Block) -> None:
         i0 = blk.m0 - blk.n0
-        self.matrix[:, i0 : i0 + len(blk.err)] = blk.err.T
+        self.matrix[blk.rows, i0 : i0 + len(blk.err)] = blk.err.T
 
 
 def sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
@@ -242,15 +242,16 @@ def sample_paths(spec: _EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     return states
 
 
-def _run_chunk(args: tuple[_EnsembleSpec, int, int]) -> tuple:
-    """The spec's collectors over trajectories [lo, hi) alone, from
-    ``args`` = (spec, lo, hi): one lane, run window by window."""
-    spec, lo, hi = args
-    totals = tuple(c.empty(lo, hi) for c in spec.collectors)
-    lane = _Lane(spec, lo, hi, totals)
+def _run_chunk(spec: _EnsembleSpec, collectors: tuple[_Collector, ...], lo: int, hi: int) -> None:
+    """Fill ``collectors`` over trajectories [lo, hi) alone, sized for those
+    hi - lo, with trajectory lo + i in row i: one lane, run window by
+    window."""
+    for c in collectors:
+        c.size(hi - lo)
+    lane = _Lane(spec, lo, hi, tuple(collectors))
+    lane.rows = slice(0, hi - lo)
     for _ in _windows(spec):
         _fill_rows(spec, lane)
-    return totals
 
 
 def join_windows(windows) -> TrajectoryRecord:
@@ -268,8 +269,8 @@ def whole_trajectory(
     checkpoint of one lane, one comparison run, whole-array distances."""
     config = replace(config, n0=0)
     T = config.horizon
-    every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
-    (chk,) = _run_chunk((_base_spec(config, analytic, T, (every_step,)), index, index + 1))
+    chk = Checkpoints(np.arange(T + 1), config.problem.n_features)
+    _run_chunk(_base_spec(config, analytic, T), (chk,), index, index + 1)
     xs = chk.x[0]
     zs = run_deterministic(config.problem, config.schedule, 0, T, config.initial_x)
     gap = np.linalg.norm(xs - zs, axis=1)
@@ -283,23 +284,26 @@ def whole_trajectory(
     )
 
 
-def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:
-    """The online TD(0) update along ``states``, one step at a time in the
-    (B, d) layout, filling an empty copy of each of the spec's collectors
-    after every step by its own per-step rule.  Non-finite iterates are
-    caught at the exact step."""
+def reference_chunk(
+    spec: _EnsembleSpec, collectors: tuple[_Collector, ...], lo: int, states: np.ndarray
+) -> None:
+    """The online TD(0) update along ``states`` of trajectories lo.., one
+    step at a time in the (B, d) layout, filling ``collectors``, sized for
+    those B, after every step by each one's own per-step rule.  Non-finite
+    iterates are caught at the exact step."""
     T = spec.horizon
     B = len(states)
     n0 = spec.n0
     x = np.repeat(spec.initial_x[None, :], B, axis=0)
-    parts = tuple(c.empty(lo, lo + B) for c in spec.collectors)
-    noise = [c for c in parts if isinstance(c, NoiseSums)]
+    for c in collectors:
+        c.size(B)
+    noise = [c for c in collectors if isinstance(c, NoiseSums)]
     S = {id(c): np.zeros((B, len(x[0]))) for c in noise}
 
     def collect(m: int, x: np.ndarray) -> None:
         idx = m - n0
         err = np.linalg.norm(x - spec.x_star, axis=1)
-        for c in parts:
+        for c in collectors:
             if isinstance(c, StartError) and idx == 0:
                 c.err[:] = err
             elif isinstance(c, ErrMatrix):
@@ -339,8 +343,6 @@ def reference_chunk(spec: _EnsembleSpec, lo: int, states: np.ndarray) -> tuple:
             if m >= n0:
                 collect(m, x)
 
-    return parts
-
 
 def convergence_diagnostics(
     config: ExperimentConfig,
@@ -361,9 +363,21 @@ def convergence_diagnostics(
     if len(ms) == 0 or ms[0] < config.n0 or ms[-1] > config.horizon:
         raise ValidationError("checkpoints must lie within [n0, horizon]")
     chk = Checkpoints(ms, config.problem.n_features)
-    spec = _base_spec(config, analytic, config.horizon, (chk,))
-    (out,) = _run_ensemble(spec, config.n_trajectories, config.batch_size, jobs)
-    return _diagnostics(ms, out.x, analytic.x_star, config.schedule)
+    spec = _base_spec(config, analytic, config.horizon)
+    _run_ensemble(spec, (chk,), config.n_trajectories, config.batch_size, jobs)
+    errors = np.linalg.norm(chk.x - analytic.x_star, axis=2)
+    med = np.median(errors, axis=0)
+    slope = None
+    if config.schedule.kind == "harmonic" and len(ms) >= 2 and np.all(med > 0):
+        slope = float(np.polyfit(np.log(ms.astype(float)), np.log(med), 1)[0])
+    return Diagnostics(
+        checkpoints=ms,
+        median=med,
+        q25=np.percentile(errors, 25, axis=0),
+        q75=np.percentile(errors, 75, axis=0),
+        loglog_slope=slope,
+        n_trajectories=len(errors),
+    )
 
 
 @dataclass(frozen=True)

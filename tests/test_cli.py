@@ -309,9 +309,10 @@ class TestEnsembleTwins:
         exp = dataclasses.replace(cfg.require_experiment(), n0=0)  # collect from step 0
         steps = np.arange(exp.horizon + 1)
         every_step = Checkpoints(steps, cfg.problem.n_features)
-        spec = _base_spec(exp, cfg.analytic, exp.horizon, (every_step,))
+        spec = _base_spec(exp, cfg.analytic, exp.horizon)
         states = sample_paths(spec, 0, exp.n_trajectories)
-        iterates = _run_ensemble(spec, exp.n_trajectories, 5, 1)[0].x
+        _run_ensemble(spec, (every_step,), exp.n_trajectories, 5, 1)
+        iterates = every_step.x
         errors = np.linalg.norm(iterates - cfg.analytic.x_star, axis=2)
         for i in (0, 7, 11):
             out = tmp_path / f"traj{i}"
@@ -371,9 +372,8 @@ class TestSimulate:
         cfg = load_config(simulate_config(tmp_path, instance, "harmonic"))
         exp = dataclasses.replace(cfg.require_experiment(), n0=0, horizon=horizon)
         record = join_windows(harness.simulate_trajectory(exp, 2, cfg.analytic))
-        every_step = Checkpoints(np.arange(horizon + 1), cfg.problem.n_features)
-        spec = _base_spec(exp, cfg.analytic, horizon, (every_step,))
-        (batch,) = _run_chunk((spec, 1, 4))
+        batch = Checkpoints(np.arange(horizon + 1), cfg.problem.n_features)
+        _run_chunk(_base_spec(exp, cfg.analytic, horizon), (batch,), 1, 4)
         assert np.array_equal(record.states, batch.y[1])
         assert np.array_equal(record.x, batch.x[1])
 

@@ -37,9 +37,9 @@ def path_config(problem, horizon, initial_x, policy="fixed:0", seed=0, schedule=
 def engine_path(config, analytic, index=0, **spec_changes):
     """States and iterates of trajectory ``index``, straight from the engine."""
     T = config.horizon
-    every_step = Checkpoints(np.arange(T + 1), config.problem.n_features)
-    spec = replace(_base_spec(config, analytic, T, (every_step,)), **spec_changes)
-    (chk,) = _run_chunk((spec, index, index + 1))
+    chk = Checkpoints(np.arange(T + 1), config.problem.n_features)
+    spec = replace(_base_spec(config, analytic, T), **spec_changes)
+    _run_chunk(spec, (chk,), index, index + 1)
     return sample_paths(spec, index, index + 1)[0], chk.x[0]
 
 

@@ -1,9 +1,11 @@
-"""Batches write their rows of the run's totals in place, in lockstep windows.
+"""Lanes write their rows of the run's collectors in place, in lockstep windows.
 
-``harness._run_ensemble`` allocates each collector's total once.  A batch's
-part holds views of the total's rows, so at jobs = 1 no rows are copied; at
-jobs = 2 the rows live in anonymous shared mappings that forked workers
-write, and a worker answers each window with None.  Every batch runs window
+``harness._run_ensemble`` sizes each collector's outputs once, for every
+trajectory.  The lanes' rows tile the trajectories in order, and a lane
+writes only its own rows of every output and of the ring, so at jobs = 1
+no rows are copied; at jobs = 2 the outputs live in anonymous shared
+mappings that forked workers write, and a worker answers each window with
+None.  Every batch runs window
 k before any runs window k+1, so a non-finite iterate is reported at the
 earliest step, and at that step the lowest trajectory, for any batch split
 and worker count.  The per-step outputs, reduced one window at a time from
@@ -48,32 +50,65 @@ from tdlab.instances import reference_config_dict
 
 from conftest import random_problem
 from oracles import ErrMatrix
-from test_kernel import KINDS, by_kind, divergent_paths, full_spec
+from test_kernel import KINDS, OUTPUTS, divergent_paths, full_spec, run_kinds
+
+SENTINEL = -(2**40)  # held exactly by every output's dtype, and below every excess
+
+
+def fill_on_alloc(feed, method, names):
+    """Have ``feed`` fill its arrays ``names`` with ``SENTINEL`` as soon as
+    its ``method`` allocates them."""
+    alloc = getattr(feed, method)
+
+    def allocated(*args):
+        alloc(*args)
+        for name in names:
+            getattr(feed, name)[...] = SENTINEL
+
+    setattr(feed, method, allocated)
 
 
 class TestInPlace:
-    @pytest.mark.parametrize("batch_size", [8, 32])
-    def test_parts_are_views_of_the_totals(self, ref_problem, ref_analytic, monkeypatch, batch_size):
-        spec = full_spec(ref_problem, ref_analytic, 10, 200)
-        seen = []
+    @pytest.mark.parametrize("batch_size, jobs", [(8, 1), (32, 1), (8, 2)])
+    def test_each_lane_writes_only_its_rows(self, ref_problem, ref_analytic, monkeypatch, batch_size, jobs):
+        # at jobs 2 the outputs and the ring are shared mappings that the workers write
+        n = 70
+        spec, fresh = full_spec(ref_problem, ref_analytic, 10, 200)
+        tiles = []
+
+        class Recorded(harness._Lane):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tiles.append(self.rows)
+
+        monkeypatch.setattr(harness, "_Lane", Recorded)
+        _run_ensemble(spec, fresh(), n, batch_size, jobs)
+        assert tiles == [slice(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+
         fill = harness._fill_rows
+        monkeypatch.setattr(StepStats, "reduce", lambda self, k: None)  # the ring as the lane left it
+        for rows in list(tiles):
 
-        def recording(spec, lane):
-            seen.append(lane.parts)
-            fill(spec, lane)
+            def alone(spec, lane):  # every other lane runs nothing
+                if lane.rows == rows:
+                    fill(spec, lane)
 
-        monkeypatch.setattr(harness, "_fill_rows", recording)
-        totals = by_kind(_run_ensemble(spec, 70, batch_size, 1))
-        assert len(seen) == -(-70 // batch_size)
-        for parts in seen:
-            for part in parts:
-                total = totals[type(part)]
-                for name in type(part).outputs:
-                    view, whole = getattr(part, name), getattr(total, name)
-                    assert view.shape == whole[part.lo : part.hi].shape, name
-                    assert np.shares_memory(view, whole[part.lo : part.hi]), name
-                    assert not np.shares_memory(view, whole[: part.lo]), name
-                    assert not np.shares_memory(view, whole[part.hi :]), name
+            monkeypatch.setattr(harness, "_fill_rows", alone)
+            collectors, stats = fresh(), step_stats(spec, ref_analytic, 0.0)
+            feeds = {c: ("size", OUTPUTS[type(c)]) for c in collectors}
+            feeds[stats] = ("ring", ("rows",))
+            for feed, (method, names) in feeds.items():
+                fill_on_alloc(feed, method, names)
+            _run_ensemble(spec, collectors, n, batch_size, jobs, stats)
+            others = np.r_[: rows.start, rows.stop : n]
+            for feed, (_, names) in feeds.items():
+                for name in names:
+                    out = getattr(feed, name)
+                    if feed is stats:  # the ring's trajectories are its last axis
+                        out = np.moveaxis(out, -1, 0)
+                    assert np.all(out[others] == SENTINEL), name
+                    assert not np.all(out[rows] == SENTINEL), name
+            assert multiprocessing.active_children() == []
 
     def test_tasks_and_returns_carry_no_rows(self, ref_problem, ref_analytic, monkeypatch):
         # at horizon 4000 one batch's error rows take 512 * 3991 * 8 bytes, about 16 MB;
@@ -96,10 +131,11 @@ class TestInPlace:
 
         def returned(horizon, n):
             # every collector kind, and the per-step outputs from the ring
-            spec = full_spec(ref_problem, ref_analytic, 10, horizon)
-            assert {type(c) for c in spec.collectors} == set(KINDS)
+            spec, fresh = full_spec(ref_problem, ref_analytic, 10, horizon)
+            collectors = fresh()
+            assert {type(c) for c in collectors} == set(KINDS)
             replies.clear()
-            _run_ensemble(spec, n, 512, 2, step_stats(spec, ref_analytic, 0.0))
+            _run_ensemble(spec, collectors, n, 512, 2, step_stats(spec, ref_analytic, 0.0))
             assert len(replies) == 2 * windows(horizon, n)  # one answer per worker and window
             return max(replies)
 
@@ -117,7 +153,8 @@ class TestInPlace:
 
 def failing_spec(ref_problem, ref_analytic):
     """``TestNonFinite``'s setup: state 1 has an infinite reward, so an
-    iterate becomes non-finite one step after a trajectory sits there."""
+    iterate becomes non-finite one step after a trajectory sits there; and
+    a function that makes the run's new collectors."""
     spec = _base_spec(
         ExperimentConfig(
             problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=10,
@@ -125,15 +162,15 @@ def failing_spec(ref_problem, ref_analytic):
         ),
         ref_analytic,
         horizon=300,
-        collectors=(StartError(), ErrMatrix(291)),
     )
-    return replace(spec, rewards=np.array([0.0, np.inf, 0.0, 0.0, 0.0]))
+    spec = replace(spec, rewards=np.array([0.0, np.inf, 0.0, 0.0, 0.0]))
+    return spec, lambda: (StartError(), ErrMatrix(291))
 
 
 class TestWorkers:
     @pytest.mark.parametrize("batch_size", [4, 8])
     def test_non_finite_names_the_same_step(self, ref_problem, ref_analytic, monkeypatch, batch_size):
-        spec = failing_spec(ref_problem, ref_analytic)
+        spec, fresh = failing_spec(ref_problem, ref_analytic)
         step = 2 * _BLOCK + 22
         monkeypatch.setattr(  # the forked workers inherit the stand-in
             harness, "_path_segments", divergent_paths(spec, {12: step + 19, 13: step, 14: step + 1})
@@ -141,7 +178,7 @@ class TestWorkers:
         messages = []
         for jobs in (1, 2):
             with pytest.raises(NonFinite) as err:
-                _run_ensemble(spec, 20, batch_size, jobs)
+                _run_ensemble(spec, fresh(), 20, batch_size, jobs)
             messages.append(str(err.value))
             assert multiprocessing.active_children() == []
         assert messages == [f"trajectory 13 became non-finite at step {step + 1}"] * 2
@@ -149,14 +186,14 @@ class TestWorkers:
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to list")
     @pytest.mark.parametrize("jobs", [2, 4])  # 4: more workers than a 2-core host has cores
     def test_no_process_or_segment_left(self, ref_problem, ref_analytic, jobs):
-        spec = full_spec(ref_problem, ref_analytic, 10, 300)
+        spec, fresh = full_spec(ref_problem, ref_analytic, 10, 300)
         before = set(os.listdir("/dev/shm"))
-        pooled = by_kind(_run_ensemble(spec, 64, 8, jobs))
+        pooled = run_kinds(spec, fresh(), 64, 8, jobs)
         assert multiprocessing.active_children() == []
         assert set(os.listdir("/dev/shm")) - before == set()
-        serial = by_kind(_run_ensemble(spec, 64, 8, 1))
+        serial = run_kinds(spec, fresh(), 64, 8, 1)
         for kind in KINDS:
-            for name in kind.outputs:
+            for name in OUTPUTS[kind]:
                 assert np.array_equal(getattr(pooled[kind], name), getattr(serial[kind], name)), name
 
 
@@ -190,8 +227,8 @@ def ring_config(problem, n, n0, horizon, batch_size):
 def error_matrix(spec, n, batch_size):
     """The whole (n, span) error matrix of the oracle collector."""
     matrix = ErrMatrix(spec.horizon - spec.n0 + 1)
-    (full,) = _run_ensemble(replace(spec, collectors=(matrix,)), n, batch_size, 1)
-    return full.matrix
+    _run_ensemble(spec, (matrix,), n, batch_size, 1)
+    return matrix.matrix
 
 
 def matrix_quantiles(spec, n, batch_size):
@@ -232,10 +269,10 @@ class TestErrRing:
     def test_from_step_0(self, ref_problem, ref_analytic, jobs):
         # the experiment refuses n0 = 0 on a noisy instance, so the ensemble is run directly
         n, horizon = 600, 1700
-        spec = full_spec(ref_problem, ref_analytic, 0, horizon)
+        spec, fresh = full_spec(ref_problem, ref_analytic, 0, horizon)
         want = matrix_quantiles(spec, n, 256)
         stats = step_stats(spec, ref_analytic, 0.0)
-        _run_ensemble(spec, n, 256, jobs, stats)
+        _run_ensemble(spec, fresh(), n, 256, jobs, stats)
         for q, w in zip(stats.q.values(), want):
             assert np.array_equal(q, w)
 
@@ -248,7 +285,7 @@ class TestErrRing:
         floor = float(np.median(M - 0.5 * decay))
         for jobs in (1, 2):
             stats = step_stats(spec, ref_analytic, floor)
-            _run_ensemble(spec, n, batch_size, jobs, stats)
+            _run_ensemble(spec, (), n, batch_size, jobs, stats)
             assert np.array_equal(stats.counts, np.count_nonzero(M - 0.5 * decay > floor, axis=0))
             assert np.array_equal(stats.err_max, M.max(axis=0))
             assert 0 < stats.counts.sum() < M.size
@@ -277,32 +314,32 @@ class TestLockstep:
         # trajectory 1 goes at step 201 and the later one at step 101: with batches of 4,
         # a batch-by-batch run would meet trajectory 1 first; at jobs 2 the first worker
         # holds trajectories 0-7
-        spec = failing_spec(ref_problem, ref_analytic)
+        spec, fresh = failing_spec(ref_problem, ref_analytic)
         monkeypatch.setattr(harness, "_path_segments", divergent_paths(spec, {1: 200, late: 100}))
         for jobs in (1, 2):
             with pytest.raises(NonFinite, match=f"^trajectory {late} became non-finite at step 101$"):
-                _run_ensemble(spec, 20, batch_size, jobs)
+                _run_ensemble(spec, fresh(), 20, batch_size, jobs)
             assert multiprocessing.active_children() == []
 
     def test_batches_share_one_guide_table(self, monkeypatch):
         # s = 40 samples through a guide table; the lanes take turns, so one table stays in cache
         problem = random_problem(5, s=40, d=2)
-        spec = _base_spec(ring_config(problem, 40, 10, 300, 8), solve_problem(problem), 300, (StartError(),))
+        spec = _base_spec(ring_config(problem, 40, 10, 300, 8), solve_problem(problem), 300)
         built = []
         real = harness._guide_table
         monkeypatch.setattr(harness, "_guide_table", lambda cdf: built.append(len(cdf)) or real(cdf))
-        _run_ensemble(spec, 40, 8, 1)
+        _run_ensemble(spec, (StartError(),), 40, 8, 1)
         assert built == [40]
 
     def test_batches_share_the_sampler_buffers(self, ref_problem, ref_analytic):
         # the batches take turns, so four batches of 512 need the sampler buffers of one;
         # at windows of 256 steps, a 2048-wide batch's buffers take about 17 MB
-        spec = _base_spec(ring_config(ref_problem, 2048, 10, 600, 512), ref_analytic, 600, (StartError(),))
+        spec = _base_spec(ring_config(ref_problem, 2048, 10, 600, 512), ref_analytic, 600)
 
         def peak(batch_size):
             tracemalloc.start()
             try:
-                _run_ensemble(spec, 2048, batch_size, 1)
+                _run_ensemble(spec, (StartError(),), 2048, batch_size, 1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -408,14 +445,12 @@ class TestBlockBuffers:
         # noise sums); window-wide (W, B) arrays of the states or the transposed uniforms
         # would add 4.2 MB each
         n, n0, horizon = 512, 100, 2200
-        spec = full_spec(ref_problem, ref_analytic, n0, horizon)
-        spec = replace(spec, collectors=tuple(
-            c for c in spec.collectors if type(c) in (StartError, Excess, Checkpoints)
-        ))
+        spec, fresh = full_spec(ref_problem, ref_analytic, n0, horizon)
+        collectors = tuple(c for c in fresh() if type(c) in (StartError, Excess, Checkpoints))
         stats = step_stats(spec, ref_analytic, 0.0)
         tracemalloc.start()
         try:
-            totals = _run_ensemble(spec, n, n, 1, stats)
+            _run_ensemble(spec, collectors, n, n, 1, stats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -423,7 +458,7 @@ class TestBlockBuffers:
         assert W == 1024 and horizon > 2 * W
         u = n * (1 + W) * 8
         ring = stats.rows.nbytes + sum(a.nbytes for a in (*stats.q.values(), stats.err_max, stats.counts))
-        outputs = sum(getattr(t, name).nbytes for t in totals for name in t.outputs)
+        outputs = sum(getattr(c, name).nbytes for c in collectors for name in OUTPUTS[type(c)])
         d = ref_problem.n_features
         block = (4 * d + 5) * (_BLOCK + 1) * n * 8  # F, X, AF, distances (d each); R, ut, Y, err, excess
         # the 512 streams and smaller temporaries
@@ -433,9 +468,12 @@ class TestBlockBuffers:
     @pytest.mark.parametrize("segments", ["blocks"])
     def test_one_window_per_call(self, ref_problem, ref_analytic, monkeypatch, segments):
         n, horizon = 512, 2500
-        spec = full_spec(ref_problem, ref_analytic, 100, horizon)
-        spec = replace(spec, collectors=tuple(c for c in spec.collectors if type(c) is not ErrMatrix))
-        want = by_kind(_run_ensemble(spec, n, 256, 1))
+        spec, fresh = full_spec(ref_problem, ref_analytic, 100, horizon)
+
+        def collectors():
+            return tuple(c for c in fresh() if type(c) is not ErrMatrix)
+
+        want = run_kinds(spec, collectors(), n, 256, 1)
         calls = []
         fill = harness._fill_rows
 
@@ -445,12 +483,12 @@ class TestBlockBuffers:
             calls.append((lane.lo, at, lane.at))
 
         monkeypatch.setattr(harness, "_fill_rows", recorded)
-        got = by_kind(_run_ensemble(spec, n, 256, 1))
+        got = run_kinds(spec, collectors(), n, 256, 1)
         W = _window(n)
         steps = [(0, W), (W, 2 * W), (2 * W, horizon)]
         assert calls == [(lo, at, end) for at, end in steps for lo in (0, 256)]
         for kind, total in want.items():
-            for name in kind.outputs:
+            for name in OUTPUTS[kind]:
                 assert np.array_equal(getattr(got[kind], name), getattr(total, name)), name
 
 
@@ -472,11 +510,13 @@ def recorded_runs(monkeypatch):
     return lanes, starts
 
 
-def outputs_bytes(spec, analytic, n, batch_size, jobs):
-    """The bytes and dtype of every collector output and per-step output of a run."""
+def outputs_bytes(spec, fresh, analytic, n, batch_size, jobs):
+    """The bytes and dtype of every collector output and per-step output of a
+    run into the new collectors ``fresh()``."""
     stats = step_stats(spec, analytic, 0.0)
-    totals = _run_ensemble(spec, n, batch_size, jobs, stats)
-    out = {(type(t).__name__, name): getattr(t, name) for t in totals for name in t.outputs}
+    collectors = fresh()
+    _run_ensemble(spec, collectors, n, batch_size, jobs, stats)
+    out = {(type(c).__name__, name): getattr(c, name) for c in collectors for name in OUTPUTS[type(c)]}
     out.update(stats.q, err_max=stats.err_max, counts=stats.counts)
     return {key: (a.dtype, a.tobytes()) for key, a in out.items()}
 
@@ -490,11 +530,13 @@ class TestDefaultSplit:
         assert _split(3, 4096, 2, None) == [(0, 1), (1, 2), (2, 3)]  # at most n lanes
         assert _split(70, 2, 2, 32) == [(0, 32), (32, 64), (64, 70)]  # the tests' override
         lanes, starts = recorded_runs(monkeypatch)
-        _run_ensemble(full_spec(ref_problem, ref_analytic, 10, 200), 1000, None, 1)
+        spec, fresh = full_spec(ref_problem, ref_analytic, 10, 200)
+        _run_ensemble(spec, fresh(), 1000, None, 1)
         assert (lanes, starts) == ([(0, 1000)], [])
         lanes.clear()
         problem = random_problem(5, s=40, d=8)
-        _run_ensemble(full_spec(problem, solve_problem(problem), 10, 100), 2000, None, 2)
+        spec, fresh = full_spec(problem, solve_problem(problem), 10, 100)
+        _run_ensemble(spec, fresh(), 2000, None, 2)
         assert lanes == [(0, 500), (500, 1000), (1000, 1500), (1500, 2000)]
         assert len(starts) == 2
 
@@ -512,16 +554,16 @@ class TestDefaultSplit:
         else:
             problem = random_problem(5, s=40, d=8)
             analytic = solve_problem(problem)
-        spec = full_spec(problem, analytic, 10, horizon)
-        want = outputs_bytes(spec, analytic, n, 512, 1)
+        spec, fresh = full_spec(problem, analytic, 10, horizon)
+        want = outputs_bytes(spec, fresh, analytic, n, 512, 1)
         for jobs in (1, 2):
-            assert outputs_bytes(spec, analytic, n, batch_size, jobs) == want
+            assert outputs_bytes(spec, fresh, analytic, n, batch_size, jobs) == want
 
     def test_jobs_2_forks_two_workers_at_512(self, ref_problem, ref_analytic, monkeypatch):
-        spec = full_spec(ref_problem, ref_analytic, 10, 300)
-        want = outputs_bytes(spec, ref_analytic, 512, None, 1)
+        spec, fresh = full_spec(ref_problem, ref_analytic, 10, 300)
+        want = outputs_bytes(spec, fresh, ref_analytic, 512, None, 1)
         lanes, starts = recorded_runs(monkeypatch)
-        assert outputs_bytes(spec, ref_analytic, 512, None, 2) == want
+        assert outputs_bytes(spec, fresh, ref_analytic, 512, None, 2) == want
         assert lanes == [(0, 256), (256, 512)] and len(starts) == 2
         assert multiprocessing.active_children() == []
 

@@ -210,10 +210,9 @@ class TestAllTimeExperiment:
             ref_problem, n_trajectories=200, n0=100, horizon=600,
             epsilon=0.045, initial_x=far, batch_size=64,
         )
-        spec = _base_spec(cfg, ref_analytic, cfg.horizon, (Excess(
-            np.array([cfg.epsilon]), decay_curve(c, sched, cfg.n0, cfg.horizon)
-        ),))
-        (out,) = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
+        out = Excess(np.array([cfg.epsilon]), decay_curve(c, sched, cfg.n0, cfg.horizon))
+        spec = _base_spec(cfg, ref_analytic, cfg.horizon)
+        _run_ensemble(spec, (out,), cfg.n_trajectories, cfg.batch_size, 1)
         excess = out.max_excess[:, 0]
         a0 = sched.step(cfg.n0)
         margin = 1.0 - c.alpha - a0 * c.remainder_gain
@@ -246,6 +245,18 @@ class TestAllTimeExperiment:
         assert "wall_time" not in res.as_dict()
 
 
+def assert_diagnostics_twins(cfg, jobs, analytic):
+    """The experiment reads its diagnostics off the per-step quantiles of the
+    ring; the oracle reduces the iterates of a checkpoint pass with numpy's
+    ``median`` and ``percentile``.  Both must agree bit for bit."""
+    folded = run_alltime_experiment(cfg, jobs=jobs, analytic=analytic).diagnostics
+    alone = convergence_diagnostics(cfg, jobs=jobs, analytic=analytic)
+    assert folded.n_trajectories == cfg.n_trajectories
+    for name in ("checkpoints", "median", "q25", "q75"):
+        assert np.array_equal(getattr(folded, name), getattr(alone, name))
+    assert folded.as_dict() == alone.as_dict()
+
+
 class TestDiagnostics:
     def test_noiseless_error_decays_monotonically(self, scalar, scalar_analytic):
         cfg = small_config(scalar, n_trajectories=4, initial_x=np.array([1.0]), n0=0)
@@ -268,11 +279,19 @@ class TestDiagnostics:
     @pytest.mark.parametrize("jobs, batch_size", [(1, 8), (1, 64), (2, 8), (2, 64)])
     def test_experiment_pass_matches_standalone(self, ref_problem, ref_analytic, jobs, batch_size):
         cfg = small_config(ref_problem, n_trajectories=48, batch_size=batch_size)
-        folded = run_alltime_experiment(cfg, jobs=jobs, analytic=ref_analytic).diagnostics
-        alone = convergence_diagnostics(cfg, jobs=jobs, analytic=ref_analytic)
-        for name in ("checkpoints", "median", "q25", "q75"):
-            assert np.array_equal(getattr(folded, name), getattr(alone, name))
-        assert folded.as_dict() == alone.as_dict()
+        assert_diagnostics_twins(cfg, jobs, ref_analytic)
+
+    @pytest.mark.parametrize("jobs, batch_size", [(1, 8), (1, 64), (2, 8), (2, 64)])
+    @pytest.mark.parametrize("instance", ["odd-count", "wide"])
+    def test_experiment_pass_matches_standalone_off_the_reference(
+        self, ref_problem, ref_analytic, wide, jobs, batch_size, instance
+    ):
+        if instance == "odd-count":  # 47 trajectories: the median is one order statistic
+            cfg = small_config(ref_problem, n_trajectories=47, batch_size=batch_size)
+            assert_diagnostics_twins(cfg, jobs, ref_analytic)
+        else:  # s = 200, d = 8, from its first feasible n0 (197) on
+            cfg = small_config(wide[0], n_trajectories=48, batch_size=batch_size, n0=200, horizon=600)
+            assert_diagnostics_twins(cfg, jobs, wide[1])
 
     def test_duplicate_checkpoints_collected_once(self, scalar, scalar_analytic):
         cfg = small_config(scalar, n_trajectories=4, initial_x=np.array([1.0]), n0=0)
@@ -300,13 +319,12 @@ class TestNoiseSums:
         cfg = small_config(problem, n_trajectories=6, n0=20, horizon=300, batch_size=4)
         n0, T = cfg.n0, cfg.horizon
         poisson = analytic.poisson
-        spec = _base_spec(cfg, analytic, T, (
-            # S_n after every step n in [n0, T)
-            NoiseSums(np.arange(n0, T), problem.gamma, problem.phi, problem.next_phi, poisson),
-            # the iterate x_n at every step from n0
-            Checkpoints(np.arange(n0, T + 1), problem.n_features),
-        ))
-        noise, chk = _run_ensemble(spec, cfg.n_trajectories, cfg.batch_size, 1)
+        spec = _base_spec(cfg, analytic, T)
+        # S_n after every step n in [n0, T)
+        noise = NoiseSums(np.arange(n0, T), problem.gamma, problem.phi, problem.next_phi, poisson)
+        # the iterate x_n at every step from n0
+        chk = Checkpoints(np.arange(n0, T + 1), problem.n_features)
+        _run_ensemble(spec, (noise, chk), cfg.n_trajectories, cfg.batch_size, 1)
         states = sample_paths(spec, 0, cfg.n_trajectories)
         steps = cfg.schedule.steps(0, T)
         for i in range(cfg.n_trajectories):

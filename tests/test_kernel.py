@@ -9,7 +9,6 @@ collector's outputs are also the same whether it runs alone or alongside
 all the others.
 """
 
-import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -42,10 +41,19 @@ from conftest import random_problem
 from oracles import ErrMatrix, _run_chunk, reference_chunk, sample_paths
 
 KINDS = _Collector.__subclasses__()
+# the per-trajectory outputs of each kind, a row per trajectory
+OUTPUTS = {
+    StartError: ("err",),
+    Excess: ("max_excess",),
+    ErrMatrix: ("matrix",),
+    Checkpoints: ("x", "y"),
+    NoiseSums: ("norms",),
+}
 
 
 def full_spec(problem, analytic, n0, horizon, fit_ms=None, diag_ms=None, policy="stationary"):
-    """A spec with one collector of every kind, started away from the fixed point."""
+    """A spec started away from the fixed point, and a function that makes a
+    new collector of every kind over its steps each time it is called."""
     config = ExperimentConfig(
         problem=problem,
         schedule=StepSchedule.harmonic(0.5),
@@ -63,54 +71,60 @@ def full_spec(problem, analytic, n0, horizon, fit_ms=None, diag_ms=None, policy=
     if diag_ms is None:
         diag_ms = np.unique(np.linspace(n0, horizon, 6).astype(np.int64))
     decay = decay_curve(analytic.constants, config.schedule, n0, horizon)
-    collectors = (
-        StartError(),
-        Excess(np.array([0.05, 0.2, 0.6]), decay),
-        ErrMatrix(horizon - n0 + 1),
-        Checkpoints(np.asarray(diag_ms, dtype=np.int64), problem.n_features),
-        NoiseSums(
-            np.asarray(fit_ms, dtype=np.int64), problem.gamma, problem.phi, problem.next_phi,
-            analytic.poisson,
-        ),
-    )
-    assert {type(c) for c in collectors} == set(KINDS)
-    return _base_spec(config, analytic, horizon, collectors)
+
+    def fresh():
+        collectors = (
+            StartError(),
+            Excess(np.array([0.05, 0.2, 0.6]), decay),
+            ErrMatrix(horizon - n0 + 1),
+            Checkpoints(np.asarray(diag_ms, dtype=np.int64), problem.n_features),
+            NoiseSums(
+                np.asarray(fit_ms, dtype=np.int64), problem.gamma, problem.phi, problem.next_phi,
+                analytic.poisson,
+            ),
+        )
+        assert {type(c) for c in collectors} == set(KINDS) == set(OUTPUTS)
+        return collectors
+
+    return _base_spec(config, analytic, horizon), fresh
 
 
-def by_kind(parts):
-    return {type(c): c for c in parts}
+def by_kind(collectors):
+    return {type(c): c for c in collectors}
 
 
-def assert_twins(spec, lo, B):
+def run_kinds(spec, collectors, n, batch_size, jobs, stats=None):
+    """``_run_ensemble`` into ``collectors``; they come back by kind."""
+    _run_ensemble(spec, collectors, n, batch_size, jobs, stats)
+    return by_kind(collectors)
+
+
+def assert_twins(spec, fresh, lo, B):
     states = sample_paths(spec, lo, lo + B)
-    want = by_kind(reference_chunk(spec, lo, states))
-    got = by_kind(_run_chunk((spec, lo, lo + B)))
+    want, got = fresh(), fresh()
+    reference_chunk(spec, want, lo, states)
+    _run_chunk(spec, got, lo, lo + B)
+    want, got = by_kind(want), by_kind(got)
     assert set(got) == set(want) == set(KINDS)
     assert bool(got[NoiseSums].table) == (harness._NOISE_TABLE_MAX_CELLS > 0)
     for kind, g in got.items():
         w = want[kind]
-        assert (g.lo, g.hi) == (w.lo, w.hi) == (lo, lo + B)
-        for name in kind.outputs:
+        for name in OUTPUTS[kind]:
             a, b = getattr(g, name), getattr(w, name)
+            assert len(a) == len(b) == B, name  # a row per trajectory of the chunk
             assert a.shape == b.shape and a.dtype == b.dtype, name
             if kind is NoiseSums:  # the reference's stacked ``@`` rounds differently
                 assert np.max(np.abs(a - b), initial=0.0) <= 1e-12, name
             else:  # integers, and the iterates and errors bit for bit
                 assert np.array_equal(a, b), name
     # the other side of the noise-table cap gives the same sums, bit for bit
-    (noise,) = [c for c in spec.collectors if isinstance(c, NoiseSums)]
-    twin = copy.copy(noise)
-    twin.table = None
-    if noise.table is None:
-        twin.table = noise_table(noise.phi, noise.next_phi, noise.gamma, noise.poisson)
-    (other,) = _run_chunk((replace(spec, collectors=(twin,)), lo, lo + B))
-    assert np.array_equal(other.norms, got[NoiseSums].norms)
-
-
-@pytest.fixture(scope="module")
-def wide():
-    problem = random_problem(5, s=200, d=8)
-    return problem, solve_problem(problem)
+    twin = by_kind(fresh())[NoiseSums]
+    if twin.table is None:
+        twin.table = noise_table(twin.phi, twin.next_phi, twin.gamma, twin.poisson)
+    else:
+        twin.table = None
+    _run_chunk(spec, (twin,), lo, lo + B)
+    assert np.array_equal(twin.norms, got[NoiseSums].norms)
 
 
 class TestBlockedKernelTwins:
@@ -130,34 +144,34 @@ class TestBlockedKernelTwins:
         ],
     )
     def test_reference_instance(self, ref_problem, ref_analytic, n0, horizon):
-        assert_twins(full_spec(ref_problem, ref_analytic, n0, horizon), lo=3, B=13)
+        assert_twins(*full_spec(ref_problem, ref_analytic, n0, horizon), lo=3, B=13)
 
     @pytest.mark.parametrize("n0, horizon", [(30, 300), (0, 70)])
     def test_wide_instance(self, wide, n0, horizon):
-        assert_twins(full_spec(*wide, n0, horizon, policy="uniform"), lo=0, B=9)
+        assert_twins(*full_spec(*wide, n0, horizon, policy="uniform"), lo=0, B=9)
 
     def test_single_trajectory(self, ref_problem, ref_analytic):
-        assert_twins(full_spec(ref_problem, ref_analytic, 0, 200), lo=41, B=1)
+        assert_twins(*full_spec(ref_problem, ref_analytic, 0, 200), lo=41, B=1)
 
     @pytest.mark.parametrize("n0, horizon", [(30, 300), (0, 70)])
     def test_single_trajectory_wide(self, wide, n0, horizon):
         # d = 8, the first feature count whose sums take _dsum's tree
-        assert_twins(full_spec(*wide, n0, horizon, policy="uniform"), lo=4, B=1)
+        assert_twins(*full_spec(*wide, n0, horizon, policy="uniform"), lo=4, B=1)
 
     @pytest.mark.parametrize("d", [*range(1, 10), _FLOAT_MAX_D, _FLOAT_MAX_D + 1])
     def test_single_trajectory_feature_counts(self, d):
         # one trajectory runs on Python floats up to _FLOAT_MAX_D features, on numpy above
         problem = random_problem(100 + d, s=d + 3, d=d)
-        assert_twins(full_spec(problem, solve_problem(problem), 10, 3 * _BLOCK + 5), lo=2, B=1)
+        assert_twins(*full_spec(problem, solve_problem(problem), 10, 3 * _BLOCK + 5), lo=2, B=1)
 
     def test_collection_points_on_block_boundaries(self, ref_problem, ref_analytic):
         n0, horizon = 20, 4 * _BLOCK
         edges = [n0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 1, horizon - 1]
-        spec = full_spec(
+        spec, fresh = full_spec(
             ref_problem, ref_analytic, n0, horizon,
             fit_ms=edges, diag_ms=sorted(set(edges + [horizon])),
         )
-        assert_twins(spec, lo=0, B=6)
+        assert_twins(spec, fresh, lo=0, B=6)
 
     @pytest.mark.parametrize(
         "n0, fit_ms",
@@ -172,8 +186,8 @@ class TestBlockedKernelTwins:
         ids=["two-in-a-block", "at-n0", "at-n0-on-a-boundary", "block-end", "horizon-1", "consecutive"],
     )
     def test_noise_fold_split_points(self, ref_problem, ref_analytic, n0, fit_ms):
-        spec = full_spec(ref_problem, ref_analytic, n0, 3 * _BLOCK + 20, fit_ms=fit_ms)
-        assert_twins(spec, lo=2, B=5)
+        spec, fresh = full_spec(ref_problem, ref_analytic, n0, 3 * _BLOCK + 20, fit_ms=fit_ms)
+        assert_twins(spec, fresh, lo=2, B=5)
 
 
 @pytest.mark.usefixtures("no_noise_table")
@@ -222,8 +236,9 @@ class TestExcessMemory:
         # one (K', B) buffer for all epsilons, not a (K', B, n_eps) temporary
         err = np.random.default_rng(0).random((_BLOCK, 512))
         decay = np.linspace(1.0, 0.5, _BLOCK)
-        ex = Excess(np.linspace(0.1, 0.5, 5), decay).empty(0, err.shape[1])
-        blk = harness._Block(0, None, None, None, 0, 0, None, err)
+        ex = Excess(np.linspace(0.1, 0.5, 5), decay)
+        ex.size(err.shape[1])
+        blk = harness._Block(slice(0, err.shape[1]), 0, None, None, None, 0, 0, None, err)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -238,11 +253,11 @@ class TestCollectorIndependence:
     @pytest.mark.parametrize("batch_size", [8, 64])
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
     def test_alone_equals_alongside_the_others(self, ref_problem, ref_analytic, kind, batch_size):
-        spec = full_spec(ref_problem, ref_analytic, 0, 700)
-        (collector,) = [c for c in spec.collectors if isinstance(c, kind)]
-        (alone,) = _run_ensemble(replace(spec, collectors=(collector,)), 70, batch_size, 1)
-        alongside = by_kind(_run_ensemble(spec, 70, batch_size, 1))[kind]
-        for name in kind.outputs:
+        spec, fresh = full_spec(ref_problem, ref_analytic, 0, 700)
+        alone = by_kind(fresh())[kind]
+        _run_ensemble(spec, (alone,), 70, batch_size, 1)
+        alongside = run_kinds(spec, fresh(), 70, batch_size, 1)[kind]
+        for name in OUTPUTS[kind]:
             assert np.array_equal(getattr(alone, name), getattr(alongside, name)), name
 
 
@@ -320,7 +335,7 @@ class TestNonFinite:
             harness, "_path_segments", divergent_paths(spec, {12: step + 19, 13: step, 14: step + 1})
         )
         with pytest.raises(NonFinite, match=f"trajectory 13 became non-finite at step {step + 1}$"):
-            _run_ensemble(spec, 20, batch_size, 1)
+            _run_ensemble(spec, (), 20, batch_size, 1)
 
     def test_one_trajectory_per_batch(self, ref_problem, ref_analytic, monkeypatch):
         # every lane on Python floats, which overflow to inf and NaN without raising
@@ -342,9 +357,10 @@ class TestWorkerPool:
             problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=10, horizon=30,
             n_trajectories=8 * batches, master_seed=0, epsilon=0.5, delta=0.25,
         )
-        spec = _base_spec(cfg, ref_analytic, 30, (StartError(),))
-        (pooled,) = _run_ensemble(spec, cfg.n_trajectories, 8, jobs)
-        (serial,) = _run_ensemble(spec, cfg.n_trajectories, 8, 1)
+        spec = _base_spec(cfg, ref_analytic, 30)
+        pooled, serial = StartError(), StartError()
+        _run_ensemble(spec, (pooled,), cfg.n_trajectories, 8, jobs)
+        _run_ensemble(spec, (serial,), cfg.n_trajectories, 8, 1)
         assert len(started) == workers
         assert np.array_equal(pooled.err, serial.err)
 
@@ -354,4 +370,4 @@ class TestWorkerPool:
             n_trajectories=4, master_seed=0, epsilon=0.5, delta=0.25,
         )
         with pytest.raises(harness.ValidationError, match="jobs"):
-            _run_ensemble(_base_spec(cfg, ref_analytic, horizon=30), 4, 8, 0)
+            _run_ensemble(_base_spec(cfg, ref_analytic, horizon=30), (), 4, 8, 0)

@@ -329,10 +329,10 @@ class TestMemory:
     def test_run_chunk_peaks_below_a_full_path_array(self, ref_problem, ref_analytic):
         # the (B, T+1) int64 states alone would take 64 * 20 001 * 8 bytes
         B, T = 64, 20_000
-        spec = replace(path_spec(ref_problem, ref_analytic, T), collectors=(StartError(),))
+        spec, start = path_spec(ref_problem, ref_analytic, T), StartError()
         tracemalloc.start()
         try:
-            (start,) = _run_chunk((spec, 0, B))
+            _run_chunk(spec, (start,), 0, B)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
