@@ -44,9 +44,10 @@ largest evaluation error measured against 40-digit values, so it stays a
 true upper bound on the integral.
 
 The start-index, D and cell rules live here, for the harness and the CLI:
-``require_feasible`` (the one margin and message), ``tail_constant_source``
-(D given, noiseless or fitted), ``require_tail_start`` (D needs n0 >= 1)
-and ``evaluate_grid`` (a cell's floor and tail, at its epsilon's p_init).
+``require_feasible`` (the one margin and message; the smallest feasible
+index is searched on ``StepSchedule.step``), ``tail_constant_source`` (D
+given, noiseless or fitted), ``require_tail_start`` (D needs n0 >= 1) and
+``evaluate_grid`` (a cell's floor and tail, at its epsilon's p_init).
 Nothing here writes a file: ``cli`` owns every output format.
 """
 
@@ -116,30 +117,27 @@ def require_tail_start(n0: int, source: str) -> None:
 
 
 def _smallest_feasible_n0(constants: ConstantsBundle, schedule: StepSchedule) -> int | None:
-    gap = 1.0 - constants.alpha
+    """The smallest n with a(n) < (1 - alpha) / remainder_gain (None if no
+    table entry is): a(n) does not increase, so doubling brackets n, up to
+    a table's last index, and bisection finds it."""
     if constants.remainder_gain == 0.0:
         return 0
-    target = gap / constants.remainder_gain  # need a(n0) < target
-    if schedule.kind == "harmonic":
-        n = max(0, math.ceil(schedule.d1 / target) - 1)
-    elif schedule.kind == "polynomial":
-        n = max(0, math.ceil((schedule.d3 / target) ** (1.0 / schedule.d2)) - 1)
-    else:
-        assert schedule.values is not None
-        for i, v in enumerate(schedule.values):
-            if v < target:
-                return i
-        return None
-    while schedule.step(n) >= target:  # guard the ceil against roundoff
-        n += 1
-    while n > 0 and schedule.step(n - 1) < target:
-        n -= 1
-    return n
+    target = (1.0 - constants.alpha) / constants.remainder_gain
+    last = math.inf if schedule.values is None else len(schedule.values) - 1
+    lo, hi = -1, 0  # a(lo) >= target, with a(-1) read as infinite
+    while schedule.step(hi) >= target:
+        if hi == last:
+            return None
+        lo, hi = hi, min(2 * hi + 1, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if schedule.step(mid) < target else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """A validated bound evaluation request.  Build via :func:`build_query`."""
+    """A bound evaluation request; :func:`build_query` checks one from outside."""
 
     epsilon: float
     delta: float

@@ -20,6 +20,10 @@ numerical failure.  Reruns are byte-identical.  Timings go to stderr only.
 (``simulate`` always writes its one).  A format left out is not written,
 and ``solve`` and ``bound`` print the JSON path only when they write it.
 
+``--seed``, ``--horizon`` and ``--D`` set their experiment field with
+``dataclasses.replace``, so ``ExperimentConfig`` checks them; an error
+names the flag (``--D: must be finite and > 0, got 0.0``).
+
 Exit codes: 0 success, 1 validation failure, 2 numerical failure or out of memory.
 A config file that cannot be read, or an output directory or file that
 cannot be made or written, is a validation failure that names it.
@@ -32,18 +36,17 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import build_query, check_n0, evaluate_bound
-from .config import LoadedConfig, load_config
+from .config import LoadedConfig, experiment_errors, load_config
 from .errors import ComputeError, NonFinite, ValidationError
 from .harness import estimate_p_init, run_alltime_experiment, simulate_trajectory
 
@@ -80,29 +83,26 @@ def _out_dir(args, cfg: LoadedConfig) -> Path:
     return d
 
 
+_FLAG_FIELDS = {"seed": "master_seed", "horizon": "horizon", "D": "D_const"}
+
+
 def _load(args) -> LoadedConfig:
+    """The config, with the flags of ``_FLAG_FIELDS`` set on its experiment;
+    ``simulate`` runs from step 0, so it sets n0 to 0 first."""
     cfg = load_config(args.config)
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise ValidationError(f"--seed: must be >= 0, got {seed}")
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         raise ValidationError(f"--jobs: must be >= 1, got {jobs}")
-    if seed is not None and cfg.experiment is not None:
-        cfg.experiment.master_seed = seed
-    if getattr(args, "horizon", None) is not None and cfg.experiment is not None:
-        # simulate runs from step 0; only the experiment starts at n0
-        start = 0 if args.command == "simulate" else cfg.experiment.n0
-        if args.horizon <= start:
-            raise ValidationError(
-                f"--horizon: must exceed the start index {start}, got {args.horizon}"
-            )
-        values = cfg.schedule.values
-        if values is not None and len(values) < args.horizon:
-            raise ValidationError(
-                f"--horizon: the table schedule has only {len(values)} values, got {args.horizon}"
-            )
-        cfg.experiment.horizon = args.horizon
+    if cfg.experiment is not None and args.command == "simulate":
+        cfg.experiment = replace(cfg.experiment, n0=0)
+    for flag, name in _FLAG_FIELDS.items():
+        value = getattr(args, flag, None)
+        if value is None or cfg.experiment is None:
+            continue
+        try:
+            cfg.experiment = replace(cfg.experiment, **{name: value})
+        except ValidationError as exc:
+            raise ValidationError(f"--{flag}: {str(exc).removeprefix(f'{name}: ')}") from exc
     return cfg
 
 
@@ -161,38 +161,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _in_experiment(exp, call, *args, **kwargs):
-    """``call(*args, **kwargs)`` on the config's experiment block.  A library
-    check that names a field of the block (``n0: ...``) gets the block's
-    prefix, as the config's own messages have."""
-    try:
-        return call(*args, **kwargs)
-    except ValidationError as exc:
-        if str(exc).partition(":")[0] in {f.name for f in fields(exp)}:
-            raise ValidationError(f"experiment.{exc}") from exc
-        raise
-
-
 def cmd_bound(args) -> int:
-    if args.D is not None and not (math.isfinite(args.D) and args.D > 0.0):
-        raise ValidationError(f"--D: must be finite and > 0, got {args.D}")
     cfg = _load(args)
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()
     # the query is checked in full before the initial-error ensemble runs
-    query = _in_experiment(
-        exp,
-        build_query,
-        analytic.constants,
-        cfg.schedule,
-        epsilon=exp.epsilon,
-        delta=exp.delta,
-        n0=exp.n0,
-        horizon=None if args.infinite else exp.horizon,
-        D_const=args.D if args.D is not None else exp.D_const,
-        p_init=0.0 if exp.p_init is None else exp.p_init,
-        p_init_source="user" if exp.p_init is not None else "empirical",
-    )
+    with experiment_errors():
+        query = build_query(
+            analytic.constants, cfg.schedule, epsilon=exp.epsilon, delta=exp.delta, n0=exp.n0,
+            horizon=None if args.infinite else exp.horizon, D_const=exp.D_const,
+            p_init=0.0 if exp.p_init is None else exp.p_init,
+            p_init_source="user" if exp.p_init is not None else "empirical",
+        )
     if exp.p_init is None:
         est = estimate_p_init(exp, jobs=args.jobs, analytic=analytic)
         query = replace(query, p_init=est.value)
@@ -217,7 +197,8 @@ def cmd_experiment(args) -> int:
     analytic = cfg.require_analytic()
     exp = cfg.require_experiment()
     t0 = time.monotonic()
-    result = _in_experiment(exp, run_alltime_experiment, exp, jobs=args.jobs, analytic=analytic)
+    with experiment_errors():
+        result = run_alltime_experiment(exp, jobs=args.jobs, analytic=analytic)
     out = _out_dir(args, cfg)
     if "json" in cfg.formats:
         _write_json(out / "result.json", result.as_dict())

@@ -16,7 +16,9 @@ has one table that maps each of its keys to a parser and a default, and
 
 Top-level paths are bare (``gamma: ...``, ``chain: missing required
 field``), nested ones dotted (``experiment.n0: ...``).  A schedule's kind
-decides which of its fields are required.  Cross-validation (feature
+decides which of its fields are required.  ``ExperimentConfig`` holds
+the experiment block's rules; ``experiment_errors`` names the block in
+their messages, here and in the CLI.  Cross-validation (feature
 scaling, start-index feasibility) runs at load time and is collected as a
 list of issues; the validate command reports them, every other command
 refuses to run while any are present.
@@ -27,7 +29,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +210,18 @@ _TOP = {
 }
 
 
+@contextmanager
+def experiment_errors():
+    """Re-raise a :class:`ValidationError` as a :class:`ConfigError`, with
+    ``experiment.`` in front of a message that leads with an ``ExperimentConfig`` field."""
+    try:
+        yield
+    except ValidationError as exc:
+        fields = {f.name for f in dataclass_fields(ExperimentConfig)}
+        prefix = "experiment." if str(exc).partition(":")[0] in fields else ""
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     """Parse, build and cross-validate a problem configuration file."""
     path = Path(path)
@@ -246,15 +261,8 @@ def load_config(path: str | Path) -> LoadedConfig:
     schedule = top["schedule"]
     experiment: ExperimentConfig | None = None
     if top["experiment"] is not None:
-        try:
+        with experiment_errors():
             experiment = ExperimentConfig(problem=problem, schedule=schedule, **top["experiment"])
-        except ValidationError as exc:  # its message starts with the field name
-            raise ConfigError(f"experiment.{exc}") from exc
-        if schedule.values is not None and len(schedule.values) < experiment.horizon:
-            raise ConfigError(
-                f"schedule.values: {len(schedule.values)} values do not cover "
-                f"experiment.horizon = {experiment.horizon}"
-            )
         if analytic is not None:
             try:
                 require_feasible(analytic.constants, schedule, experiment.n0)

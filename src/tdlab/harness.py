@@ -142,11 +142,10 @@ import numpy as np
 
 from .analytic import AnalyticSolution, PoissonSolution, PolicyEvalProblem, noise_rows, noise_table
 from .bounds import (
-    build_query,
+    BoundQuery,
     decay_curve,
     evaluate_grid,
     floor_term,
-    require_feasible,
     require_tail_start,
     tail_constant_source,
 )
@@ -208,7 +207,8 @@ class ExperimentConfig:
     batch_size: int | None = None  # None: the default split (``_split``); a size, lanes of it, for tests
 
     def __post_init__(self) -> None:
-        """Every message starts with the name of the field at fault."""
+        """Every message starts with the field at fault; a table schedule
+        shorter than the horizon is ``schedule.values: ...``."""
         if self.n_trajectories < 1:
             raise ValidationError("n_trajectories: need at least one trajectory")
         if self.batch_size is not None and self.batch_size < 1:
@@ -256,6 +256,12 @@ class ExperimentConfig:
                 raise ValidationError(f"{name}: entries must be distinct")
         if self.p_init is not None and not 0.0 <= self.p_init <= 1.0:
             raise ValidationError(f"p_init: must lie in [0, 1], got {self.p_init}")
+        values = self.schedule.values
+        if values is not None and len(values) < self.horizon:
+            raise ValidationError(
+                f"schedule.values: {len(values)} values do not cover "
+                f"experiment.horizon = {self.horizon}"
+            )
 
     def fixed_initial_state(self) -> int:
         """The start state of a 'fixed:<i>' policy, or -1."""
@@ -1175,7 +1181,7 @@ def fit_tail_exponent(points) -> TailFit:
     x = np.asarray(xs)
     y = np.asarray(ys)
     value = float((x * y).sum() / (x * x).sum())
-    if value <= 0.0:
+    if not 0.0 < value < math.inf:
         raise InsufficientTailData("tail frequencies are inconsistent with an exponential decay")
     resid = y - value * x
     return TailFit(
@@ -1279,11 +1285,12 @@ def run_alltime_experiment(
     The same pass takes the per-step error quantiles, maxima and
     primary-cell violation counts, window by window (``StepStats``), and
     ``diagnostics`` reads the quartiles at the default convergence
-    checkpoints off them.  A tail constant, given or fitted, needs n0 >= 1, and
-    n0 must be feasible; both are checked before the ensemble runs.  Every
-    grid cell's floor and tail come from
-    ``evaluate_grid``; the run adds its violations and Wilson interval from
-    ``Excess``.  The primary cell is the ``primary`` row of the grid.
+    checkpoints off them.  Two rules are checked before the ensemble runs:
+    a tail constant, given or fitted, needs n0 >= 1 (``require_tail_start``),
+    and n0 must be feasible (``floor_term`` of the primary cell).  Every
+    grid cell's floor and tail come from ``evaluate_grid``; the run adds its
+    violations and Wilson interval from ``Excess``.  The primary cell is the
+    ``primary`` row of the grid.
     """
     t0 = time.monotonic()
     problem = config.problem
@@ -1293,7 +1300,6 @@ def run_alltime_experiment(
     dims = problem.n_features
     d_source = tail_constant_source(constants, config.D_const)
     require_tail_start(n0, d_source)
-    require_feasible(constants, sched, n0)
 
     eps_grid = list(config.epsilon_grid) if config.epsilon_grid else []
     if config.epsilon not in eps_grid:
@@ -1332,17 +1338,8 @@ def run_alltime_experiment(
             for dlt in fit_deltas
         )
         d_used = fitted.value
-    query = build_query(
-        constants,
-        sched,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        n0=n0,
-        horizon=horizon,
-        D_const=d_used,
-        p_init=p_init_exceed / n,
-        p_init_source="fitted-ensemble" if need_fit else "empirical",
-    )
+    p_source = "fitted-ensemble" if need_fit else "empirical"
+    query = BoundQuery(config.epsilon, config.delta, n0, horizon, d_used, p_init_exceed / n, p_source)
 
     p_inits = [int(np.count_nonzero(start.err > eps)) / n for eps in eps_grid]
     cells = evaluate_grid(query, dims, sched, constants, eps_grid, delta_grid, p_inits)
@@ -1373,7 +1370,7 @@ def run_alltime_experiment(
         primary=primary,
         empirical_p_init=p_init_exceed / n,
         p_init_interval=wilson_interval(p_init_exceed, n),
-        p_init_source=query.p_init_source,
+        p_init_source=p_source,
         D_used=d_used,
         D_source=d_source,
         fitted=fitted,

@@ -6,7 +6,8 @@ A schedule is pinned inside the envelope
 
 must be non-increasing, and must stay strictly below one.  Each kind's
 formula lives in ``StepSchedule.steps`` alone, and ``step(n)`` is its entry
-n, bit for bit.  The derived quantities used by the bound evaluator are
+n, bit for bit; every other module reads step sizes through these two.
+The derived quantities used by the bound evaluator are
 
     step_sum(k, n)            sum of a(m) for m in [k, n]   (0 when n < k)
     tail_weight(k, n)         1 / (k^(d2-d1) n^d1)  if d1 <= d2, else 1 / n^d2

@@ -100,6 +100,45 @@ class TestCheckN0:
         assert sched.step(n) < 0.5
         assert n == 0 or sched.step(n - 1) >= 0.5
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            StepSchedule.harmonic(0.1),
+            StepSchedule.harmonic(0.5),
+            StepSchedule.harmonic(0.9),
+            StepSchedule.polynomial(d3=0.5, d2=0.3),
+            StepSchedule.polynomial(d3=0.9, d2=0.6),
+            StepSchedule.polynomial(d3=0.9, d2=1.0),
+            StepSchedule.polynomial(d3=0.7, d2=0.5, d1=0.2),
+            StepSchedule.table(0.5 / np.arange(1, 401), d1=0.5, d2=1.0, d3=0.5),
+            flat_schedule(0.01),
+            StepSchedule.table([0.3], d1=0.3, d2=1.0, d3=0.3),
+            StepSchedule.table([0.5] * 3 + [0.1], d1=0.1, d2=0.01, d3=0.6),
+            StepSchedule.table([0.5] * 5 + [0.1], d1=0.1, d2=0.01, d3=0.6),
+        ],
+        ids=lambda s: f"{s.kind}-{s.d1:g}-{s.d2:g}-{s.d3:g}-{len(s.values or ())}",
+    )
+    def test_smallest_feasible_matches_a_linear_scan(self, schedule):
+        # the oracle reads the schedule's steps in order; the search under test bisects them
+        scan = 10**5
+        steps = schedule.steps(0, scan if schedule.values is None else len(schedule.values))
+        answers = set()
+        for alpha in (0.1, 0.5, 0.9):
+            for gain in (0.0, 0.5, 2.0, 50.0):
+                n = check_n0(bundle(alpha=alpha, gain=gain), schedule, 0).smallest_feasible
+                answers.add(n)
+                if gain == 0.0:
+                    assert n == 0
+                    continue
+                target = (1.0 - alpha) / gain
+                below = np.flatnonzero(steps < target)
+                if len(below) or schedule.values is not None:
+                    assert n == (int(below[0]) if len(below) else None)
+                else:  # past the scan: the defining property
+                    assert n > scan
+                    assert schedule.step(n) < target <= schedule.step(n - 1)
+        assert 0 in answers
+
 
 class TestRadiusCurve:
     def test_hand_value_at_start(self):

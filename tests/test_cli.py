@@ -186,8 +186,11 @@ class TestBadInputs:
             (["simulate", "--trajectory", "-1"], "--trajectory"),
             (["bound", "--D", "nan"], "--D"),
             (["bound", "--D", "inf"], "--D"),
+            (["bound", "--D", "0"], "--D"),
+            (["bound", "--D", "-1"], "--D"),
             (["simulate", "--horizon", "0"], "--horizon"),
             (["experiment", "--horizon", "100"], "--horizon"),
+            (["experiment", "--seed", "1", "--horizon", "100"], "--horizon"),
             (["experiment", "--jobs", "0"], "--jobs"),
             (["experiment", "--jobs", "-1"], "--jobs"),
             (["bound", "--D", "1", "--jobs", "0"], "--jobs"),
@@ -198,6 +201,13 @@ class TestBadInputs:
         full = [argv[0], cfg, *argv[1:], "--out", str(tmp_path / "out")]
         assert cli.main(full) == 1
         assert f"error: {flag}:" in capsys.readouterr().err
+
+    def test_d_flag_overrides_the_config(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["bound", reference_config(tmp_path, D_const=5.0), "--D", "7", "--out", str(out)]
+        assert cli.main(argv) == 0
+        res = strict_load(out / "bound.json")
+        assert res["D_const"] == 7.0 and res["D_source"] == "given"
 
     @pytest.mark.parametrize("command", ["simulate", "experiment"])
     def test_horizon_past_a_table_schedule_exits_1(self, tmp_path, capsys, command):

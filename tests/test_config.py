@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -258,3 +258,18 @@ class TestExperimentConfig:
                 problem=ref_problem, schedule=StepSchedule.harmonic(0.5), n0=100, horizon=300,
                 n_trajectories=10, master_seed=0, epsilon=0.5, delta=0.5, batch_size=batch_size,
             )
+
+    def test_table_shorter_than_the_horizon_is_refused(self, ref_problem):
+        # built directly or by replace, not only by load_config: the dataclass owns the rule
+        values = (0.5 / np.arange(1, 301)).tolist()
+        table = StepSchedule.table(values, d1=0.5, d2=1.0, d3=0.5)
+        kwargs = dict(
+            problem=ref_problem, n0=100, n_trajectories=10, master_seed=0, epsilon=0.5, delta=0.5,
+        )
+        message = r"^schedule\.values: 300 values do not cover experiment\.horizon = 301$"
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(schedule=table, horizon=301, **kwargs)
+        exp = ExperimentConfig(schedule=table, horizon=300, **kwargs)
+        with pytest.raises(ValidationError, match=message):
+            replace(exp, horizon=len(values) + 1)
+        assert replace(exp, horizon=200).horizon == 200
