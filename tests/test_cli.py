@@ -186,14 +186,14 @@ class TestBadInputs:
             (["simulate", "--trajectory", "-1"], "--trajectory"),
             (["bound", "--D", "nan"], "--D"),
             (["bound", "--D", "inf"], "--D"),
-            (["bound", "--D", "0"], "--D"),
-            (["bound", "--D", "-1"], "--D"),
             (["simulate", "--horizon", "0"], "--horizon"),
             (["experiment", "--horizon", "100"], "--horizon"),
-            (["experiment", "--seed", "1", "--horizon", "100"], "--horizon"),
             (["experiment", "--jobs", "0"], "--jobs"),
             (["experiment", "--jobs", "-1"], "--jobs"),
             (["bound", "--D", "1", "--jobs", "0"], "--jobs"),
+            (["bound", "--D", "0"], "--D"),
+            (["bound", "--D", "-1"], "--D"),
+            (["experiment", "--seed", "1", "--horizon", "100"], "--horizon"),
         ],
     )
     def test_bad_flag_exits_1(self, tmp_path, capsys, argv, flag):
